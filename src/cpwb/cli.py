@@ -547,6 +547,10 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    for flag, dest in (("-K", "bound"), ("--depth", "depth")):
+        value = getattr(args, dest, 0)
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     match args.command:
         case "check":
             d = check(parse_process(_read(args.file)), parse_context(args.ctx), _system(args.sys))

@@ -114,10 +114,15 @@ def max_bag_size(o: Observation) -> int:
     raise TypeError(f"not an observation: {o!r}")
 
 
-def obs_space(a: Formula, bound: int = 2) -> tuple[Observation, ...]:
-    """All observations of ``a`` with every multiset layer of size <= bound."""
+def check_bound(bound: int) -> None:
+    """Reject a negative replication bound."""
     if bound < 0:
         raise ValueError("replication bound must be >= 0")
+
+
+def obs_space(a: Formula, bound: int = 2) -> tuple[Observation, ...]:
+    """All observations of ``a`` with every multiset layer of size <= bound."""
+    check_bound(bound)
     match a:
         case Unit() | Bottom():
             return (STAR,)
@@ -197,6 +202,7 @@ class DenotationSet:
 
 def denote(d: Derivation, bound: int = 2) -> DenotationSet:
     """Denotation of a typing derivation at replication bound ``bound``."""
+    check_bound(bound)
     return DenotationSet(frozenset(_denote(d, bound)), d.ctx, bound)
 
 

@@ -7,11 +7,18 @@ cuts, hidden for process-level cuts), with weakening/contraction markers
 as pseudo-leaves.  Soup equality subsumes the structural congruence
 (cut commutation/reassociation, parallel rearrangement), so the search
 is a memoized rewrite over soups.
+
+The search is complete: it expands every redex of every soup it reaches.
+Hidden names are derived from the edge whose step makes them, not drawn
+from a counter, so a soup reached through two interleavings carries the
+same names and is searched once.  The memo (soup -> observations) and the
+step cache (redex -> its local rewrite) live for one ``observe`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .denotations import (
     DenotationSet,
@@ -21,6 +28,7 @@ from .denotations import (
     Tag,
     bag,
     bag_union,
+    check_bound,
     denote,
     join_tuples,
     mk_tuple,
@@ -36,7 +44,6 @@ from .syntax import (
     EmptyIn,
     EmptyOut,
     Formula,
-    Fwd,
     In,
     Inact,
     Mix,
@@ -197,294 +204,281 @@ def _rename_deriv(d: Derivation, new: Name, old: Name) -> Derivation:
 
 # --- the observation search ---------------------------------------------------
 
-# Leaves: ("proc", Process) | ("weak", name) | ("con", ext, f1, f2)
+# Leaves: (type(P), subject of P, P, free names of P) | ("weak", name)
+#         | ("con", ext, f1, f2); every leaf starts with its kind and the name
+#         it acts on (None for a forwarder).
 # Edges:  name -> frozenset of (alias, observable)
+
+# The (sender, receiver) kinds of the communication steps; see _Engine._comm.
+_STEPS = frozenset({
+    (EmptyOut, EmptyIn),
+    (Out, In),
+    (Select, Case),
+    (Server, Client),
+    (Server, "weak"),
+    (Server, "con"),
+})
+
+
+def _proc_leaf(p: Process):
+    return type(p), getattr(p, "channel", None), p, free_names(p)
+
+
+def _leaf_names(leaf):
+    return leaf[1:] if leaf[0] in ("weak", "con") else leaf[3]
+
+
+class _Items:
+    """The leaves and hidden edges that one step, or the build, adds."""
+
+    def __init__(self, scope: str):
+        self.names = (f"{scope}/{i}" for i in count(1))
+        self.leaves: list = []
+        self.edges: dict = {}
+
+    def hide(self) -> Name:
+        """The step's next fresh name, as a hidden edge."""
+        n = next(self.names)
+        self.edges[n] = frozenset({(n, False)})
+        return n
+
+    def norm(self, *ps: Process) -> None:
+        """Normalize processes into sub-leaves and the hidden edges of their cuts."""
+        for p in ps:
+            match p:
+                case Inact():
+                    pass
+                case Cut(x, _, l, r):
+                    nx = self.hide()
+                    self.norm(substitute(l, nx, x), substitute(r, nx, x))
+                case Mix(l, r):
+                    self.norm(l, r)
+                case Weak(x, _, b):
+                    self.leaves.append(("weak", x))
+                    self.norm(b)
+                case Contract(x, x1, x2, b):
+                    f1, f2 = self.hide(), self.hide()
+                    self.leaves.append(("con", x, f1, f2))
+                    self.norm(substitute(substitute(b, f1, x1), f2, x2))
+                case _:
+                    self.leaves.append(_proc_leaf(p))
+
+
+def _put(theta, ports, val, *drop):
+    """Drop the step's hidden names from ``theta`` and give every port ``val``."""
+    out = {n: o for n, o in theta if n not in drop}
+    out.update((al, val) for al, _ in ports)
+    return mk_tuple(out)
+
+
+def _same(theta):
+    return theta
+
+
+def _collect(results: set, transform, thetas) -> None:
+    for theta in thetas:
+        out = transform(theta)
+        if out is not None:
+            results.add(out)
 
 
 class _Engine:
-    def __init__(self, bound: int, fuel: int):
-        self.bound = bound
-        self.fuel = fuel
-        self.memo: dict = {}
-        self.counter = 0
+    """One observation search: its memo and step cache live as long as it does.
 
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"#{self.counter}"
+    Hidden names come from the edge whose step makes them: the i-th name a
+    step on edge ``e`` makes is ``e/i`` (``#e/i`` when ``e`` is a parsed
+    name), and the names made while building the soup are ``#/i``. An edge
+    is dropped when it fires, and a forwarder step keeps only an edge that
+    has not fired, so no name is made twice on one run; parsed names never
+    contain ``#``. A soup reached by two interleavings therefore carries
+    the same names and meets itself in the memo.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.memo: dict = {}
+        self.steps: dict = {}
 
     # soup construction
 
     def build(self, c: Configuration):
-        leaves: list = []
-        edges: dict[str, frozenset] = {}
+        items = _Items("#")
 
         def add_config(cfg: Configuration):
             match cfg:
                 case CZero():
                     return
                 case CProc(d):
-                    ls, es = self._norm(d.process)
-                    leaves.extend(ls)
-                    edges.update(es)
+                    items.norm(d.process)
                 case CCut(x, _, l, r):
-                    edges[x] = frozenset({(x, True)})
+                    items.edges[x] = frozenset({(x, True)})
                     add_config(l)
                     add_config(r)
                 case CPar(l, r):
                     add_config(l)
                     add_config(r)
                 case CWeak(x, _, sub):
-                    leaves.append(("weak", x))
+                    items.leaves.append(("weak", x))
                     add_config(sub)
                 case CCon(x1, x2, sub):
-                    f1, f2 = self.fresh(), self.fresh()
-                    edges[f1] = frozenset({(f1, False)})
-                    edges[f2] = frozenset({(f2, False)})
-                    leaves.append(("con", x1, f1, f2))
+                    f1, f2 = items.hide(), items.hide()
+                    items.leaves.append(("con", x1, f1, f2))
                     add_config(config_rename(config_rename(sub, f1, x1), f2, x2))
 
         add_config(c)
-        return frozenset(leaves), frozenset(edges.items())
+        return frozenset(items.leaves), frozenset(items.edges.items())
 
     # search
 
     def search(self, state, fuel: int):
+        """All raw observation tuples of ``state``, over every redex of every state."""
         if state in self.memo:
             return self.memo[state]
-        leaves, edges = state
+        leaves, _ = state
         if not leaves:
             return frozenset({()})
         redexes = self._redexes(state)
-        if not redexes:
-            result: frozenset = frozenset()
-            self.memo[state] = result
-            return result
-        if fuel <= 0:
+        if redexes and fuel <= 0:
             raise DepthExceeded(frozenset())
-        results = set()
+        results: set = set()
         for premise, transform in redexes:
-            for theta in self.search(premise, fuel - 1):
-                out = transform(theta)
-                if out is not None:
-                    results.add(out)
+            try:
+                thetas = self.search(premise, fuel - 1)
+            except DepthExceeded as e:
+                _collect(results, transform, e.partial)
+                raise DepthExceeded(results) from None
+            _collect(results, transform, thetas)
         result = frozenset(results)
         self.memo[state] = result
         return result
 
-    def _leaf_names(self, leaf) -> frozenset:
-        match leaf:
-            case ("proc", p):
-                return free_names(p)
-            case ("weak", x):
-                return frozenset((x,))
-            case ("con", x, f1, f2):
-                return frozenset((x, f1, f2))
-        raise AssertionError(leaf)
-
     def _redexes(self, state):
-        leaves, edge_items = state
-        edges = dict(edge_items)
-        at: dict[str, list] = {}
+        leaves, edges = state
+        acting: dict = {}
         for leaf in leaves:
-            for n in self._leaf_names(leaf):
-                at.setdefault(n, []).append(leaf)
-        out = []
-        for leaf in leaves:
-            if leaf[0] == "proc" and isinstance(leaf[1], Fwd):
-                out.append(self._link(state, edges, leaf))
-        for name in sorted(edges):
-            pair = at.get(name, [])
-            if len(pair) != 2:
+            acting.setdefault(leaf[1], []).append(leaf)
+        out = [self._link(state, fwd) for fwd in acting.get(None, ())]
+        # names are linear, so the two leaves acting on an edge are all its leaves
+        for name, ports in edges:
+            pair = acting.get(name)
+            if pair is None or len(pair) != 2:
                 continue
-            r = self._comm(state, edges, name, pair[0], pair[1])
-            if r is None:
-                r = self._comm(state, edges, name, pair[1], pair[0])
-            if r is not None:
-                out.append(r)
+            u, v = pair
+            if (u[0], v[0]) in _STEPS:
+                key = (name, u, v, ports)
+            elif (v[0], u[0]) in _STEPS:
+                key = (name, v, u, ports)
+            else:
+                continue
+            step = self.steps.get(key, False)
+            if step is False:
+                step = self.steps[key] = self._comm(*key)
+            if step is not None:
+                drop, add_leaves, add_edges, transform = step
+                premise = (leaves - drop) | add_leaves, (edges - {(name, ports)}) | add_edges
+                out.append((premise, transform))
         return out
 
-    def _replace(self, state, drop_leaves, add_leaves, drop_edges, add_edges):
-        leaves, edge_items = state
-        new_leaves = (leaves - frozenset(drop_leaves)) | frozenset(add_leaves)
-        edges = dict(edge_items)
-        for n in drop_edges:
-            del edges[n]
-        edges.update(add_edges)
-        return new_leaves, frozenset(edges.items())
-
-    def _norm(self, p: Process):
-        """Normalize one process into soup items (sub-leaves and hidden edges)."""
-        leaves: list = []
-        edges: dict = {}
-
-        def go(q: Process):
-            match q:
-                case Inact():
-                    return
-                case Cut(x, _, l, r):
-                    nx = self.fresh()
-                    edges[nx] = frozenset({(nx, False)})
-                    go(substitute(l, nx, x))
-                    go(substitute(r, nx, x))
-                case Mix(l, r):
-                    go(l)
-                    go(r)
-                case Weak(x, _, b):
-                    leaves.append(("weak", x))
-                    go(b)
-                case Contract(x, x1, x2, b):
-                    f1, f2 = self.fresh(), self.fresh()
-                    edges[f1] = frozenset({(f1, False)})
-                    edges[f2] = frozenset({(f2, False)})
-                    leaves.append(("con", x, f1, f2))
-                    go(substitute(substitute(b, f1, x1), f2, x2))
-                case _:
-                    leaves.append(("proc", q))
-
-        go(p)
-        return leaves, edges
-
-    def _link(self, state, edges, leaf):
+    def _link(self, state, leaf):
         # [a<->b] composed on both of its names: merge the two edges.
-        _, fwd = leaf
+        fwd = leaf[2]
         a, b = fwd.left, fwd.right
-        ports = edges[a] | edges[b]
-        leaves, _ = state
-        renamed = []
+        leaves, edges = state
+        ports = dict(edges)
         dropped = [leaf]
+        renamed = []
         for other in leaves:
-            if other is leaf or b not in self._leaf_names(other):
+            if other is leaf or b not in _leaf_names(other):
                 continue
             dropped.append(other)
             match other:
-                case ("proc", p):
-                    renamed.append(("proc", substitute(p, a, b)))
                 case ("weak", _):
                     renamed.append(("weak", a))
-                case ("con", x, f1, f2):
-                    renamed.append(
-                        (
-                            "con",
-                            a if x == b else x,
-                            a if f1 == b else f1,
-                            a if f2 == b else f2,
-                        )
-                    )
-        premise = self._replace(state, dropped, renamed, [b], {a: ports})
-        return premise, lambda theta: theta
+                case ("con", *ns):
+                    renamed.append(("con", *(a if n == b else n for n in ns)))
+                case (kind, subject, p, names):
+                    subject = a if subject == b else subject
+                    renamed.append((kind, subject, substitute(p, a, b), (names - {b}) | {a}))
+        premise = (
+            (leaves - frozenset(dropped)) | frozenset(renamed),
+            (edges - {(a, ports[a]), (b, ports[b])}) | {(a, ports[a] | ports[b])},
+        )
+        return premise, _same
 
-    def _comm(self, state, edges, name, l1, l2):
-        ports = edges[name]
-        K = self.bound
+    def _comm(self, name, sender, receiver, ports):
+        """The local rewrite of the redex on ``name``.
 
-        def finish(drop, add_leaves, add_edges, transform):
-            premise = self._replace(state, drop, add_leaves, [name], add_edges)
-            return premise, transform
+        Returns the leaves it drops, the leaves and edges it adds and the
+        transform from the premise's tuples to the conclusion's, or None when
+        the step already exceeds the bound.
+        """
+        new = _Items(name if name.startswith("#") else f"#{name}")
+        match sender[2], receiver:
+            case EmptyOut(), (_, _, EmptyIn(_, body), _):
+                new.norm(body)
 
-        match (l1, l2):
-            case (("proc", EmptyOut(a)), ("proc", EmptyIn(b, body))) if a == name and b == name:
-                sub_l, sub_e = self._norm(body)
-                def t_unit(theta, ports=ports):
-                    return tuple_merge(theta, mk_tuple({al: STAR for al, _ in ports}))
-                return finish([l1, l2], sub_l, sub_e, t_unit)
+                def transform(theta):
+                    return _put(theta, ports, STAR)
 
-            case (("proc", Out(y, a, pl, pr)), ("proc", In(b, y2, body))) if (
-                a == name and b == name
-            ):
-                np_, nc = self.fresh(), self.fresh()
-                sub = []
-                sube: dict = {np_: frozenset({(np_, False)}), nc: frozenset({(nc, False)})}
-                for q in (
+            case Out(y, a, pl, pr), (_, _, In(b, y2, body), _):
+                np_, nc = new.hide(), new.hide()
+                new.norm(
                     substitute(pl, np_, y),
                     substitute(pr, nc, a),
                     substitute(substitute(body, np_, y2), nc, b),
-                ):
-                    ls, es = self._norm(q)
-                    sub.extend(ls)
-                    sube.update(es)
+                )
 
-                def t_pair(theta, ports=ports, np_=np_, nc=nc):
+                def transform(theta):
                     val = Pair(tuple_get(theta, np_), tuple_get(theta, nc))
-                    theta = tuple_drop(theta, np_, nc)
-                    return tuple_merge(theta, mk_tuple({al: val for al, _ in ports}))
+                    return _put(theta, ports, val, np_, nc)
 
-                return finish([l1, l2], sub, sube, t_pair)
+            case Select(a, i, body), (_, _, Case(b, q1, q2), _):
+                nc = new.hide()
+                new.norm(substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b))
 
-            case (("proc", Select(a, i, body)), ("proc", Case(b, q1, q2))) if (
-                a == name and b == name
-            ):
-                nc = self.fresh()
-                sub = []
-                sube = {nc: frozenset({(nc, False)})}
-                for q in (substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b)):
-                    ls, es = self._norm(q)
-                    sub.extend(ls)
-                    sube.update(es)
+                def transform(theta):
+                    return _put(theta, ports, Tag(i, tuple_get(theta, nc)), nc)
 
-                def t_tag(theta, ports=ports, nc=nc, i=i):
-                    val = Tag(i, tuple_get(theta, nc))
-                    theta = tuple_drop(theta, nc)
-                    return tuple_merge(theta, mk_tuple({al: val for al, _ in ports}))
-
-                return finish([l1, l2], sub, sube, t_tag)
-
-            case (("proc", Server(a, y, body)), ("proc", Client(b, y2, qbody))) if (
-                a == name and b == name
-            ):
-                if K < 1:
+            case Server(a, y, body), (_, _, Client(b, y2, qbody), _):
+                if self.bound < 1:
                     return None  # a one-shot interaction already exceeds the bound
-                ns = self.fresh()
-                sub = []
-                sube = {ns: frozenset({(ns, False)})}
-                for q in (substitute(body, ns, y), substitute(qbody, ns, y2)):
-                    ls, es = self._norm(q)
-                    sub.extend(ls)
-                    sube.update(es)
+                ns = new.hide()
+                new.norm(substitute(body, ns, y), substitute(qbody, ns, y2))
 
-                def t_srv(theta, ports=ports, ns=ns):
-                    val = bag((tuple_get(theta, ns),))
-                    theta = tuple_drop(theta, ns)
-                    return tuple_merge(theta, mk_tuple({al: val for al, _ in ports}))
+                def transform(theta):
+                    return _put(theta, ports, bag((tuple_get(theta, ns),)), ns)
 
-                return finish([l1, l2], sub, sube, t_srv)
-
-            case (("proc", Server(a, _, _)), ("weak", b)) if a == name and b == name:
+            case Server(), ("weak", _):
                 # the dropped server's carried ?-names are weakened as well
-                extras = [("weak", n) for n in sorted(free_names(l1[1]) - {a})]
+                new.leaves.extend(("weak", n) for n in sorted(sender[3] - {name}))
 
-                def t_weak(theta, ports=ports):
-                    return tuple_merge(theta, mk_tuple({al: bag() for al, _ in ports}))
+                def transform(theta):
+                    return _put(theta, ports, bag())
 
-                return finish([l1, l2], extras, {}, t_weak)
-
-            case (("proc", Server(a, _, _)), ("con", x, f1, f2)) if a == name and x == name:
-                srv = l1[1]
-                copy1 = substitute(srv, f1, a)
-                copy2 = substitute(srv, f2, a)
+            case Server() as srv, ("con", _, f1, f2):
+                copy1 = substitute(srv, f1, name)
+                copy2 = substitute(srv, f2, name)
                 # each carried ?-name splits into one copy per server replica,
                 # re-merged by a fresh contraction marker on the original edge
-                extras = []
-                new_edges = {}
-                for n in sorted(free_names(srv) - {a}):
-                    n1, n2 = self.fresh(), self.fresh()
+                for n in sorted(sender[3] - {name}):
+                    n1, n2 = new.hide(), new.hide()
                     copy1 = substitute(copy1, n1, n)
                     copy2 = substitute(copy2, n2, n)
-                    new_edges[n1] = frozenset({(n1, False)})
-                    new_edges[n2] = frozenset({(n2, False)})
-                    extras.append(("con", n, n1, n2))
+                    new.leaves.append(("con", n, n1, n2))
+                new.leaves += (_proc_leaf(copy1), _proc_leaf(copy2))
+                K = self.bound
 
-                def t_con(theta, ports=ports, f1=f1, f2=f2, K=K):
+                def transform(theta):
                     merged = bag_union(tuple_get(theta, f1), tuple_get(theta, f2))
                     if len(merged.items) > K:
                         return None
-                    theta = tuple_drop(theta, f1, f2)
-                    return tuple_merge(theta, mk_tuple({al: merged for al, _ in ports}))
+                    return _put(theta, ports, merged, f1, f2)
 
-                return finish(
-                    [l1, l2], [("proc", copy1), ("proc", copy2)] + extras, new_edges, t_con
-                )
+            case _:
+                raise AssertionError((sender, receiver))
 
-        return None
+        drop = frozenset((sender, receiver))
+        return drop, frozenset(new.leaves), frozenset(new.edges.items()), transform
 
 
 DEFAULT_DEPTH = 4000
@@ -492,37 +486,28 @@ DEFAULT_DEPTH = 4000
 
 def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
     """All observation tuples of a closed configuration, at bound ``bound``."""
+    check_bound(bound)
     gamma, theta_ctx = check_config(c)
     if gamma:
         raise OpenConfiguration(f"configuration has free names: {sorted(gamma)}")
-    eng = _Engine(bound, depth)
+    eng = _Engine(bound)
     state = eng.build(c)
     observable = {al for _, ports in state[1] for al, obs in ports if obs}
 
     def project(raw):
-        out = set()
-        for t in raw:
-            out.add(tuple((n, o) for n, o in t if n in observable))
-        return frozenset(out)
+        return frozenset(tuple((n, o) for n, o in t if n in observable) for t in raw)
 
-    if not state[0]:
-        return frozenset({()})
-    results: set = set()
     try:
-        for premise, transform in eng._redexes(state):
-            for theta in eng.search(premise, depth - 1):
-                out_t = transform(theta)
-                if out_t is not None:
-                    results.add(out_t)
-    except DepthExceeded:
-        raise DepthExceeded(project(results)) from None
-    final = project(results)
+        final = project(eng.search(state, depth))
+    except DepthExceeded as e:
+        raise DepthExceeded(project(e.partial)) from None
     assert all(set(n for n, _ in t) == set(theta_ctx) for t in final)
     return final
 
 
 def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
     """Fig-4 denotation extended to configurations: cuts keep their coordinate."""
+    check_bound(bound)
     gamma, theta = check_config(c)
     full = {**gamma, **theta}
     return DenotationSet(frozenset(_denote_config(c, bound)), ctx_items(full), bound)

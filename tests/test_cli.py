@@ -147,6 +147,33 @@ def test_cli_observe(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == '[{"x":"*"}]'
 
 
+def test_cli_observe_depth_exceeded(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("cut y:1 ({ new x:1 (x[] | x().y[]) @ y:1 } | { y().0 @ y:bot })")
+    assert main(["observe", str(f), "--depth", "1"]) == 1
+    assert "partial observation set" in capsys.readouterr().err
+    assert main(["observe", str(f), "--depth", "2"]) == 0
+    assert capsys.readouterr().out.strip() == '[{"y":"*"}]'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["observe", "c.cfg", "-K", "-1"],
+        ["observe", "c.cfg", "--depth", "-3"],
+        ["denote", "bang.cp", "--ctx", "x:!1", "-K", "-1"],
+        ["equiv", "bang.cp", "bang.cp", "--ctx", "x:!1", "-K", "-1"],
+    ],
+)
+def test_cli_rejects_negative_bound_and_depth(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("cut x:1 ({ x[] @ x:1 } | { x().0 @ x:bot })")
+    (tmp_path / "bang.cp").write_text("!x(y).y[]")
+    assert main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_cli_transform(tmp_path, capsys):
     f = tmp_path / "p.cp"
     f.write_text("x[]")

@@ -119,6 +119,12 @@ def test_monotone_in_bound():
         assert denote(d, k).tuples <= denote(d, k + 1).tuples
 
 
+def test_negative_bound_is_rejected():
+    d = check(Server("x", "y", EmptyOut("y")), {"x": OfCourse(one)})
+    with pytest.raises(ValueError):
+        denote(d, -1)
+
+
 def test_mix_product_law():
     p = Select("x", 1, EmptyOut("x"))
     q = EmptyIn("y", Inact())

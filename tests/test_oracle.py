@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from cpwb.denotations import Pair, STAR, Tag, bag, mk_tuple
@@ -14,8 +16,10 @@ from cpwb.oracle import (
     OpenConfiguration,
     adequacy_check,
     check_config,
+    denote_config,
     observe,
 )
+from cpwb import oracle
 from cpwb.syntax import (
     Bottom,
     Case,
@@ -67,6 +71,14 @@ def test_check_config_errors():
         )
     with pytest.raises(OpenConfiguration):
         observe(proc(EmptyOut("x"), {"x": one}))
+
+
+def test_negative_bound_is_rejected():
+    c = CCut("x", one, proc(EmptyOut("x"), {"x": one}), proc(closed_in("x"), {"x": bot}))
+    with pytest.raises(ValueError):
+        observe(c, -1)
+    with pytest.raises(ValueError):
+        denote_config(c, -1)
 
 
 def test_observe_zero():
@@ -212,6 +224,47 @@ def test_depth_exceeded():
     c = CCut("y", one, proc(p, {"y": one}), proc(EmptyIn("y", Inact()), {"y": bot}))
     with pytest.raises(DepthExceeded):
         observe(c, 2, depth=1)
+
+
+def test_interleavings_meet_in_the_memo(monkeypatch):
+    # k independent copies of a three-step cut: every interleaving of their
+    # steps must reach the same soups, so that the search expands each of the
+    # 4^k - 1 product states that still has leaves exactly once
+    expanded = []
+    real = oracle._Engine._redexes
+
+    def counting(self, state):
+        expanded.append(state)
+        return real(self, state)
+
+    monkeypatch.setattr(oracle._Engine, "_redexes", counting)
+    a = Tensor(one, one)
+    for k in (2, 3):
+        copies = []
+        for i in range(k):
+            x = f"x{i}"
+            p = Out("y", x, EmptyOut("y"), EmptyOut(x))
+            q = In(x, "y", EmptyIn("y", EmptyIn(x, Inact())))
+            copies.append(CCut(x, a, proc(p, {x: a}), proc(q, {x: dual(a)})))
+        c = reduce(CPar, copies)
+        expanded.clear()
+        got = observe(c)
+        assert len(expanded) == 4**k - 1
+        assert got == frozenset({mk_tuple({f"x{i}": Pair(STAR, STAR) for i in range(k)})})
+        assert adequacy_check(c)
+
+
+def test_adequacy_over_exponentials():
+    # replication, weakening and contraction of one server against every
+    # small client, at every bound up to the default
+    bang, whynot = OfCourse(one), WhyNot(bot)
+    srv = proc(Server("x", "y", EmptyOut("y")), {"x": bang})
+    clients = enumerate_processes({"x": whynot}, 7, System.CP02)
+    assert len(clients) == 132
+    for bound in (0, 1, 2):
+        for q in clients:
+            c = CCut("x", bang, srv, proc(q, {"x": whynot}))
+            assert adequacy_check(c, bound), (bound, q)
 
 
 def test_server_duplication_contracts_carried_names():
