@@ -289,9 +289,9 @@ class _Engine:
     step on edge ``e`` makes is ``e/i`` (``#e/i`` when ``e`` is a parsed
     name), and the names made while building the soup are ``#/i``. An edge
     is dropped when it fires, and a forwarder step keeps only an edge that
-    has not fired, so no name is made twice on one run; parsed names never
-    contain ``#``. A soup reached by two interleavings therefore carries
-    the same names and meets itself in the memo.
+    has not fired, so no name is made twice on one run; parsed names
+    contain neither ``#`` nor ``/``. A soup reached by two interleavings
+    therefore carries the same names and meets itself in the memo.
     """
 
     def __init__(self, bound: int):
