@@ -475,8 +475,15 @@ EXIT_USAGE = 4
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = data.rfind(b"\n", 0, e.start) + 1
+        line = data.count(b"\n", 0, start) + 1
+        col = len(data[start:e.start].decode("utf-8")) + 1
+        raise CPSyntaxError(f"{path} is not UTF-8 (byte {data[e.start]:#04x})", line, col) from None
 
 
 def _system(name: str) -> System:

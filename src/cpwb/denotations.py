@@ -4,25 +4,25 @@ Observations live in the relational/multiset model: `*` for the units,
 pairs for the multiplicatives, tagged values for the additives, finite
 multisets for the exponentials.  Multiset layers are cut off at a
 replication bound K so every denotation is a finite, canonical set.
+
+Inside this layer a denotation is a ``Relation``: a set of rows, each a
+plain tuple of observations in the order of the sorted context names.
+Every rule is one operation of a small relational algebra (product, join,
+extend, project, union), each premise is denoted once, and output rows are
+built by index maps.  The name-keyed ``ObsTuple`` is built only at the boundary:
+``denote(...).tuples`` and the JSON encoding.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from operator import itemgetter
+from typing import NamedTuple
 
-from .syntax import (
-    Bottom,
-    Formula,
-    OfCourse,
-    Par,
-    Plus,
-    Tensor,
-    Unit,
-    WhyNot,
-    With,
-)
+from .syntax import Bottom, Formula, OfCourse, Par, Plus, Tensor, Unit, WhyNot, With
 from .typing import CpwbError, CPTypeError, Derivation, System, check
 
 
@@ -34,39 +34,81 @@ class TypingMismatch(CPTypeError):
 
 
 class Observation:
-    __slots__ = ()
+    """An observation node, immutable once built; its hash is computed once,
+    in ``__init__``. Each subclass restates ``__hash__``, which defining
+    ``__eq__`` would otherwise unset."""
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Star(Observation):
-    pass
+    __slots__ = ()
+    __hash__ = Observation.__hash__
+
+    def __init__(self):
+        self._hash = 0
+
+    def __eq__(self, other):
+        return type(other) is Star
 
 
-@dataclass(frozen=True)
 class Pair(Observation):
-    fst: Observation
-    snd: Observation
+    __slots__ = __match_args__ = ("fst", "snd")
+    __hash__ = Observation.__hash__
+
+    def __init__(self, fst: Observation, snd: Observation):
+        self.fst, self.snd, self._hash = fst, snd, hash((1, fst._hash, snd._hash))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is Pair and self._hash == other._hash
+            and self.fst == other.fst and self.snd == other.snd
+        )
 
 
-@dataclass(frozen=True)
 class Tag(Observation):
-    index: int
-    value: Observation
+    __slots__ = __match_args__ = ("index", "value")
+    __hash__ = Observation.__hash__
+
+    def __init__(self, index: int, value: Observation):
+        self.index, self.value, self._hash = index, value, hash((2, index, value._hash))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is Tag and self._hash == other._hash
+            and self.index == other.index and self.value == other.value
+        )
 
 
-@dataclass(frozen=True)
 class Bag(Observation):
-    items: tuple[Observation, ...]
+    __slots__ = __match_args__ = ("items",)
+    __hash__ = Observation.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(sorted(self.items, key=obs_key)))
+    def __init__(self, items: tuple[Observation, ...]):
+        items = tuple(items)
+        self.items = tuple(sorted(items, key=obs_key)) if len(items) > 1 else items
+        self._hash = hash((3, *(x._hash for x in self.items)))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is Bag and self._hash == other._hash and self.items == other.items
+        )
 
 
 STAR = Star()
+EMPTY_BAG = Bag(())
 
 
 def bag(items=()) -> Bag:
-    return Bag(tuple(items))
+    return Bag(tuple(items)) if items else EMPTY_BAG
 
 
 def obs_key(o: Observation):
@@ -83,8 +125,14 @@ def obs_key(o: Observation):
     raise TypeError(f"not an observation: {o!r}")
 
 
-def bag_union(a: Bag, b: Bag) -> Bag:
-    return Bag(a.items + b.items)
+def bounded_union(bound: int):
+    """Multiset union of two bags, or None when it has more than ``bound`` items."""
+
+    def union(a: Bag, b: Bag) -> Bag | None:
+        merged = Bag(a.items + b.items)
+        return merged if len(merged.items) <= bound else None
+
+    return union
 
 
 def well_sorted(o: Observation, a: Formula) -> bool:
@@ -99,19 +147,6 @@ def well_sorted(o: Observation, a: Formula) -> bool:
             return all(well_sorted(x, b) for x in items)
         case _:
             return False
-
-
-def max_bag_size(o: Observation) -> int:
-    match o:
-        case Star():
-            return 0
-        case Pair(a, b):
-            return max(max_bag_size(a), max_bag_size(b))
-        case Tag(_, a):
-            return max_bag_size(a)
-        case Bag(items):
-            return max([len(items)] + [max_bag_size(x) for x in items])
-    raise TypeError(f"not an observation: {o!r}")
 
 
 def check_bound(bound: int) -> None:
@@ -154,29 +189,6 @@ def mk_tuple(mapping) -> ObsTuple:
     return tuple(sorted(dict(mapping).items()))
 
 
-def tuple_get(t: ObsTuple, name: str) -> Observation:
-    for n, o in t:
-        if n == name:
-            return o
-    raise KeyError(name)
-
-
-def tuple_set(t: ObsTuple, name: str, o: Observation) -> ObsTuple:
-    d = dict(t)
-    d[name] = o
-    return mk_tuple(d)
-
-
-def tuple_drop(t: ObsTuple, *names: str) -> ObsTuple:
-    return tuple((n, o) for n, o in t if n not in names)
-
-
-def tuple_merge(a: ObsTuple, b: ObsTuple) -> ObsTuple:
-    d = dict(a)
-    d.update(b)
-    return mk_tuple(d)
-
-
 def tuple_key(t: ObsTuple):
     return tuple((n, obs_key(o)) for n, o in t)
 
@@ -186,9 +198,8 @@ class DenotationSet:
     tuples: frozenset[ObsTuple]
     ctx: tuple
     bound: int
-
-    def sorted_tuples(self) -> list[ObsTuple]:
-        return sorted(self.tuples, key=tuple_key)
+    # the same rows, positional: the form other layers compose
+    relation: Relation | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.tuples)
@@ -197,152 +208,200 @@ class DenotationSet:
         return len(self.tuples)
 
 
+# --- the relational algebra ----------------------------------------------------
+
+
+class Relation(NamedTuple):
+    """Rows of observations; ``cols`` are sorted names, one per row position."""
+
+    cols: tuple[str, ...]
+    rows: frozenset[tuple]
+
+    def tuples(self) -> frozenset[ObsTuple]:
+        """The rows, name-keyed."""
+        cols = self.cols
+        return frozenset(tuple(zip(cols, row)) for row in self.rows)
+
+
+UNIT = Relation((), frozenset({()}))
+NOTHING = Relation((), frozenset())  # no rows, so no column set to speak of
+
+
+def from_tuples(cols: tuple[str, ...], tuples) -> Relation:
+    """Name-keyed tuples over the names ``cols`` as a relation."""
+    return Relation(cols, frozenset(tuple(map(dict(t).__getitem__, cols)) for t in tuples))
+
+
+def _picker(idx):
+    """A function from a row to the tuple of its entries at ``idx``."""
+    if not idx:
+        return lambda row: ()
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda row: (row[i],)
+    return itemgetter(*idx)
+
+
+@lru_cache(maxsize=4096)
+def _plan(src: tuple[str, ...], new: tuple[str, ...] = (), args=(), drop=()):
+    """The sorted names of ``src + new`` without the columns of ``src`` named
+    in ``drop``, the picker that builds a row over them from a row over
+    ``src + new``, and the picker of the columns ``args`` of ``src``."""
+    out = [(n, i) for i, n in enumerate(src) if n not in drop]
+    out += [(n, len(src) + i) for i, n in enumerate(new)]
+    out.sort()
+    cols = tuple(n for n, _ in out)
+    if len(set(cols)) != len(cols):
+        raise CpwbError(f"a name occurs twice in a relation: {cols}")
+    return cols, _picker(tuple(i for _, i in out)), _picker(tuple(map(src.index, args)))
+
+
+def _build(rows, src, names=(), fn=None, args=(), drop=()) -> Relation:
+    """Rows over ``src`` without the columns ``drop``, with every column of
+    ``names`` set to ``fn`` of the row's ``args``; a row where ``fn`` gives
+    None goes."""
+    cols, pick, get = _plan(src, names, args, drop)
+    if fn is None:
+        return Relation(cols, frozenset(map(pick, rows)))
+    new = len(names)
+    out = set()
+    for row in rows:
+        v = fn(*get(row))
+        if v is not None:
+            out.add(pick(row + (v,) * new))
+    return Relation(cols, frozenset(out))
+
+
+def extend(rel: Relation, names, fn, args=(), drop=()) -> Relation:
+    """Each row without the columns ``drop``, with every column of ``names``
+    set to ``fn`` of the row's ``args``; a row where ``fn`` gives None goes."""
+    return _build(rel.rows, rel.cols, names, fn, args, drop)
+
+
+def product(left: Relation, right: Relation, names=(), fn=None, args=(), drop=()) -> Relation:
+    """Every left row with every right row, extended as by ``extend``."""
+    rows = (a + b for a in left.rows for b in right.rows)
+    return _build(rows, left.cols + right.cols, names, fn, args, drop)
+
+
+def join(left: Relation, right: Relation, name: str, keep: bool = False) -> Relation:
+    """Left and right rows that agree on ``name``, merged; the shared column
+    is kept once or dropped."""
+    li, ri = left.cols.index(name), right.cols.index(name)
+    cols, pick, _ = _plan(left.cols + right.cols, (name,) if keep else (), (), (name,))
+    by_val: dict = {}
+    for a in left.rows:
+        by_val.setdefault(a[li], []).append(a)
+    # the shared value rides at the end of each row; the plan keeps it if ``keep``
+    return Relation(
+        cols, frozenset(pick(a + b + (b[ri],)) for b in right.rows for a in by_val.get(b[ri], ()))
+    )
+
+
+def union(*rels: Relation) -> Relation:
+    """The rows of relations over one column set; one with no rows fits any,
+    and with no rows at all the first relation (or NOTHING) is the union."""
+    full = [r for r in rels if r.rows]
+    if len(full) < 2:
+        return full[0] if full else rels[0] if rels else NOTHING
+    if any(r.cols != full[0].cols for r in full):
+        raise CpwbError(f"a union over two column sets: {[r.cols for r in full]}")
+    return Relation(full[0].cols, frozenset().union(*(r.rows for r in full)))
+
+
+def project(rel: Relation, names) -> Relation:
+    """The columns of ``rel`` that are in ``names``."""
+    return _build(rel.rows, rel.cols, drop=tuple(n for n in rel.cols if n not in names))
+
+
 # --- the semantics -----------------------------------------------------------
 
 
 def denote(d: Derivation, bound: int = 2) -> DenotationSet:
     """Denotation of a typing derivation at replication bound ``bound``."""
     check_bound(bound)
-    return DenotationSet(frozenset(_denote(d, bound)), d.ctx, bound)
+    rel = _denote(d, bound)
+    return DenotationSet(rel.tuples(), d.ctx, bound, rel)
 
 
-def _fits(o: Observation, bound: int) -> bool:
-    return max_bag_size(o) <= bound
-
-
-def _denote(d: Derivation, bound: int) -> set[ObsTuple]:
-    ctx = d.context
+def _denote(d: Derivation, bound: int) -> Relation:
     p = d.process
     match d.rule:
         case "mix0":
-            return {()}
+            return UNIT
         case "one":
-            return {mk_tuple({p.channel: STAR})}
+            return Relation((p.channel,), frozenset({(STAR,)}))
         case "id":
-            a = ctx[p.left]
-            return {
-                mk_tuple({p.left: o, p.right: o}) for o in obs_space(a, bound)
-            }
+            space = obs_space(d.context[p.left], bound)
+            return Relation(tuple(sorted((p.left, p.right))), frozenset((o, o) for o in space))
         case "bot":
-            return {
-                tuple_merge(t, mk_tuple({p.channel: STAR}))
-                for t in _denote(d.premises[0], bound)
-            }
+            return extend(_denote(d.premises[0], bound), (p.channel,), lambda: STAR)
         case "tensor":
-            out = set()
-            for lt in _denote(d.premises[0], bound):
-                a = tuple_get(lt, p.payload)
-                lt = tuple_drop(lt, p.payload)
-                for rt in _denote(d.premises[1], bound):
-                    b = tuple_get(rt, p.channel)
-                    rt2 = tuple_drop(rt, p.channel)
-                    out.add(tuple_merge(tuple_merge(lt, rt2), mk_tuple({p.channel: Pair(a, b)})))
-            return out
+            x, y = p.channel, p.payload
+            left, right = (_denote(prem, bound) for prem in d.premises)
+            return product(left, right, (x,), Pair, (y, x), (y, x))
         case "par":
-            out = set()
-            for t in _denote(d.premises[0], bound):
-                a = tuple_get(t, p.payload)
-                b = tuple_get(t, p.channel)
-                t2 = tuple_drop(t, p.payload, p.channel)
-                out.add(tuple_merge(t2, mk_tuple({p.channel: Pair(a, b)})))
-            return out
+            x, y = p.channel, p.payload
+            return extend(_denote(d.premises[0], bound), (x,), Pair, (y, x), (y, x))
         case "plus":
-            out = set()
-            for t in _denote(d.premises[0], bound):
-                a = tuple_get(t, p.channel)
-                out.add(tuple_set(t, p.channel, Tag(p.branch, a)))
-            return out
+            x = p.channel
+            return extend(_denote(d.premises[0], bound), (x,), partial(Tag, p.branch), (x,), (x,))
         case "with":
-            out = set()
-            for i in (1, 2):
-                for t in _denote(d.premises[i - 1], bound):
-                    a = tuple_get(t, p.channel)
-                    out.add(tuple_set(t, p.channel, Tag(i, a)))
-            return out
+            x = p.channel
+            return union(*(
+                extend(_denote(prem, bound), (x,), partial(Tag, i), (x,), (x,))
+                for i, prem in enumerate(d.premises, 1)
+            ))
         case "bang":
-            prem = sorted(_denote(d.premises[0], bound), key=tuple_key)
-            others = [n for n, _ in d.premises[0].ctx if n != p.payload]
-            out = set()
+            prem = _denote(d.premises[0], bound)
+            i_payload = prem.cols.index(p.payload)
+            others = [i for i in range(len(prem.cols)) if i != i_payload]
+            cols, pick, _ = _plan(tuple(prem.cols[i] for i in others), (p.channel,))
+            rows = set()
             for k in range(bound + 1):
-                for combo in itertools.combinations_with_replacement(prem, k):
-                    entry = {n: bag() for n in others}
-                    entry[p.channel] = Bag(tuple(tuple_get(t, p.payload) for t in combo))
-                    ok = True
-                    for t in combo:
-                        for n in others:
-                            entry[n] = bag_union(entry[n], tuple_get(t, n))
-                            if len(entry[n].items) > bound:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        out.add(mk_tuple(entry))
-            return out
+                for combo in itertools.combinations_with_replacement(prem.rows, k):
+                    bags = [Bag(tuple(o for t in combo for o in t[i].items)) for i in others]
+                    if all(len(b.items) <= bound for b in bags):
+                        rows.add(pick((*bags, Bag(tuple(t[i_payload] for t in combo)))))
+            return Relation(cols, frozenset(rows))
         case "quest":
             if bound < 1:
-                return set()
-            out = set()
-            for t in _denote(d.premises[0], bound):
-                a = tuple_get(t, p.payload)
-                t2 = tuple_drop(t, p.payload)
-                out.add(tuple_merge(t2, mk_tuple({p.channel: bag((a,))})))
-            return out
+                return Relation(tuple(n for n, _ in d.ctx), frozenset())
+            x, y = p.channel, p.payload
+            return extend(_denote(d.premises[0], bound), (x,), lambda o: Bag((o,)), (y,), (y,))
         case "weak":
-            return {
-                tuple_merge(t, mk_tuple({p.name: bag()}))
-                for t in _denote(d.premises[0], bound)
-            }
+            return extend(_denote(d.premises[0], bound), (p.name,), bag)
         case "contract":
-            out = set()
-            for t in _denote(d.premises[0], bound):
-                merged = bag_union(tuple_get(t, p.left_name), tuple_get(t, p.right_name))
-                if len(merged.items) > bound:
-                    continue
-                t2 = tuple_drop(t, p.left_name, p.right_name)
-                out.add(tuple_merge(t2, mk_tuple({p.name: merged})))
-            return out
+            ends = (p.left_name, p.right_name)
+            return extend(_denote(d.premises[0], bound), (p.name,), bounded_union(bound), ends, ends)
         case "cut":
-            return _join_on(
-                _denote(d.premises[0], bound),
-                _denote(d.premises[1], bound),
-                p.name,
-                keep=False,
-            )
+            left, right = (_denote(prem, bound) for prem in d.premises)
+            return join(left, right, p.name)
         case "mix2":
-            return {
-                tuple_merge(lt, rt)
-                for lt in _denote(d.premises[0], bound)
-                for rt in _denote(d.premises[1], bound)
-            }
+            left, right = (_denote(prem, bound) for prem in d.premises)
+            return product(left, right)
     raise CpwbError(f"unknown rule {d.rule!r}")
 
 
-def _join_on(left, right, name, keep: bool) -> set[ObsTuple]:
-    by_val: dict = {}
-    for t in left:
-        by_val.setdefault(obs_key(tuple_get(t, name)), []).append(t)
-    out = set()
-    for t in right:
-        a = tuple_get(t, name)
-        for lt in by_val.get(obs_key(a), ()):
-            rest = t if keep else tuple_drop(t, name)
-            out.add(tuple_merge(tuple_drop(lt, name), rest))
-    return out
-
-
 def join_tuples(left, right, name, keep=False) -> set[ObsTuple]:
-    """Relational composition on a shared coordinate."""
-    return _join_on(left, right, name, keep)
+    """Relational composition of name-keyed tuple sets on a shared coordinate."""
+    if not left or not right:
+        return set()
+    left, right = (from_tuples(tuple(sorted(dict(next(iter(s))))), s) for s in (left, right))
+    return set(join(left, right, name, keep).tuples())
+
+
+def check_shared(p, q, ctx, system: System):
+    """The derivations of ``p`` and ``q`` at one typing, or TypingMismatch."""
+    try:
+        return check(p, ctx, system), check(q, ctx, system)
+    except CPTypeError as e:
+        raise TypingMismatch(f"both processes must check at the shared typing: {e}") from e
 
 
 def equivalent(p, q, ctx, system: System = System.CP0, bound: int = 2) -> bool:
     """Denotational observational-equivalence check at bound ``bound``."""
-    try:
-        dp = check(p, ctx, system)
-        dq = check(q, ctx, system)
-    except CPTypeError as e:
-        raise TypingMismatch(f"both processes must check at the shared typing: {e}") from e
+    dp, dq = check_shared(p, q, ctx, system)
     return denote(dp, bound).tuples == denote(dq, bound).tuples
 
 

@@ -205,7 +205,10 @@ class SuiteConfig:
 
     @staticmethod
     def from_json(text: str) -> "SuiteConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as e:
+            raise ConfigError(f"suite config is not valid JSON: {e}") from None
         if not isinstance(data, dict):
             raise ConfigError("suite config must be a JSON object")
         cfg = SuiteConfig()
@@ -213,9 +216,15 @@ class SuiteConfig:
         bad = set(data) - known
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        for key in ("suites", "connectives"):
-            if key in data:
-                data[key] = tuple(data[key])
+        for key, value in data.items():
+            default = getattr(cfg, key)
+            if isinstance(default, tuple):
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ConfigError(f"config key {key!r} must be a list of strings, got {value!r}")
+                data[key] = tuple(value)
+            elif type(value) is not type(default):  # so true is not an int
+                kind = type(default).__name__
+                raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
         return replace(cfg, **data)
 
 
@@ -279,6 +288,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
     bad = set(names) - set(SUITE_NAMES)
     if bad:
         raise ConfigError(f"unknown suites: {sorted(bad)}")
+    if cfg.bound < 0:
+        raise ConfigError(f"bound must be >= 0, got {cfg.bound}")
     has_exp = "ofcourse" in cfg.connectives or "whynot" in cfg.connectives
     if has_exp and cfg.bound > 2:
         raise ConfigError("exhaustive suites need an exponential-free connective set or bound <= 2")
@@ -287,7 +298,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
             "the property suites exercise transformer contexts and mix permutations, "
             "which need the full mix-extended system; set system to cp02"
         )
-    seed = int(os.environ.get("CPWB_SEED", cfg.seed))
+    seed = os.environ.get("CPWB_SEED", cfg.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ConfigError(f"CPWB_SEED must be an integer, got {seed!r}") from None
     results = []
     for name in names:
         t0 = time.monotonic()

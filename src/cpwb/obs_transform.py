@@ -19,6 +19,7 @@ from .denotations import (
     STAR,
     Star,
     Tag,
+    check_shared,
     denote,
     mk_tuple,
     tuple_key,
@@ -123,13 +124,7 @@ def full_abstraction_I(
     p: Process, q: Process, ctx, system: System = System.CP0, bound: int = 2
 ) -> AbstractionVerdict:
     """Source equivalence iff equivalence of the translations."""
-    from .denotations import TypingMismatch
-
-    try:
-        dp = check(p, ctx, system)
-        dq = check(q, ctx, system)
-    except CPTypeError as e:
-        raise TypingMismatch(f"both processes must check at the shared typing: {e}") from e
+    dp, dq = check_shared(p, q, ctx, system)
     src = denote(dp, bound).tuples == denote(dq, bound).tuples
     tctx = translated_context(ctx)
     dlp = check(translate_process(dp), tctx, System.CP02)

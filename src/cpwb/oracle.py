@@ -18,24 +18,12 @@ step cache (redex -> its local rewrite) live for one ``observe`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 
-from .denotations import (
-    DenotationSet,
-    ObsTuple,
-    Pair,
-    STAR,
-    Tag,
-    bag,
-    bag_union,
-    check_bound,
-    denote,
-    join_tuples,
-    mk_tuple,
-    tuple_drop,
-    tuple_get,
-    tuple_merge,
-)
+from .denotations import NOTHING, STAR, UNIT, DenotationSet, Pair, Relation, Tag, bag
+from .denotations import bounded_union, check_bound, denote, extend, join, product
+from .denotations import project, union
 from .syntax import (
     Case,
     Client,
@@ -58,7 +46,7 @@ from .syntax import (
     free_names,
     substitute,
 )
-from .typing import CPTypeError, Derivation, System, ctx_items
+from .typing import CPTypeError, Derivation, System, check, ctx_items
 
 
 class CutTypeMismatch(CPTypeError):
@@ -70,9 +58,12 @@ class OpenConfiguration(CPTypeError):
 
 
 class DepthExceeded(Exception):
+    """``partial`` holds the observations found before the budget ran out:
+    name-keyed tuples from ``observe``, a relation inside the search."""
+
     def __init__(self, partial):
         super().__init__("observation search exceeded its depth budget")
-        self.partial = frozenset(partial)
+        self.partial = partial
 
 
 class Configuration:
@@ -196,8 +187,6 @@ def config_rename(c: Configuration, new: Name, old: Name) -> Configuration:
 
 
 def _rename_deriv(d: Derivation, new: Name, old: Name) -> Derivation:
-    from .typing import check
-
     ctx = {(new if n == old else n): f for n, f in d.ctx}
     return check(substitute(d.process, new, old), ctx, System.CP02)
 
@@ -264,22 +253,15 @@ class _Items:
                     self.leaves.append(_proc_leaf(p))
 
 
-def _put(theta, ports, val, *drop):
-    """Drop the step's hidden names from ``theta`` and give every port ``val``."""
-    out = {n: o for n, o in theta if n not in drop}
-    out.update((al, val) for al, _ in ports)
-    return mk_tuple(out)
+def _put(ports, fn, args=(), drop=()):
+    """The transform that drops the step's hidden names ``drop`` and gives
+    every port of the fired edge ``fn`` of the premise's ``args``."""
+    names = tuple(al for al, _ in ports)
+    return lambda rel: extend(rel, names, fn, args, drop) if rel.rows else NOTHING
 
 
-def _same(theta):
-    return theta
-
-
-def _collect(results: set, transform, thetas) -> None:
-    for theta in thetas:
-        out = transform(theta)
-        if out is not None:
-            results.add(out)
+def _same(rel):
+    return rel
 
 
 class _Engine:
@@ -330,26 +312,24 @@ class _Engine:
 
     # search
 
-    def search(self, state, fuel: int):
-        """All raw observation tuples of ``state``, over every redex of every state."""
+    def search(self, state, fuel: int) -> Relation:
+        """All raw observations of ``state``, over every redex of every state."""
         if state in self.memo:
             return self.memo[state]
         leaves, _ = state
         if not leaves:
-            return frozenset({()})
+            return UNIT
         redexes = self._redexes(state)
         if redexes and fuel <= 0:
-            raise DepthExceeded(frozenset())
-        results: set = set()
+            raise DepthExceeded(NOTHING)
+        found = []
         for premise, transform in redexes:
             try:
-                thetas = self.search(premise, fuel - 1)
+                found.append(transform(self.search(premise, fuel - 1)))
             except DepthExceeded as e:
-                _collect(results, transform, e.partial)
-                raise DepthExceeded(results) from None
-            _collect(results, transform, thetas)
-        result = frozenset(results)
-        self.memo[state] = result
+                found.append(transform(e.partial))
+                raise DepthExceeded(union(*found)) from None
+        result = self.memo[state] = union(*found)
         return result
 
     def _redexes(self, state):
@@ -409,16 +389,14 @@ class _Engine:
         """The local rewrite of the redex on ``name``.
 
         Returns the leaves it drops, the leaves and edges it adds and the
-        transform from the premise's tuples to the conclusion's, or None when
-        the step already exceeds the bound.
+        transform from the premise's relation to the conclusion's, or None
+        when the step already exceeds the bound.
         """
         new = _Items(name if name.startswith("#") else f"#{name}")
         match sender[2], receiver:
             case EmptyOut(), (_, _, EmptyIn(_, body), _):
                 new.norm(body)
-
-                def transform(theta):
-                    return _put(theta, ports, STAR)
+                transform = _put(ports, lambda: STAR)
 
             case Out(y, a, pl, pr), (_, _, In(b, y2, body), _):
                 np_, nc = new.hide(), new.hide()
@@ -427,33 +405,24 @@ class _Engine:
                     substitute(pr, nc, a),
                     substitute(substitute(body, np_, y2), nc, b),
                 )
-
-                def transform(theta):
-                    val = Pair(tuple_get(theta, np_), tuple_get(theta, nc))
-                    return _put(theta, ports, val, np_, nc)
+                transform = _put(ports, Pair, (np_, nc), (np_, nc))
 
             case Select(a, i, body), (_, _, Case(b, q1, q2), _):
                 nc = new.hide()
                 new.norm(substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b))
-
-                def transform(theta):
-                    return _put(theta, ports, Tag(i, tuple_get(theta, nc)), nc)
+                transform = _put(ports, partial(Tag, i), (nc,), (nc,))
 
             case Server(a, y, body), (_, _, Client(b, y2, qbody), _):
                 if self.bound < 1:
                     return None  # a one-shot interaction already exceeds the bound
                 ns = new.hide()
                 new.norm(substitute(body, ns, y), substitute(qbody, ns, y2))
-
-                def transform(theta):
-                    return _put(theta, ports, bag((tuple_get(theta, ns),)), ns)
+                transform = _put(ports, lambda o: bag((o,)), (ns,), (ns,))
 
             case Server(), ("weak", _):
                 # the dropped server's carried ?-names are weakened as well
                 new.leaves.extend(("weak", n) for n in sorted(sender[3] - {name}))
-
-                def transform(theta):
-                    return _put(theta, ports, bag())
+                transform = _put(ports, bag)
 
             case Server() as srv, ("con", _, f1, f2):
                 copy1 = substitute(srv, f1, name)
@@ -466,13 +435,7 @@ class _Engine:
                     copy2 = substitute(copy2, n2, n)
                     new.leaves.append(("con", n, n1, n2))
                 new.leaves += (_proc_leaf(copy1), _proc_leaf(copy2))
-                K = self.bound
-
-                def transform(theta):
-                    merged = bag_union(tuple_get(theta, f1), tuple_get(theta, f2))
-                    if len(merged.items) > K:
-                        return None
-                    return _put(theta, ports, merged, f1, f2)
+                transform = _put(ports, bounded_union(self.bound), (f1, f2), (f1, f2))
 
             case _:
                 raise AssertionError((sender, receiver))
@@ -494,15 +457,12 @@ def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
     state = eng.build(c)
     observable = {al for _, ports in state[1] for al, obs in ports if obs}
 
-    def project(raw):
-        return frozenset(tuple((n, o) for n, o in t if n in observable) for t in raw)
-
     try:
-        final = project(eng.search(state, depth))
+        final = project(eng.search(state, depth), observable)
     except DepthExceeded as e:
-        raise DepthExceeded(project(e.partial)) from None
-    assert all(set(n for n, _ in t) == set(theta_ctx) for t in final)
-    return final
+        raise DepthExceeded(project(e.partial, observable).tuples()) from None
+    assert not final.rows or set(final.cols) == set(theta_ctx)
+    return final.tuples()
 
 
 def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
@@ -510,37 +470,24 @@ def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
     check_bound(bound)
     gamma, theta = check_config(c)
     full = {**gamma, **theta}
-    return DenotationSet(frozenset(_denote_config(c, bound)), ctx_items(full), bound)
+    return DenotationSet(_denote_config(c, bound).tuples(), ctx_items(full), bound)
 
 
-def _denote_config(c: Configuration, bound: int) -> set[ObsTuple]:
+def _denote_config(c: Configuration, bound: int) -> Relation:
     match c:
         case CZero():
-            return {()}
+            return UNIT
         case CProc(d):
-            return set(denote(d, bound).tuples)
+            return denote(d, bound).relation
         case CCut(x, _, l, r):
-            return join_tuples(
-                _denote_config(l, bound), _denote_config(r, bound), x, keep=True
-            )
+            return join(_denote_config(l, bound), _denote_config(r, bound), x, keep=True)
         case CPar(l, r):
-            return {
-                tuple_merge(a, b)
-                for a in _denote_config(l, bound)
-                for b in _denote_config(r, bound)
-            }
+            return product(_denote_config(l, bound), _denote_config(r, bound))
         case CWeak(x, _, sub):
-            return {
-                tuple_merge(t, mk_tuple({x: bag()})) for t in _denote_config(sub, bound)
-            }
+            return extend(_denote_config(sub, bound), (x,), bag)
         case CCon(x1, x2, sub):
-            out = set()
-            for t in _denote_config(sub, bound):
-                merged = bag_union(tuple_get(t, x1), tuple_get(t, x2))
-                if len(merged.items) > bound:
-                    continue
-                out.add(tuple_merge(tuple_drop(t, x1, x2), mk_tuple({x1: merged})))
-            return out
+            ends = (x1, x2)
+            return extend(_denote_config(sub, bound), (x1,), bounded_union(bound), ends, ends)
     raise CPTypeError(f"not a configuration: {c!r}")
 
 

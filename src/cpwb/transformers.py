@@ -10,7 +10,8 @@ second full abstraction result.
 
 from __future__ import annotations
 
-from .denotations import denote, join_tuples, mk_tuple, obs_space, tuple_merge, well_sorted
+from .denotations import check_shared, denote, from_tuples, join, mk_tuple, obs_space
+from .denotations import product, well_sorted
 from .obs_transform import AbstractionVerdict, SortMismatch, Verdict, _set_verdict, l_ctx, l_obs
 from .syntax import (
     Bottom,
@@ -41,7 +42,6 @@ from .syntax import (
 from .translation import closing_name, prime_map, translate_formula_dual, translate_process, translated_context
 from .typing import (
     CpwbError,
-    CPTypeError,
     Hole,
     KCut,
     KMix,
@@ -131,21 +131,19 @@ def context_denotation(k: TypedContext, tuples, bound: int = 2):
         for n, o in t:
             if not well_sorted(o, hole[n]):
                 raise SortMismatch(f"component {n} is not sorted at {hole[n]}")
-    return frozenset(_ctx_den(k, k.tree, xs, bound))
+    return _ctx_den(k, k.tree, from_tuples(tuple(sorted(hole)), xs), bound).tuples()
 
 
 def _ctx_den(k: TypedContext, tree, xs, bound: int):
     match tree:
         case Hole():
-            return set(xs)
+            return xs
         case KCut(x, _, sub, right, right_ctx):
-            below = _ctx_den(k, sub, xs, bound)
             dq = check(right, dict(right_ctx), k.system)
-            return join_tuples(below, denote(dq, bound).tuples, x, keep=False)
+            return join(_ctx_den(k, sub, xs, bound), denote(dq, bound).relation, x)
         case KMix(sub, right, right_ctx):
-            below = _ctx_den(k, sub, xs, bound)
             dq = check(right, dict(right_ctx), k.system)
-            return {tuple_merge(a, b) for a in below for b in denote(dq, bound).tuples}
+            return product(_ctx_den(k, sub, xs, bound), denote(dq, bound).relation)
     raise CpwbError(f"not a context tree: {tree!r}")
 
 
@@ -182,13 +180,7 @@ def check_transformer_correct(p: Process, ctx, bound: int = 2) -> Verdict:
 
 def full_abstraction_II(p: Process, q: Process, ctx, bound: int = 2) -> AbstractionVerdict:
     """Source equivalence iff equivalence under the transformer context."""
-    from .denotations import TypingMismatch
-
-    try:
-        dp = check(p, ctx, System.CP02)
-        dq = check(q, ctx, System.CP02)
-    except CPTypeError as e:
-        raise TypingMismatch(f"both processes must check at the shared typing: {e}") from e
+    dp, dq = check_shared(p, q, ctx, System.CP02)
     src = denote(dp, bound).tuples == denote(dq, bound).tuples
     k = transformer_context(ctx, closing_name(ctx))
     rctx = k.result_context

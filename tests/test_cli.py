@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cpwb
 
 from cpwb.cli import (
     CPSyntaxError,
@@ -204,3 +210,57 @@ def test_cli_json_deterministic(tmp_path, capsys):
 
 def test_format_context_is_canonical():
     assert format_context({"y": bot, "x": one}) == "x:1, y:bot"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"bound": "two"}',
+        '{"bound": -1}',
+        '{"seed": "7"}',
+        '{"seed": true}',
+        '{"process_size": 5.0}',
+        '{"suites": "adequacy"}',
+        '{"connectives": ["plus", 1]}',
+        '{"system": 2}',
+        '{"bound": 2',
+    ],
+)
+def test_cli_rejects_bad_config_values(tmp_path, capsys, text):
+    f = tmp_path / "cfg.json"
+    f.write_text(text)
+    assert main(["suite", "--config", str(f)]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
+def test_cli_rejects_non_integer_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CPWB_SEED", "abc")
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"suites": ["synchronizer"]}))
+    assert main(["suite", "--config", str(f)]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: CPWB_SEED")
+
+
+def test_cli_non_utf8_source_is_a_positioned_syntax_error(tmp_path, capsys):
+    f = tmp_path / "p.cp"
+    f.write_bytes(b"x().\xff0")
+    assert main(["check", str(f), "--ctx", "x:bot"]) == 2
+    assert "error: 1:5: " in capsys.readouterr().err
+    f.write_bytes("x[]\n  \u00e9".encode() + b"\xfe")
+    assert main(["check", str(f), "--ctx", "x:1"]) == 2
+    assert "error: 2:4: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ctx", ["x:1", "x:bot"])
+def test_python_m_cpwb_exits_as_main(tmp_path, capsys, ctx):
+    f = tmp_path / "p.cp"
+    f.write_text("x[]")
+    argv = ["check", str(f), "--ctx", ctx]
+    src = str(Path(cpwb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpwb", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == main(argv)

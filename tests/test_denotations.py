@@ -1,9 +1,11 @@
 import pytest
 
+from cpwb import denotations
 from cpwb.denotations import (
     Bag,
     Pair,
     STAR,
+    Star,
     Tag,
     TypingMismatch,
     bag,
@@ -26,9 +28,12 @@ from cpwb.syntax import (
     EmptyIn,
     EmptyOut,
     Fwd,
+    In,
     Inact,
     Mix,
     OfCourse,
+    Out,
+    Par,
     Plus,
     Select,
     Server,
@@ -185,6 +190,16 @@ def test_weakening_and_contraction_clauses():
     assert denote(d, 1).tuples == set()
 
 
+def test_empty_branches_keep_their_columns():
+    # at K = 0 both branches of the case are empty; the empty union must
+    # still carry the context's names for the input prefix above it
+    q = Client("y", "u", EmptyIn("u", EmptyIn("z", Inact())))
+    p = In("z", "x", Case("x", EmptyIn("x", q), EmptyIn("x", q)))
+    d = check(p, {"z": Par(With(bot, bot), bot), "y": WhyNot(bot)}, System.CP02)
+    assert denote(d, 0).tuples == set()
+    assert len(denote(d, 1).tuples) == 2
+
+
 def test_json_encoding():
     assert obs_to_json(STAR) == "*"
     assert obs_to_json(Pair(STAR, Tag(1, STAR))) == ["pair", "*", ["tag", 1, "*"]]
@@ -198,3 +213,91 @@ def test_json_deterministic():
     s1 = dumps(tuples_to_json(denote(d).tuples))
     s2 = dumps(tuples_to_json(denote(d).tuples))
     assert s1 == s2
+
+
+# --- the nested-tensor chain and the one-denotation-per-node law ---------------
+
+B = Plus(Plus(one, one), Plus(one, one))
+
+
+def chain(n):
+    """``x[y_1](fwd y_1 u_1 | ... x[])`` at ``x: B * (B * ... 1)``, ``u_i: dual(B)``."""
+    proc, typ, ctx = EmptyOut("x"), one, {}
+    for i in reversed(range(1, n + 1)):
+        proc = Out(f"y{i}", "x", Fwd(f"y{i}", f"u{i}"), proc)
+        typ = Tensor(B, typ)
+        ctx[f"u{i}"] = dual(B)
+    ctx["x"] = typ
+    return proc, ctx
+
+
+def test_chain_denotation_closed_form():
+    obs = [Tag(i, Tag(j, STAR)) for i in (1, 2) for j in (1, 2)]
+    for n in range(1, 6):
+        rows = [((), STAR)]  # (u_i observations, x observation), built from the tail
+        for _ in range(n):
+            rows = [((o, *us), Pair(o, xo)) for o in obs for us, xo in rows]
+        want = {
+            tuple(sorted([("x", xo)] + [(f"u{i}", u) for i, u in enumerate(us, 1)]))
+            for us, xo in rows
+        }
+        proc, ctx = chain(n)
+        assert denote(check(proc, ctx, System.CP02)).tuples == want
+        assert len(want) == 4**n
+
+
+def _nodes(d):
+    return 1 + sum(_nodes(prem) for prem in d.premises)
+
+
+def _count_denote_calls(monkeypatch, d):
+    calls = []
+    real = denotations._denote
+
+    def counting(d, bound):
+        calls.append(d)
+        return real(d, bound)
+
+    monkeypatch.setattr(denotations, "_denote", counting)
+    denote(d)
+    return len(calls)
+
+
+def test_each_derivation_node_is_denoted_once(monkeypatch):
+    proc, ctx = chain(5)
+    d = check(proc, ctx, System.CP02)
+    assert _count_denote_calls(monkeypatch, d) == _nodes(d) == 11
+    plus = Plus(one, one)
+    p = Mix(Mix(Fwd("a", "b"), Select("c", 1, EmptyOut("c"))),
+            Mix(Select("e", 2, EmptyOut("e")), Fwd("f", "g")))
+    ctx = {"a": plus, "b": dual(plus), "c": plus, "e": plus, "f": plus, "g": dual(plus)}
+    d = check(p, ctx, System.CP02)
+    assert _count_denote_calls(monkeypatch, d) == _nodes(d) == 9
+
+
+def _product(left, right):
+    return {tuple(sorted(a + b)) for a in left for b in right}
+
+
+def test_config_par_and_context_mix_are_products():
+    from cpwb.oracle import CPar, CProc, denote_config
+    from cpwb.transformers import context_denotation
+    from cpwb.typing import Hole, KMix, ctx_items, make_context
+
+    d1 = check(Fwd("x", "y"), {"x": Plus(one, one), "y": With(bot, bot)}, System.CP02)
+    d2 = check(Case("z", EmptyOut("z"), EmptyOut("z")), {"z": With(one, one)}, System.CP02)
+    want = _product(denote(d1).tuples, denote(d2).tuples)
+    assert len(want) == 4
+    assert denote_config(CPar(CProc(d1), CProc(d2))).tuples == want
+    k = make_context(KMix(Hole(), d1.process, d1.ctx), {"z": With(one, one)}, System.CP02)
+    xs = denote(d2).tuples
+    assert context_denotation(k, xs) == want
+
+
+def test_equal_observations_hash_equal():
+    a = Pair(Tag(2, Star()), Bag((Tag(1, Star()), Star(), bag([Star()]))))
+    b = Pair(Tag(2, STAR), bag([bag([STAR]), STAR, Tag(1, STAR)]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert Pair(STAR, STAR) != Tag(1, STAR) and Tag(1, STAR) != Tag(2, STAR)
+    assert bag([STAR]) != bag([STAR, STAR]) and bag() == Bag(())

@@ -2,7 +2,17 @@ import itertools
 
 import pytest
 
-from cpwb.denotations import STAR, Pair, Tag, bag, denote, equivalent, mk_tuple, obs_space
+from cpwb.denotations import (
+    STAR,
+    Pair,
+    Tag,
+    TypingMismatch,
+    bag,
+    denote,
+    equivalent,
+    mk_tuple,
+    obs_space,
+)
 from cpwb.harness import enumerate_processes
 from cpwb.obs_transform import SortMismatch, l_obs
 from cpwb.syntax import (
@@ -210,6 +220,17 @@ def test_full_abstraction_II_examples():
         Select("x", 1, EmptyOut("x")), Select("x", 2, EmptyOut("x")), {"x": Plus(one, one)}
     )
     assert v.holds and not v.source_equivalent and not v.image_equivalent
+
+
+def test_full_abstraction_II_typing_mismatch():
+    with pytest.raises(TypingMismatch):
+        full_abstraction_II(EmptyOut("x"), EmptyIn("x", Inact()), {"x": one})
+    with pytest.raises(TypingMismatch):
+        full_abstraction_II(
+            Select("x", 1, EmptyOut("x")),
+            Case("x", EmptyOut("x"), EmptyOut("x")),
+            {"x": Plus(one, one)},
+        )
 
 
 def test_forwarder_lemma():
