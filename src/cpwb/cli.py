@@ -15,6 +15,7 @@ All binary type connectives are parenthesized; process composition under
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -327,16 +328,7 @@ class _Parser:
             self.next()
             p = self.group()
             self.expect("sym", "@")
-            ctx: dict[str, Formula] = {}
-            if not self.at("sym", "}"):
-                while True:
-                    name = self.expect("name").text
-                    self.expect("sym", ":")
-                    ctx[name] = self.type_()
-                    if self.at("sym", ","):
-                        self.next()
-                        continue
-                    break
+            ctx = {} if self.at("sym", "}") else self.context()
             self.expect("sym", "}")
             return CProc(check(p, ctx, System.CP02))
         if self.at("kw", "cut"):
@@ -472,6 +464,7 @@ EXIT_PROPERTY = 1
 EXIT_SYNTAX = 2
 EXIT_TYPE = 3
 EXIT_USAGE = 4
+EXIT_PIPE = 128 + 13  # as if killed by SIGPIPE, like other filters in a pipeline
 
 
 def _read(path: str) -> str:
@@ -548,6 +541,11 @@ def main(argv=None) -> int:
         print("depth exceeded; partial observation set:", file=sys.stderr)
         print(dumps(tuples_to_json(e.partial)), file=sys.stderr)
         return EXIT_PROPERTY
+    except BrokenPipeError:
+        # The reader closed stdout (`cpwb denote ... | head`). What is left
+        # goes to the null device, so the flush at exit does not fail again.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_PIPE
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

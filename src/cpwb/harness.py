@@ -201,7 +201,6 @@ class SuiteConfig:
     duality_depth: int = 4
     seed: int = 0
     connectives: tuple[str, ...] = CONNECTIVES
-    system: str = "cp02"
 
     @staticmethod
     def from_json(text: str) -> "SuiteConfig":
@@ -293,11 +292,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
     has_exp = "ofcourse" in cfg.connectives or "whynot" in cfg.connectives
     if has_exp and cfg.bound > 2:
         raise ConfigError("exhaustive suites need an exponential-free connective set or bound <= 2")
-    if cfg.system != "cp02":
-        raise ConfigError(
-            "the property suites exercise transformer contexts and mix permutations, "
-            "which need the full mix-extended system; set system to cp02"
-        )
     seed = os.environ.get("CPWB_SEED", cfg.seed)
     try:
         seed = int(seed)

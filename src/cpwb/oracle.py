@@ -46,7 +46,7 @@ from .syntax import (
     free_names,
     substitute,
 )
-from .typing import CPTypeError, Derivation, System, check, ctx_items
+from .typing import CPTypeError, Derivation, System, ctx_items
 
 
 class CutTypeMismatch(CPTypeError):
@@ -163,34 +163,6 @@ def _disjoint(gl, gr, tl, tr, extra):
         seen |= g
 
 
-def config_rename(c: Configuration, new: Name, old: Name) -> Configuration:
-    """Rename a free name of a configuration (cut names are left alone)."""
-    match c:
-        case CZero():
-            return c
-        case CProc(d):
-            return CProc(_rename_deriv(d, new, old))
-        case CCut(x, annot, l, r):
-            if x == old:
-                return c
-            return CCut(x, annot, config_rename(l, new, old), config_rename(r, new, old))
-        case CPar(l, r):
-            return CPar(config_rename(l, new, old), config_rename(r, new, old))
-        case CWeak(x, annot, sub):
-            x2 = new if x == old else x
-            return CWeak(x2, annot, config_rename(sub, new, old))
-        case CCon(x1, x2, sub):
-            n1 = new if x1 == old else x1
-            n2 = new if x2 == old else x2
-            return CCon(n1, n2, config_rename(sub, new, old))
-    raise CPTypeError(f"not a configuration: {c!r}")
-
-
-def _rename_deriv(d: Derivation, new: Name, old: Name) -> Derivation:
-    ctx = {(new if n == old else n): f for n, f in d.ctx}
-    return check(substitute(d.process, new, old), ctx, System.CP02)
-
-
 # --- the observation search ---------------------------------------------------
 
 # Leaves: (type(P), subject of P, P, free names of P) | ("weak", name)
@@ -286,28 +258,33 @@ class _Engine:
     def build(self, c: Configuration):
         items = _Items("#")
 
-        def add_config(cfg: Configuration):
+        def add_config(cfg: Configuration, renamed: dict):
+            # renamed maps the free names that an enclosing contraction split
+            # to their fresh hidden names
             match cfg:
                 case CZero():
                     return
                 case CProc(d):
-                    items.norm(d.process)
+                    p = d.process
+                    for old, new in renamed.items():
+                        p = substitute(p, new, old)
+                    items.norm(p)
                 case CCut(x, _, l, r):
                     items.edges[x] = frozenset({(x, True)})
-                    add_config(l)
-                    add_config(r)
+                    add_config(l, renamed)
+                    add_config(r, renamed)
                 case CPar(l, r):
-                    add_config(l)
-                    add_config(r)
+                    add_config(l, renamed)
+                    add_config(r, renamed)
                 case CWeak(x, _, sub):
-                    items.leaves.append(("weak", x))
-                    add_config(sub)
+                    items.leaves.append(("weak", renamed.get(x, x)))
+                    add_config(sub, renamed)
                 case CCon(x1, x2, sub):
                     f1, f2 = items.hide(), items.hide()
-                    items.leaves.append(("con", x1, f1, f2))
-                    add_config(config_rename(config_rename(sub, f1, x1), f2, x2))
+                    items.leaves.append(("con", renamed.get(x1, x1), f1, f2))
+                    add_config(sub, {**renamed, x1: f1, x2: f2})
 
-        add_config(c)
+        add_config(c, {})
         return frozenset(items.leaves), frozenset(items.edges.items())
 
     # search

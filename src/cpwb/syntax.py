@@ -4,65 +4,103 @@ Formulas are the eight-connective linear-logic session types (no atoms,
 no 0/top).  Processes carry explicit weakening/contraction markers and
 type-annotated cuts so that type checking is syntax directed: one term,
 one derivation.
+
+Every node is an immutable slotted dataclass. Its hash counts its class,
+so ``Unit()`` and ``Bottom()``, or ``Tensor`` and ``Par`` over the same
+arguments, do not collide; it is computed on first use and kept in a
+slot, so hashing a term built over hashed subterms is O(1). A process
+node likewise keeps its free names once ``free_names`` has computed them.
+Equality stays structural and nodes are not interned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 Name = str
+
+_set_slot = object.__setattr__
+
+
+class _Node:
+    """Base of the syntax nodes: the hash is computed on first use, then kept.
+
+    The caches read an unset slot with ``getattr(..., None)``: on CPython
+    3.11 that is about a third of the cost of catching the AttributeError,
+    and most nodes are read cold once.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self._tag, self._fields(self)))
+            _set_slot(self, "_hash", h)
+        return h
+
+
+def _node(cls):
+    """A frozen slotted dataclass with ``_Node``'s cached class-aware hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    cls._tag = cls.__name__
+    cls._fields = staticmethod(attrgetter(*names) if names else lambda _: ())
+    cls.__hash__ = _Node.__hash__  # replaces the dataclass's field hash, which omits the class
+    return cls
 
 
 # --- formulas ---------------------------------------------------------------
 
 
-class Formula:
+class Formula(_Node):
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Unit(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Tensor(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Plus(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class With(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class OfCourse(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class WhyNot(Formula):
     body: Formula
 
@@ -139,43 +177,43 @@ def is_positive(a: Formula) -> bool:
 # --- intuitionistic formulas ------------------------------------------------
 
 
-class IllFormula:
+class IllFormula(_Node):
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_ill(self)
 
 
-@dataclass(frozen=True)
+@_node
 class IUnit(IllFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ITensor(IllFormula):
     left: IllFormula
     right: IllFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ILolli(IllFormula):
     left: IllFormula
     right: IllFormula
 
 
-@dataclass(frozen=True)
+@_node
 class IPlus(IllFormula):
     left: IllFormula
     right: IllFormula
 
 
-@dataclass(frozen=True)
+@_node
 class IWith(IllFormula):
     left: IllFormula
     right: IllFormula
 
 
-@dataclass(frozen=True)
+@_node
 class IBang(IllFormula):
     body: IllFormula
 
@@ -200,22 +238,22 @@ def format_ill(i: IllFormula) -> str:
 # --- processes --------------------------------------------------------------
 
 
-class Process:
-    __slots__ = ()
+class Process(_Node):
+    __slots__ = ("_free",)
 
 
-@dataclass(frozen=True)
+@_node
 class Inact(Process):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Fwd(Process):
     left: Name
     right: Name
 
 
-@dataclass(frozen=True)
+@_node
 class Cut(Process):
     # (new x:A)(P | Q); x bound in both sides, P offers x:A, Q offers x:A^d.
     name: Name
@@ -224,14 +262,14 @@ class Cut(Process):
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Mix(Process):
     # P | Q, the binary mix.
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Out(Process):
     # x[y](P | Q): send fresh y along x; y bound in P, x continues in Q.
     payload: Name
@@ -240,7 +278,7 @@ class Out(Process):
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class In(Process):
     # x(y).P: receive y along x; y bound in P.
     channel: Name
@@ -248,7 +286,7 @@ class In(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Server(Process):
     # !x(y).P
     channel: Name
@@ -256,7 +294,7 @@ class Server(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Client(Process):
     # ?x[y].P
     channel: Name
@@ -264,7 +302,7 @@ class Client(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Select(Process):
     # x<i.P for i in {1,2}
     channel: Name
@@ -272,7 +310,7 @@ class Select(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Case(Process):
     # x>{P ; Q}
     channel: Name
@@ -280,18 +318,18 @@ class Case(Process):
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class EmptyOut(Process):
     channel: Name
 
 
-@dataclass(frozen=True)
+@_node
 class EmptyIn(Process):
     channel: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Weak(Process):
     # weak x:?A.P -- explicit weakening marker; x not free in P.
     name: Name
@@ -299,7 +337,7 @@ class Weak(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Contract(Process):
     # ctr x<x1,x2>.P -- explicit contraction; x1, x2 bound in P, merged as x.
     name: Name
@@ -309,6 +347,15 @@ class Contract(Process):
 
 
 def free_names(p: Process) -> frozenset[Name]:
+    """The free names of ``p``, computed once per node."""
+    names = getattr(p, "_free", None)
+    if names is None:
+        names = _free_names(p)
+        _set_slot(p, "_free", names)
+    return names
+
+
+def _free_names(p: Process) -> frozenset[Name]:
     match p:
         case Inact():
             return frozenset()

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -223,6 +224,7 @@ def test_format_context_is_canonical():
         '{"suites": "adequacy"}',
         '{"connectives": ["plus", 1]}',
         '{"system": 2}',
+        '{"system": "cp02"}',
         '{"bound": 2',
     ],
 )
@@ -264,3 +266,25 @@ def test_python_m_cpwb_exits_as_main(tmp_path, capsys, ctx):
         [sys.executable, "-m", "cpwb", *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == main(argv)
+
+
+def test_cli_config_context_rejects_a_duplicate_name(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("cut x:1 ({ x[] @ x:1, x:1 } | { x().0 @ x:bot })")
+    assert main(["observe", str(f)]) == 2
+    assert "duplicate context name x" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_stdout_exits_as_sigpipe(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "p.cp"
+    f.write_text("x[]")
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["denote", str(f), "--ctx", "x:1"]) == 141
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""

@@ -1,6 +1,6 @@
 import pytest
 
-from cpwb import denotations
+from cpwb import denotations, syntax
 from cpwb.denotations import (
     Bag,
     Pair,
@@ -273,6 +273,22 @@ def test_each_derivation_node_is_denoted_once(monkeypatch):
     ctx = {"a": plus, "b": dual(plus), "c": plus, "e": plus, "f": plus, "g": dual(plus)}
     d = check(p, ctx, System.CP02)
     assert _count_denote_calls(monkeypatch, d) == _nodes(d) == 9
+
+
+def test_each_process_node_gets_its_free_names_once(monkeypatch):
+    proc, ctx = chain(5)
+    entered = []
+    real = syntax._free_names
+
+    def counting(p):
+        entered.append(p)
+        return real(p)
+
+    monkeypatch.setattr(syntax, "_free_names", counting)
+    d = check(proc, ctx, System.CP02)
+    # the checker splits every Out below the root, so it needs the free names
+    # of every node but the root
+    assert len(entered) == len({id(p) for p in entered}) == _nodes(d) - 1 == 10
 
 
 def _product(left, right):

@@ -159,6 +159,27 @@ def test_config_level_weak_and_con():
     assert adequacy_check(c2, 2)
 
 
+def test_contraction_is_built_without_rechecking(monkeypatch):
+    from cpwb import typing
+    from cpwb.cli import parse_config
+
+    c = parse_config(
+        "cut a:!1 ({ !a(y).y[] @ a:!1 } | "
+        "con a<a,b>. { ?a[u].u().?b[v].v().0 @ a:?bot, b:?bot })"
+    )
+    calls = []
+    real = typing._check
+
+    def counting(p, ctx, sys):
+        calls.append(p)
+        return real(p, ctx, sys)
+
+    monkeypatch.setattr(typing, "_check", counting)
+    assert observe(c, 1) == frozenset()
+    assert observe(c, 2) == frozenset({mk_tuple({"a": bag([STAR, STAR])})})
+    assert calls == []
+
+
 def test_observe_invariant_under_cut_permutation():
     p = EmptyOut("x")
     q = EmptyIn("x", EmptyOut("y"))

@@ -1,5 +1,9 @@
+import dataclasses
+
+import pytest
 from hypothesis import given, strategies as st
 
+from cpwb.harness import enumerate_formulas
 from cpwb.syntax import (
     Bottom,
     Case,
@@ -8,6 +12,7 @@ from cpwb.syntax import (
     Cut,
     EmptyIn,
     EmptyOut,
+    Formula,
     Fwd,
     In,
     Inact,
@@ -16,6 +21,7 @@ from cpwb.syntax import (
     Out,
     Par,
     Plus,
+    Process,
     Select,
     Server,
     Tensor,
@@ -152,3 +158,52 @@ def test_alpha_reflexive(p):
 def test_process_size():
     assert process_size(EmptyOut("x")) == 1
     assert process_size(Cut("x", one, EmptyOut("x"), EmptyIn("x", Inact()))) == 4
+
+
+# --- node hashes and cached free names -------------------------------------------
+
+
+def test_hash_counts_the_class():
+    a, b = Plus(one, bot), OfCourse(one)
+    assert hash(Unit()) != hash(Bottom())
+    assert len({hash(c(a, b)) for c in (Tensor, Par, Plus, With)}) == 4
+    assert hash(OfCourse(a)) != hash(WhyNot(a))
+    body = Fwd("y", "z")
+    assert len({hash(c("x", "y", body)) for c in (In, Server, Client)}) == 3
+    assert hash(Tensor(a, b)) == hash(Tensor(Plus(one, bot), OfCourse(one)))
+
+
+def test_formula_hashes_do_not_collide():
+    pool = enumerate_formulas(1)
+    assert len({hash(a) for a in pool}) == len(pool)
+
+
+def test_nodes_stay_immutable_dataclasses():
+    t = Tensor(one, bot)
+    hash(t)
+    assert repr(t) == "Tensor(left=Unit(), right=Bottom())"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.left = bot
+    p = In("x", "y", EmptyIn("y", EmptyOut("x")))
+    free_names(p)
+    assert repr(p) == "In(channel='x', payload='y', body=EmptyIn(channel='y', body=EmptyOut(channel='x')))"
+    match p:
+        case In(x, y, EmptyIn(z, _)):
+            assert (x, y, z) == ("x", "y", "y")
+        case _:
+            pytest.fail("match pattern lost")
+
+
+def _rebuild(t):
+    if isinstance(t, (Formula, Process)):
+        return type(t)(*(_rebuild(getattr(t, f)) for f in t.__match_args__))
+    return t
+
+
+@given(process_st)
+def test_equal_nodes_hash_equal_and_share_free_names(p):
+    q = _rebuild(p)
+    assert q is not p and q == p
+    assert hash(p) == hash(q)  # p's hash cached first, q's computed afresh
+    assert free_names(p) == free_names(q)
+    assert {p: 1}[q] == 1
