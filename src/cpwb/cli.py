@@ -127,10 +127,60 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+# The deepest syntax tree the parser accepts: a process, type or
+# configuration with more nodes than this on one path is a syntax error,
+# and so is input nested deeper in parentheses. check, denote, translate
+# and transform of a term this deep finish within Python's default
+# recursion limit; transform of a term and type 100 deep does not.
+MAX_DEPTH = 64
+
+
+def _chains(toks: list[Token]) -> dict[int, int]:
+    """The number of `|` at the top level of each segment, keyed by its first token.
+
+    A segment starts at the start of the input, after an opening bracket
+    and after `;` or `@`, and ends at the next of these at its level or at
+    its closing bracket. Every process group starts a segment.
+    """
+    counts = {0: 0}
+    starts = [0]
+    for i, t in enumerate(toks):
+        if t.kind != "sym":
+            continue
+        if t.text in "([{":
+            starts.append(i + 1)
+            counts[i + 1] = 0
+        elif t.text in ")]}":
+            if len(starts) > 1:
+                starts.pop()
+        elif t.text in ";@":
+            starts[-1] = i + 1
+            counts[i + 1] = 0
+        elif t.text == "|":
+            counts[starts[-1]] += 1
+    return counts
+
+
+def _nested(parse):
+    """Make ``parse`` parse one node, with its subterms one level deeper."""
+
+    def nested(self):
+        if self.depth >= MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH}")
+        self.depth += 1
+        node = parse(self)
+        self.depth -= 1
+        return node
+
+    return nested
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0  # the number of nodes above the one being parsed
+        self.chains = _chains(self.toks)
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -160,6 +210,7 @@ class _Parser:
 
     # types
 
+    @_nested
     def type_(self) -> Formula:
         t = self.peek()
         if t.kind == "num" and t.text == "1":
@@ -194,11 +245,11 @@ class _Parser:
         if self.at("eof"):
             return out
         while True:
-            name = self.expect("name").text
+            tok = self.expect("name")
+            if tok.text in out:
+                raise CPSyntaxError(f"duplicate context name {tok.text}", tok.line, tok.col)
             self.expect("sym", ":")
-            if name in out:
-                self.error(f"duplicate context name {name}")
-            out[name] = self.type_()
+            out[tok.text] = self.type_()
             if self.at("sym", ","):
                 self.next()
                 continue
@@ -210,12 +261,19 @@ class _Parser:
         return self.group()
 
     def group(self) -> Process:
+        # a0 | a1 | ... | ak is the left-nested Mix(...Mix(a0, a1)..., ak):
+        # a0 and a1 lie under k Mix nodes, and each later atom under one fewer.
+        base = self.depth
+        self.depth += self.chains.get(self.pos, 0)
         p = self.atom()
         while self.at("sym", "|"):
             self.next()
             p = Mix(p, self.atom())
+            self.depth -= 1
+        self.depth = base
         return p
 
+    @_nested
     def atom(self) -> Process:
         t = self.peek()
         if t.kind == "num" and t.text == "0":
@@ -320,6 +378,7 @@ class _Parser:
 
     # configurations
 
+    @_nested
     def config(self) -> Configuration:
         if self.at("kw", "zero"):
             self.next()

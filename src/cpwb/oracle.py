@@ -46,7 +46,7 @@ from .syntax import (
     free_names,
     substitute,
 )
-from .typing import CPTypeError, Derivation, System, ctx_items
+from .typing import CPTypeError, Derivation, ctx_items
 
 
 class CutTypeMismatch(CPTypeError):
@@ -110,7 +110,7 @@ class CCon(Configuration):
     sub: Configuration
 
 
-def check_config(c: Configuration, system: System = System.CP0):
+def check_config(c: Configuration):
     """Return (free context, observable context) for a configuration."""
     match c:
         case CZero():
@@ -118,8 +118,8 @@ def check_config(c: Configuration, system: System = System.CP0):
         case CProc(d):
             return dict(d.ctx), {}
         case CCut(x, annot, l, r):
-            gl, tl = check_config(l, system)
-            gr, tr = check_config(r, system)
+            gl, tl = check_config(l)
+            gr, tr = check_config(r)
             if gl.get(x) != annot:
                 raise CutTypeMismatch(f"left side must offer {x} at {annot}")
             if gr.get(x) != dual(annot):
@@ -129,12 +129,12 @@ def check_config(c: Configuration, system: System = System.CP0):
             _disjoint(gl, gr, tl, tr, {x: annot})
             return {**gl, **gr}, {**tl, **tr, x: annot}
         case CPar(l, r):
-            gl, tl = check_config(l, system)
-            gr, tr = check_config(r, system)
+            gl, tl = check_config(l)
+            gr, tr = check_config(r)
             _disjoint(gl, gr, tl, tr, {})
             return {**gl, **gr}, {**tl, **tr}
         case CWeak(x, annot, sub):
-            g, t = check_config(sub, system)
+            g, t = check_config(sub)
             if not isinstance(annot, WhyNot):
                 raise CutTypeMismatch(f"configuration weakening needs a ?-type, got {annot}")
             if x in g or x in t:
@@ -142,7 +142,7 @@ def check_config(c: Configuration, system: System = System.CP0):
             g[x] = annot
             return g, t
         case CCon(x1, x2, sub):
-            g, t = check_config(sub, system)
+            g, t = check_config(sub)
             t1, t2 = g.get(x1), g.get(x2)
             if t1 is None or t1 != t2 or not isinstance(t1, WhyNot):
                 raise CutTypeMismatch(

@@ -11,11 +11,16 @@ arguments, do not collide; it is computed on first use and kept in a
 slot, so hashing a term built over hashed subterms is O(1). A process
 node likewise keeps its free names once ``free_names`` has computed them.
 Equality stays structural and nodes are not interned.
+
+Each process class declares its binders once (``Process.binds``), and
+every walk over names (free names, substitution, alpha-equivalence, size
+and the set of all names) is one generic function over that declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import count
 from operator import attrgetter
 
 Name = str
@@ -36,19 +41,47 @@ class _Node:
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash((self._tag, self._fields(self)))
+            h = hash((self._tag, self._key(self)))
             _set_slot(self, "_hash", h)
         return h
 
 
 def _node(cls):
-    """A frozen slotted dataclass with ``_Node``'s cached class-aware hash."""
+    """A frozen slotted dataclass with ``_Node``'s cached class-aware hash.
+
+    ``_fields`` gives a node's field values as a tuple. A process class
+    also gets ``_shape``, the positions of its fields that its ``binds``
+    declaration implies (see ``Process``).
+    """
     cls = dataclass(frozen=True, slots=True)(cls)
-    names = tuple(f.name for f in fields(cls))
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
     cls._tag = cls.__name__
-    cls._fields = staticmethod(attrgetter(*names) if names else lambda _: ())
+    key = attrgetter(*names) if names else lambda _: ()
+    cls._key = staticmethod(key)  # what the hash covers; one field's value is not a tuple
+    cls._fields = staticmethod(key if len(names) != 1 else lambda node: (key(node),))
     cls.__hash__ = _Node.__hash__  # replaces the dataclass's field hash, which omits the class
+    binds = getattr(cls, "binds", None)
+    if binds is not None:
+        cls._shape = _shape(fs, *binds)
     return cls
+
+
+def _shape(fs, binders, scope):
+    """(free, bound, subs, data) positions of a process class's fields.
+
+    ``free`` are the ``Name`` fields that ``binders`` leaves free, ``bound``
+    the binders in field order, ``subs`` each ``Process`` field with the
+    binders whose scope it is, and ``data`` every other field.
+    """
+    at = {f.name: i for i, f in enumerate(fs)}
+    bound = tuple(sorted(at[n] for n in binders))
+    free = tuple(i for i, f in enumerate(fs) if f.type == "Name" and i not in bound)
+    subs = tuple(
+        (i, bound if f.name in scope else ()) for i, f in enumerate(fs) if f.type == "Process"
+    )
+    data = tuple(i for i, f in enumerate(fs) if f.type not in ("Name", "Process"))
+    return free, bound, subs, data
 
 
 # --- formulas ---------------------------------------------------------------
@@ -239,7 +272,17 @@ def format_ill(i: IllFormula) -> str:
 
 
 class Process(_Node):
+    """A process node.
+
+    A constructor that binds names declares ``binds = (binders, scope)``:
+    the ``Name`` fields it binds and the ``Process`` fields that are their
+    scope. Every other ``Name`` field is free. The walks below
+    (``free_names``, ``substitute``, ``alpha_eq``, ``process_size`` and
+    ``all_names``) read only the positions derived from this declaration.
+    """
+
     __slots__ = ("_free",)
+    binds = ((), ())
 
 
 @_node
@@ -255,11 +298,12 @@ class Fwd(Process):
 
 @_node
 class Cut(Process):
-    # (new x:A)(P | Q); x bound in both sides, P offers x:A, Q offers x:A^d.
+    # (new x:A)(P | Q); P offers x:A, Q offers x:A^d.
     name: Name
     annot: Formula
     left: Process
     right: Process
+    binds = ("name",), ("left", "right")
 
 
 @_node
@@ -271,19 +315,21 @@ class Mix(Process):
 
 @_node
 class Out(Process):
-    # x[y](P | Q): send fresh y along x; y bound in P, x continues in Q.
+    # x[y](P | Q): send fresh y along x; x continues in Q.
     payload: Name
     channel: Name
     left: Process
     right: Process
+    binds = ("payload",), ("left",)
 
 
 @_node
 class In(Process):
-    # x(y).P: receive y along x; y bound in P.
+    # x(y).P: receive y along x.
     channel: Name
     payload: Name
     body: Process
+    binds = ("payload",), ("body",)
 
 
 @_node
@@ -292,6 +338,7 @@ class Server(Process):
     channel: Name
     payload: Name
     body: Process
+    binds = ("payload",), ("body",)
 
 
 @_node
@@ -300,6 +347,7 @@ class Client(Process):
     channel: Name
     payload: Name
     body: Process
+    binds = ("payload",), ("body",)
 
 
 @_node
@@ -339,11 +387,12 @@ class Weak(Process):
 
 @_node
 class Contract(Process):
-    # ctr x<x1,x2>.P -- explicit contraction; x1, x2 bound in P, merged as x.
+    # ctr x<x1,x2>.P -- explicit contraction of x1, x2 into x.
     name: Name
     left_name: Name
     right_name: Name
     body: Process
+    binds = ("left_name", "right_name"), ("body",)
 
 
 def free_names(p: Process) -> frozenset[Name]:
@@ -356,48 +405,34 @@ def free_names(p: Process) -> frozenset[Name]:
 
 
 def _free_names(p: Process) -> frozenset[Name]:
-    match p:
-        case Inact():
-            return frozenset()
-        case Fwd(a, b):
-            return frozenset((a, b))
-        case Cut(x, _, l, r):
-            return (free_names(l) | free_names(r)) - {x}
-        case Mix(l, r):
-            return free_names(l) | free_names(r)
-        case Out(y, x, l, r):
-            return (free_names(l) - {y}) | free_names(r) | {x}
-        case In(x, y, b) | Server(x, y, b) | Client(x, y, b):
-            return (free_names(b) - {y}) | {x}
-        case Select(x, _, b):
-            return free_names(b) | {x}
-        case Case(x, l, r):
-            return free_names(l) | free_names(r) | {x}
-        case EmptyOut(x):
-            return frozenset((x,))
-        case EmptyIn(x, b):
-            return free_names(b) | {x}
-        case Weak(x, _, b):
-            return free_names(b) | {x}
-        case Contract(x, x1, x2, b):
-            return (free_names(b) - {x1, x2}) | {x}
-    raise TypeError(f"not a process: {p!r}")
+    free, _, subs, _ = p._shape
+    vals = p._fields(p)
+    names = frozenset([vals[i] for i in free])
+    for i, scoped in subs:
+        inner = free_names(vals[i])
+        if scoped:
+            inner = inner.difference([vals[b] for b in scoped])
+        names |= inner
+    return names
+
+
+def all_names(p: Process) -> set[Name]:
+    """Every name that occurs in ``p``, free or bound."""
+    free, bound, subs, _ = p._shape
+    vals = p._fields(p)
+    names = {vals[i] for i in free + bound}
+    for i, _ in subs:
+        names |= all_names(vals[i])
+    return names
 
 
 def process_size(p: Process) -> int:
     """Number of process constructors."""
-    match p:
-        case Inact() | Fwd(_, _) | EmptyOut(_):
-            return 1
-        case Cut(_, _, l, r) | Mix(l, r) | Out(_, _, l, r) | Case(_, l, r):
-            return 1 + process_size(l) + process_size(r)
-        case In(_, _, b) | Server(_, _, b) | Client(_, _, b):
-            return 1 + process_size(b)
-        case Select(_, _, b) | EmptyIn(_, b) | Weak(_, _, b):
-            return 1 + process_size(b)
-        case Contract(_, _, _, b):
-            return 1 + process_size(b)
-    raise TypeError(f"not a process: {p!r}")
+    vals = p._fields(p)
+    size = 1
+    for i, _ in p._shape[2]:
+        size += process_size(vals[i])
+    return size
 
 
 class NameSupply:
@@ -434,143 +469,63 @@ def fresh_name(base: str, avoid) -> Name:
     return f"{base}{n}"
 
 
-def _subst_name(n: Name, new: Name, old: Name) -> Name:
-    return new if n == old else n
-
-
 def substitute(p: Process, new: Name, old: Name) -> Process:
-    """Capture-avoiding substitution of `new` for free occurrences of `old`."""
+    """Capture-avoiding substitution of ``new`` for the free occurrences of ``old``.
+
+    A binder named ``old`` shadows it: the binder's scope is left alone. A
+    binder named ``new`` whose scope has ``old`` free is renamed first, to
+    the ``fresh_name`` of ``new`` that avoids the scope's free names,
+    ``new``, ``old`` and the node's binders; when both binders of a node
+    are ``new``, they are renamed left to right.
+    """
     if new == old:
         return p
-
-    def under_binder(binder: Name, body: Process):
-        # Returns (binder', body') ready for substitution inside body'.
-        if binder == old:
-            return binder, None  # old is shadowed; leave body alone
-        if binder == new and old in free_names(body):
-            fresh = fresh_name(binder, free_names(body) | {new, old})
-            return fresh, substitute(body, fresh, binder)
-        return binder, body
-
-    match p:
-        case Inact():
-            return p
-        case Fwd(a, b):
-            return Fwd(_subst_name(a, new, old), _subst_name(b, new, old))
-        case Cut(x, ann, l, r):
-            if x == old:
-                return p
-            if x == new and old in (free_names(l) | free_names(r)):
-                fresh = fresh_name(x, free_names(l) | free_names(r) | {new, old})
-                l, r, x = substitute(l, fresh, x), substitute(r, fresh, x), fresh
-            return Cut(x, ann, substitute(l, new, old), substitute(r, new, old))
-        case Mix(l, r):
-            return Mix(substitute(l, new, old), substitute(r, new, old))
-        case Out(y, x, l, r):
-            x2 = _subst_name(x, new, old)
-            y2, body = under_binder(y, l)
-            if body is None:
-                return Out(y, x2, l, substitute(r, new, old))
-            return Out(y2, x2, substitute(body, new, old), substitute(r, new, old))
-        case In(x, y, b) | Server(x, y, b) | Client(x, y, b):
-            ctor = type(p)
-            x2 = _subst_name(x, new, old)
-            y2, body = under_binder(y, b)
-            if body is None:
-                return ctor(x2, y, b)
-            return ctor(x2, y2, substitute(body, new, old))
-        case Select(x, i, b):
-            return Select(_subst_name(x, new, old), i, substitute(b, new, old))
-        case Case(x, l, r):
-            return Case(_subst_name(x, new, old), substitute(l, new, old), substitute(r, new, old))
-        case EmptyOut(x):
-            return EmptyOut(_subst_name(x, new, old))
-        case EmptyIn(x, b):
-            return EmptyIn(_subst_name(x, new, old), substitute(b, new, old))
-        case Weak(x, ann, b):
-            return Weak(_subst_name(x, new, old), ann, substitute(b, new, old))
-        case Contract(x, x1, x2, b):
-            xn = _subst_name(x, new, old)
-            if old in (x1, x2):
-                return Contract(xn, x1, x2, b)
-            body = b
-            if new in (x1, x2) and old in free_names(b):
-                avoid = free_names(b) | {new, old, x1, x2}
-                if x1 == new:
-                    f1 = fresh_name(x1, avoid)
-                    body = substitute(body, f1, x1)
-                    x1 = f1
-                if x2 == new:
-                    f2 = fresh_name(x2, avoid | {x1})
-                    body = substitute(body, f2, x2)
-                    x2 = f2
-            return Contract(xn, x1, x2, substitute(body, new, old))
-    raise TypeError(f"not a process: {p!r}")
+    free, bound, subs, _ = p._shape
+    vals = list(p._fields(p))
+    for i in free:
+        if vals[i] == old:
+            vals[i] = new
+    binders = [vals[b] for b in bound]
+    if new in binders and old not in binders:
+        scope = [i for i, scoped in subs if scoped]
+        live = frozenset().union(*[free_names(vals[i]) for i in scope])
+        if old in live:
+            avoid = live | {new, old, *binders}
+            for b in bound:
+                if vals[b] == new:
+                    fresh = fresh_name(new, avoid)
+                    avoid |= {fresh}
+                    for i in scope:
+                        vals[i] = substitute(vals[i], fresh, new)
+                    vals[b] = fresh
+    for i, scoped in subs:
+        if not scoped or old not in binders:
+            vals[i] = substitute(vals[i], new, old)
+    return type(p)(*vals)
 
 
 def alpha_eq(p: Process, q: Process) -> bool:
     """True iff p and q differ only in the choice of bound names."""
-    return _alpha(p, q, {}, {}, [0])
+    return _alpha(p, q, {}, {}, count())
 
 
-def _alpha(p, q, env_p, env_q, depth) -> bool:
+def _alpha(p, q, env_p, env_q, ids) -> bool:
+    # env_p and env_q map each bound name to the id of its binder; the
+    # binders of one node pair get the same fresh ids on both sides.
     if type(p) is not type(q):
         return False
-
-    def names_eq(a: Name, b: Name) -> bool:
-        ia, ib = env_p.get(a), env_q.get(b)
-        if ia is None and ib is None:
-            return a == b
-        return ia == ib
-
-    def bind(names_p, names_q, k):
-        ep, eq_ = dict(env_p), dict(env_q)
-        for a, b in zip(names_p, names_q):
-            ep[a] = eq_[b] = depth[0]
-            depth[0] += 1
-        return k(ep, eq_)
-
-    match p, q:
-        case Inact(), Inact():
-            return True
-        case Fwd(a1, b1), Fwd(a2, b2):
-            return names_eq(a1, a2) and names_eq(b1, b2)
-        case Cut(x1, an1, l1, r1), Cut(x2, an2, l2, r2):
-            return an1 == an2 and bind(
-                (x1,), (x2,),
-                lambda ep, eq_: _alpha(l1, l2, ep, eq_, depth) and _alpha(r1, r2, ep, eq_, depth),
-            )
-        case Mix(l1, r1), Mix(l2, r2):
-            return _alpha(l1, l2, env_p, env_q, depth) and _alpha(r1, r2, env_p, env_q, depth)
-        case Out(y1, x1, l1, r1), Out(y2, x2, l2, r2):
-            return (
-                names_eq(x1, x2)
-                and bind((y1,), (y2,), lambda ep, eq_: _alpha(l1, l2, ep, eq_, depth))
-                and _alpha(r1, r2, env_p, env_q, depth)
-            )
-        case (In(x1, y1, b1), In(x2, y2, b2)) | (Server(x1, y1, b1), Server(x2, y2, b2)) | (
-            Client(x1, y1, b1),
-            Client(x2, y2, b2),
-        ):
-            return names_eq(x1, x2) and bind(
-                (y1,), (y2,), lambda ep, eq_: _alpha(b1, b2, ep, eq_, depth)
-            )
-        case Select(x1, i1, b1), Select(x2, i2, b2):
-            return i1 == i2 and names_eq(x1, x2) and _alpha(b1, b2, env_p, env_q, depth)
-        case Case(x1, l1, r1), Case(x2, l2, r2):
-            return (
-                names_eq(x1, x2)
-                and _alpha(l1, l2, env_p, env_q, depth)
-                and _alpha(r1, r2, env_p, env_q, depth)
-            )
-        case EmptyOut(x1), EmptyOut(x2):
-            return names_eq(x1, x2)
-        case EmptyIn(x1, b1), EmptyIn(x2, b2):
-            return names_eq(x1, x2) and _alpha(b1, b2, env_p, env_q, depth)
-        case Weak(x1, an1, b1), Weak(x2, an2, b2):
-            return an1 == an2 and names_eq(x1, x2) and _alpha(b1, b2, env_p, env_q, depth)
-        case Contract(x1, a1, b1, p1), Contract(x2, a2, b2, p2):
-            return names_eq(x1, x2) and bind(
-                (a1, b1), (a2, b2), lambda ep, eq_: _alpha(p1, p2, ep, eq_, depth)
-            )
-    return False
+    free, bound, subs, data = p._shape
+    vp, vq = p._fields(p), q._fields(q)
+    for i in data:
+        if vp[i] != vq[i]:
+            return False
+    for i in free:
+        ia, ib = env_p.get(vp[i]), env_q.get(vq[i])
+        if ia != ib or (ia is None and vp[i] != vq[i]):
+            return False
+    outer = inner = env_p, env_q
+    if bound:
+        inner = dict(env_p), dict(env_q)
+        for b in bound:
+            inner[0][vp[b]] = inner[1][vq[b]] = next(ids)
+    return all(_alpha(vp[i], vq[i], *(inner if scoped else outer), ids) for i, scoped in subs)

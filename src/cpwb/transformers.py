@@ -147,8 +147,9 @@ def _ctx_den(k: TypedContext, tree, xs, bound: int):
     raise CpwbError(f"not a context tree: {tree!r}")
 
 
-def transformer_graph(a: Formula, bound: int = 2, x: Name = "x", xp: Name = "x'") -> Verdict:
+def transformer_graph(a: Formula, bound: int = 2) -> Verdict:
     """denote(transformer(a)) against the graph of l_obs over obs_space(a)."""
+    x, xp = "x", "x'"
     d = check(transformer(a, x, xp), transformer_typing(a, x, xp), System.CP02)
     graph = {mk_tuple({x: o, xp: l_obs(a, o)}) for o in obs_space(a, bound)}
     return _set_verdict(graph, denote(d, bound).tuples, f"transformer graph at {a}")

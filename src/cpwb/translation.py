@@ -17,8 +17,6 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     Bottom,
     Case,
@@ -53,6 +51,7 @@ from .syntax import (
     Weak,
     WhyNot,
     With,
+    all_names,
     dual,
     is_positive,
     substitute,
@@ -60,49 +59,29 @@ from .syntax import (
 from .typing import CpwbError, Derivation, check
 
 
-DEFAULT_RESIDUAL = IUnit()
-
-
-@dataclass(frozen=True)
-class TranslationConfig:
-    """Residual parameter of the formula translation.
-
-    Everything at the process level (synchronizers, translated terms,
-    transformer machinery) is tied to the unit residual.
-    """
-
-    residual: IllFormula = DEFAULT_RESIDUAL
-
-
-def translate_formula_ill(a: Formula, config=None) -> IllFormula:
+def translate_formula_ill(a: Formula, residual: IllFormula = IUnit()) -> IllFormula:
     """Negative translation of a session type into the intuitionistic grammar."""
-    if config is None:
-        r = DEFAULT_RESIDUAL
-    elif isinstance(config, TranslationConfig):
-        r = config.residual
-    else:
-        r = config
 
     def t(b: Formula) -> IllFormula:
-        return translate_formula_ill(b, r)
+        return translate_formula_ill(b, residual)
 
     match a:
         case Bottom():
             return IUnit()
         case Unit():
-            return ILolli(IUnit(), r)
+            return ILolli(IUnit(), residual)
         case Tensor(x, y):
-            return ILolli(ITensor(ILolli(t(x), r), ILolli(t(y), r)), r)
+            return ILolli(ITensor(ILolli(t(x), residual), ILolli(t(y), residual)), residual)
         case Par(x, y):
             return ITensor(t(x), t(y))
         case Plus(x, y):
-            return ILolli(IPlus(ILolli(t(x), r), ILolli(t(y), r)), r)
+            return ILolli(IPlus(ILolli(t(x), residual), ILolli(t(y), residual)), residual)
         case With(x, y):
             return IPlus(t(x), t(y))
         case OfCourse(x):
-            return ILolli(IBang(ILolli(t(x), r)), r)
+            return ILolli(IBang(ILolli(t(x), residual)), residual)
         case WhyNot(x):
-            return IBang(ILolli(ILolli(t(x), r), r))
+            return IBang(ILolli(ILolli(t(x), residual), residual))
     raise CpwbError(f"not a formula: {a!r}")
 
 
@@ -287,62 +266,16 @@ def _core(a: Formula, m: Name, w: Name, supply: NameSupply) -> Process:
 # --- the process translation ------------------------------------------------------
 
 
-def translate_process(d: Derivation, closing: Name | None = None) -> Process:
+def translate_process(d: Derivation) -> Process:
     """Translate a typing derivation; free names come out primed."""
     ctx = d.context
     pm = prime_map(ctx)
-    w = closing if closing is not None else closing_name(ctx)
-    supply = NameSupply(set(ctx) | set(pm.values()) | {w} | _all_names(d.process))
+    w = closing_name(ctx)
+    supply = NameSupply(set(ctx) | set(pm.values()) | {w} | all_names(d.process))
     body = _translate(d, w, supply)
     for old, new in sorted(pm.items()):
         body = substitute(body, new, old)
     return body
-
-
-def _all_names(p: Process) -> set[Name]:
-    out: set[Name] = set()
-
-    def go(q):
-        match q:
-            case Inact():
-                pass
-            case Fwd(a, b):
-                out.update((a, b))
-            case Cut(x, _, l, r):
-                out.add(x)
-                go(l)
-                go(r)
-            case Mix(l, r):
-                go(l)
-                go(r)
-            case Out(y, x, l, r):
-                out.update((y, x))
-                go(l)
-                go(r)
-            case In(x, y, b) | Server(x, y, b) | Client(x, y, b):
-                out.update((x, y))
-                go(b)
-            case Select(x, _, b):
-                out.add(x)
-                go(b)
-            case Case(x, l, r):
-                out.add(x)
-                go(l)
-                go(r)
-            case EmptyOut(x):
-                out.add(x)
-            case EmptyIn(x, b):
-                out.add(x)
-                go(b)
-            case Weak(x, _, b):
-                out.add(x)
-                go(b)
-            case Contract(x, x1, x2, b):
-                out.update((x, x1, x2))
-                go(b)
-
-    go(p)
-    return out
 
 
 def _translate(d: Derivation, w: Name, supply: NameSupply) -> Process:

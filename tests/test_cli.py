@@ -9,6 +9,7 @@ import pytest
 
 import cpwb
 
+from cpwb import cli
 from cpwb.cli import (
     CPSyntaxError,
     format_context,
@@ -272,7 +273,48 @@ def test_cli_config_context_rejects_a_duplicate_name(tmp_path, capsys):
     f = tmp_path / "c.cfg"
     f.write_text("cut x:1 ({ x[] @ x:1, x:1 } | { x().0 @ x:bot })")
     assert main(["observe", str(f)]) == 2
-    assert "duplicate context name x" in capsys.readouterr().err
+    assert "error: 1:23: duplicate context name x" in capsys.readouterr().err
+    f.write_text("0")
+    assert main(["check", str(f), "--ctx", "x:1, x:1"]) == 2
+    assert "error: 1:6: duplicate context name x" in capsys.readouterr().err
+
+
+def _plus_chain(depth):
+    """x<2. ... x[] at x:(1 + (1 + ... 1)): process and type both ``depth`` deep."""
+    return "x<2." * (depth - 1) + "x[]", "x:" + "(1 + " * (depth - 1) + "1" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("family", ["prefix", "mix", "ctx"])
+def test_cli_rejects_nesting_past_the_limit(tmp_path, capsys, family):
+    limit = cli.MAX_DEPTH
+    f = tmp_path / "p.cp"
+    for depth in (limit + 1, 3000):
+        # the error points at the first node that lies deeper than the limit
+        source, ctx, col = {
+            "prefix": ("x()." * (depth - 1) + "0", "", 4 * limit + 1),
+            "mix": (" | ".join(["0"] * depth), "", 1),
+            "ctx": ("0", "x:" + "!" * (depth - 1) + "1", limit + 3),
+        }[family]
+        f.write_text(source)
+        assert main(["check", str(f), "--ctx", ctx]) == 2
+        assert f"error: 1:{col}: nesting deeper than {limit}" in capsys.readouterr().err
+
+
+def test_cli_takes_terms_at_the_nesting_limit(tmp_path, capsys):
+    limit = cli.MAX_DEPTH
+    f = tmp_path / "p.cp"
+    for source, ctx in ((" | ".join(["0"] * limit), ""), _plus_chain(limit)):
+        f.write_text(source)
+        for command in ("check", "denote", "translate", "transform"):
+            assert main([command, str(f), "--ctx", ctx]) == 0, command
+    capsys.readouterr()
+    # a0 | a1 | a2 is Mix(Mix(a0, a1), a2): a0 and a1 lie under two Mix nodes
+    deep = "x()." * (limit - 3) + "0"
+    for ok in (f"{deep} | 0 | 0", f"0 | {deep} | 0", f"0 | 0 | 0 | {deep}"):
+        parse_process(ok)
+    for bad in (f"{deep} | 0 | 0 | 0", f"0 | {deep} | 0 | 0", f"({deep} | 0) | 0"):
+        with pytest.raises(CPSyntaxError, match="nesting deeper"):
+            parse_process(bad)
 
 
 class _ClosedPipe(io.StringIO):

@@ -3,7 +3,13 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from cpwb.harness import enumerate_formulas
+from cpwb import syntax
+from cpwb.harness import (
+    enumerate_formulas,
+    enumerate_processes,
+    exp_free_families,
+    exponential_families,
+)
 from cpwb.syntax import (
     Bottom,
     Case,
@@ -29,6 +35,7 @@ from cpwb.syntax import (
     Weak,
     WhyNot,
     With,
+    all_names,
     alpha_eq,
     dual,
     free_names,
@@ -207,3 +214,91 @@ def test_equal_nodes_hash_equal_and_share_free_names(p):
     assert hash(p) == hash(q)  # p's hash cached first, q's computed afresh
     assert free_names(p) == free_names(q)
     assert {p: 1}[q] == 1
+
+
+# --- the binding declaration and the walks derived from it -----------------------
+
+PROCESS_CLASSES = [
+    c for c in vars(syntax).values()
+    if isinstance(c, type) and issubclass(c, Process) and c is not Process
+]
+
+
+def test_binders_are_name_fields_over_process_fields():
+    assert len(PROCESS_CLASSES) == 14
+    binding = {}
+    for cls in PROCESS_CLASSES:
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        binders, scope = cls.binds
+        assert all(types[n] == "Name" for n in binders), cls
+        assert all(types[n] == "Process" for n in scope), cls
+        assert bool(binders) == bool(scope), cls
+        if binders:
+            binding[cls.__name__] = cls.binds
+    assert binding == {
+        "Cut": (("name",), ("left", "right")),
+        "Out": (("payload",), ("left",)),
+        "In": (("payload",), ("body",)),
+        "Server": (("payload",), ("body",)),
+        "Client": (("payload",), ("body",)),
+        "Contract": (("left_name", "right_name"), ("body",)),
+    }
+
+
+def test_all_names():
+    p = Out("y", "x", Cut("z", one, EmptyOut("z"), EmptyIn("z", Fwd("y", "w"))), EmptyOut("x"))
+    assert all_names(p) == {"x", "y", "z", "w"}
+    assert all_names(Contract("x", "a", "b", Inact())) == {"x", "a", "b"}
+    assert all_names(Inact()) == set()
+
+
+def test_renaming_under_each_binder():
+    # substituting y for x under a binder named y renames the binder to the
+    # first y<n> free in neither its scope nor {y, x}
+    y_for_x = [
+        # Cut: old free on the left, then on the right; y0 is taken
+        (Cut("y", one, Fwd("x", "y"), EmptyIn("y", Fwd("y0", "z"))),
+         Cut("y1", one, Fwd("y", "y1"), EmptyIn("y1", Fwd("y0", "z")))),
+        (Cut("y", one, EmptyOut("y"), EmptyIn("y", Fwd("x", "y0"))),
+         Cut("y1", one, EmptyOut("y1"), EmptyIn("y1", Fwd("y", "y0")))),
+        # Out binds its payload on the left only
+        (Out("y", "x", Fwd("y", "x"), Fwd("y", "x")),
+         Out("y0", "y", Fwd("y0", "y"), Fwd("y", "y"))),
+        (In("x", "y", Fwd("y", "x")), In("y", "y0", Fwd("y0", "y"))),
+        (Server("x", "y", Fwd("y", "x")), Server("y", "y0", Fwd("y0", "y"))),
+        (Client("x", "y", Fwd("y", "x")), Client("y", "y0", Fwd("y0", "y"))),
+        # Contract: one binder, then both binders named y, renamed left to right
+        (Contract("z", "w", "y", Mix(Fwd("y", "w"), EmptyOut("x"))),
+         Contract("z", "w", "y0", Mix(Fwd("y0", "w"), EmptyOut("y")))),
+        (Contract("z", "y", "y", Mix(Fwd("y", "y0"), EmptyOut("x"))),
+         Contract("z", "y1", "y2", Mix(Fwd("y1", "y0"), EmptyOut("y")))),
+        # a Contract binder named x shadows it; the contracted name is free
+        (Contract("x", "x", "w", Fwd("x", "w")), Contract("y", "x", "w", Fwd("x", "w"))),
+        (Contract("x", "w", "x", Fwd("x", "w")), Contract("y", "w", "x", Fwd("x", "w"))),
+    ]
+    for p, want in y_for_x:
+        assert substitute(p, "y", "x") == want, p
+
+
+ENUMERATED = [
+    p
+    for _, ps in exponential_families(5) + exp_free_families(5)
+    for p in ps
+] + enumerate_processes({"x": one, "y": bot}, 5, cut_formulas=(one, OfCourse(one)))
+NAMES = st.sampled_from(["x", "y", "z", "v", "v0", "v1", "c", "c0"])
+
+
+@given(st.sampled_from(ENUMERATED), NAMES, NAMES)
+def test_substitution_keeps_size_and_moves_one_free_name(p, new, old):
+    q = substitute(p, new, old)
+    assert process_size(q) == process_size(p)
+    fv = free_names(p)
+    assert free_names(q) == ((fv - {old}) | {new} if old in fv else fv)
+
+
+@given(st.sampled_from(ENUMERATED), NAMES)
+def test_renaming_to_a_new_name_and_back(p, x):
+    f = "f"
+    while f in all_names(p):
+        f += "'"
+    assert alpha_eq(substitute(substitute(p, f, x), x, f), p)
