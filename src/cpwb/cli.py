@@ -597,8 +597,7 @@ def main(argv=None) -> int:
         print(f"type error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_TYPE
     except DepthExceeded as e:
-        print("depth exceeded; partial observation set:", file=sys.stderr)
-        print(dumps(tuples_to_json(e.partial)), file=sys.stderr)
+        print(f"depth exceeded: {e}", file=sys.stderr)
         return EXIT_PROPERTY
     except BrokenPipeError:
         # The reader closed stdout (`cpwb denote ... | head`). What is left

@@ -69,6 +69,8 @@ def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
     bad = set(connectives) - set(CONNECTIVES)
     if bad:
         raise ConfigError(f"unknown connectives: {sorted(bad)}")
+    if not {"one", "bot"} & set(connectives):
+        raise ConfigError("the connectives must include a unit, one or bot")
     leaves: list[Formula] = []
     if "one" in connectives:
         leaves.append(Unit())

@@ -6,13 +6,14 @@ process leaves connected by named edges (observable for configuration
 cuts, hidden for process-level cuts), with weakening/contraction markers
 as pseudo-leaves.  Soup equality subsumes the structural congruence
 (cut commutation/reassociation, parallel rearrangement), so the search
-is a memoized rewrite over soups.
+is a rewrite over soups.
 
-The search is complete: it expands every redex of every soup it reaches.
-Hidden names are derived from the edge whose step makes them, not drawn
-from a counter, so a soup reached through two interleavings carries the
-same names and is searched once.  The memo (soup -> observations) and the
-step cache (redex -> its local rewrite) live for one ``observe`` call.
+The search follows one reduction sequence.  Names are linear and each
+leaf acts on one name, so two redexes never share a leaf and commute; CP
+reduction is confluent, and under that diamond property every maximal
+sequence has the same length and gives the same observations.  So the
+search is complete although it fires only the first redex of each soup.
+Hidden names come from one counter per ``observe`` call.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from functools import partial
 from itertools import count
 
 from .denotations import NOTHING, STAR, UNIT, DenotationSet, Pair, Relation, Tag, bag
-from .denotations import bounded_union, check_bound, denote, extend, join, product
-from .denotations import project, union
+from .denotations import bounded_union, check_bound, denote, extend, join, product, project
 from .syntax import (
     Case,
     Client,
@@ -58,12 +58,7 @@ class OpenConfiguration(CPTypeError):
 
 
 class DepthExceeded(Exception):
-    """``partial`` holds the observations found before the budget ran out:
-    name-keyed tuples from ``observe``, a relation inside the search."""
-
-    def __init__(self, partial):
-        super().__init__("observation search exceeded its depth budget")
-        self.partial = partial
+    """The reduction sequence of a configuration is longer than ``depth`` steps."""
 
 
 class Configuration:
@@ -169,8 +164,9 @@ def _disjoint(gl, gr, tl, tr, extra):
 #         | ("con", ext, f1, f2); every leaf starts with its kind and the name
 #         it acts on (None for a forwarder).
 # Edges:  name -> frozenset of (alias, observable)
+# A soup is a dict of leaves (an insertion-ordered set) and a dict of edges.
 
-# The (sender, receiver) kinds of the communication steps; see _Engine._comm.
+# The (sender, receiver) kinds of the communication steps; see _comm.
 _STEPS = frozenset({
     (EmptyOut, EmptyIn),
     (Out, In),
@@ -190,15 +186,19 @@ def _leaf_names(leaf):
 
 
 class _Items:
-    """The leaves and hidden edges that one step, or the build, adds."""
+    """The leaves and hidden edges that one step, or the build, adds.
 
-    def __init__(self, scope: str):
-        self.names = (f"{scope}/{i}" for i in count(1))
+    Hidden names are drawn from ``names``, one counter per ``observe`` call
+    (``#1``, ``#2``, ...); parsed names never contain ``#``.
+    """
+
+    def __init__(self, names):
+        self.names = names
         self.leaves: list = []
         self.edges: dict = {}
 
     def hide(self) -> Name:
-        """The step's next fresh name, as a hidden edge."""
+        """A fresh name, as a hidden edge."""
         n = next(self.names)
         self.edges[n] = frozenset({(n, False)})
         return n
@@ -224,6 +224,35 @@ class _Items:
                 case _:
                     self.leaves.append(_proc_leaf(p))
 
+    def config(self, c: Configuration, renamed: dict) -> None:
+        """Flatten a configuration: each of its cuts is an observable edge.
+
+        ``renamed`` maps the free names that an enclosing contraction split
+        to their hidden names.
+        """
+        match c:
+            case CZero():
+                pass
+            case CProc(d):
+                p = d.process
+                for old, new in renamed.items():
+                    p = substitute(p, new, old)
+                self.norm(p)
+            case CCut(x, _, l, r):
+                self.edges[x] = frozenset({(x, True)})
+                self.config(l, renamed)
+                self.config(r, renamed)
+            case CPar(l, r):
+                self.config(l, renamed)
+                self.config(r, renamed)
+            case CWeak(x, _, sub):
+                self.leaves.append(("weak", renamed.get(x, x)))
+                self.config(sub, renamed)
+            case CCon(x1, x2, sub):
+                f1, f2 = self.hide(), self.hide()
+                self.leaves.append(("con", renamed.get(x1, x1), f1, f2))
+                self.config(sub, {**renamed, x1: f1, x2: f2})
+
 
 def _put(ports, fn, args=(), drop=()):
     """The transform that drops the step's hidden names ``drop`` and gives
@@ -236,208 +265,149 @@ def _same(rel):
     return rel
 
 
-class _Engine:
-    """One observation search: its memo and step cache live as long as it does.
+def _redexes(leaves, edges):
+    """The redexes of a soup, in soup order: each forwarder ``(None, leaf,
+    None)``, then each edge whose two acting leaves make a communication
+    step, as ``(name, sender, receiver)``."""
+    acting: dict = {}
+    for leaf in leaves:
+        acting.setdefault(leaf[1], []).append(leaf)
+    for fwd in acting.get(None, ()):
+        yield None, fwd, None
+    # names are linear, so the two leaves acting on an edge are all its leaves
+    for name in edges:
+        pair = acting.get(name)
+        if pair is None or len(pair) != 2:
+            continue
+        u, v = pair
+        if (u[0], v[0]) in _STEPS:
+            yield name, u, v
+        elif (v[0], u[0]) in _STEPS:
+            yield name, v, u
 
-    Hidden names come from the edge whose step makes them: the i-th name a
-    step on edge ``e`` makes is ``e/i`` (``#e/i`` when ``e`` is a parsed
-    name), and the names made while building the soup are ``#/i``. An edge
-    is dropped when it fires, and a forwarder step keeps only an edge that
-    has not fired, so no name is made twice on one run; parsed names
-    contain neither ``#`` nor ``/``. A soup reached by two interleavings
-    therefore carries the same names and meets itself in the memo.
+
+def _link(leaves, edges, fwd_leaf):
+    # [a<->b] composed on both of its names: merge the two edges.
+    fwd = fwd_leaf[2]
+    a, b = fwd.left, fwd.right
+    del leaves[fwd_leaf]
+    for leaf in [leaf for leaf in leaves if b in _leaf_names(leaf)]:
+        del leaves[leaf]
+        match leaf:
+            case ("weak", _):
+                leaf = ("weak", a)
+            case ("con", *ns):
+                leaf = ("con", *(a if n == b else n for n in ns))
+            case (kind, subject, p, names):
+                subject = a if subject == b else subject
+                leaf = (kind, subject, substitute(p, a, b), (names - {b}) | {a})
+        leaves[leaf] = None
+    edges[a] |= edges.pop(b)
+    return _same
+
+
+def _comm(leaves, edges, name, sender, receiver, bound, names):
+    """Fire the redex on ``name``: replace its two leaves and its edge by
+    what the step makes, and return the transform from the premise's
+    relation to the conclusion's; or return None, and leave the soup as it
+    is, when the step already exceeds the bound.
     """
+    ports = edges[name]
+    new = _Items(names)
+    match sender[2], receiver:
+        case EmptyOut(), (_, _, EmptyIn(_, body), _):
+            new.norm(body)
+            transform = _put(ports, lambda: STAR)
 
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.memo: dict = {}
-        self.steps: dict = {}
+        case Out(y, a, pl, pr), (_, _, In(b, y2, body), _):
+            np_, nc = new.hide(), new.hide()
+            new.norm(
+                substitute(pl, np_, y),
+                substitute(pr, nc, a),
+                substitute(substitute(body, np_, y2), nc, b),
+            )
+            transform = _put(ports, Pair, (np_, nc), (np_, nc))
 
-    # soup construction
+        case Select(a, i, body), (_, _, Case(b, q1, q2), _):
+            nc = new.hide()
+            new.norm(substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b))
+            transform = _put(ports, partial(Tag, i), (nc,), (nc,))
 
-    def build(self, c: Configuration):
-        items = _Items("#")
+        case Server(a, y, body), (_, _, Client(b, y2, qbody), _):
+            if bound < 1:
+                return None  # a one-shot interaction already exceeds the bound
+            ns = new.hide()
+            new.norm(substitute(body, ns, y), substitute(qbody, ns, y2))
+            transform = _put(ports, lambda o: bag((o,)), (ns,), (ns,))
 
-        def add_config(cfg: Configuration, renamed: dict):
-            # renamed maps the free names that an enclosing contraction split
-            # to their fresh hidden names
-            match cfg:
-                case CZero():
-                    return
-                case CProc(d):
-                    p = d.process
-                    for old, new in renamed.items():
-                        p = substitute(p, new, old)
-                    items.norm(p)
-                case CCut(x, _, l, r):
-                    items.edges[x] = frozenset({(x, True)})
-                    add_config(l, renamed)
-                    add_config(r, renamed)
-                case CPar(l, r):
-                    add_config(l, renamed)
-                    add_config(r, renamed)
-                case CWeak(x, _, sub):
-                    items.leaves.append(("weak", renamed.get(x, x)))
-                    add_config(sub, renamed)
-                case CCon(x1, x2, sub):
-                    f1, f2 = items.hide(), items.hide()
-                    items.leaves.append(("con", renamed.get(x1, x1), f1, f2))
-                    add_config(sub, {**renamed, x1: f1, x2: f2})
+        case Server(), ("weak", _):
+            # the dropped server's carried ?-names are weakened as well
+            new.leaves.extend(("weak", n) for n in sorted(sender[3] - {name}))
+            transform = _put(ports, bag)
 
-        add_config(c, {})
-        return frozenset(items.leaves), frozenset(items.edges.items())
+        case Server() as srv, ("con", _, f1, f2):
+            copy1 = substitute(srv, f1, name)
+            copy2 = substitute(srv, f2, name)
+            # each carried ?-name splits into one copy per server replica,
+            # re-merged by a fresh contraction marker on the original edge
+            for n in sorted(sender[3] - {name}):
+                n1, n2 = new.hide(), new.hide()
+                copy1 = substitute(copy1, n1, n)
+                copy2 = substitute(copy2, n2, n)
+                new.leaves.append(("con", n, n1, n2))
+            new.leaves += (_proc_leaf(copy1), _proc_leaf(copy2))
+            transform = _put(ports, bounded_union(bound), (f1, f2), (f1, f2))
 
-    # search
+        case _:
+            raise AssertionError((sender, receiver))
 
-    def search(self, state, fuel: int) -> Relation:
-        """All raw observations of ``state``, over every redex of every state."""
-        if state in self.memo:
-            return self.memo[state]
-        leaves, _ = state
-        if not leaves:
-            return UNIT
-        redexes = self._redexes(state)
-        if redexes and fuel <= 0:
-            raise DepthExceeded(NOTHING)
-        found = []
-        for premise, transform in redexes:
-            try:
-                found.append(transform(self.search(premise, fuel - 1)))
-            except DepthExceeded as e:
-                found.append(transform(e.partial))
-                raise DepthExceeded(union(*found)) from None
-        result = self.memo[state] = union(*found)
-        return result
-
-    def _redexes(self, state):
-        leaves, edges = state
-        acting: dict = {}
-        for leaf in leaves:
-            acting.setdefault(leaf[1], []).append(leaf)
-        out = [self._link(state, fwd) for fwd in acting.get(None, ())]
-        # names are linear, so the two leaves acting on an edge are all its leaves
-        for name, ports in edges:
-            pair = acting.get(name)
-            if pair is None or len(pair) != 2:
-                continue
-            u, v = pair
-            if (u[0], v[0]) in _STEPS:
-                key = (name, u, v, ports)
-            elif (v[0], u[0]) in _STEPS:
-                key = (name, v, u, ports)
-            else:
-                continue
-            step = self.steps.get(key, False)
-            if step is False:
-                step = self.steps[key] = self._comm(*key)
-            if step is not None:
-                drop, add_leaves, add_edges, transform = step
-                premise = (leaves - drop) | add_leaves, (edges - {(name, ports)}) | add_edges
-                out.append((premise, transform))
-        return out
-
-    def _link(self, state, leaf):
-        # [a<->b] composed on both of its names: merge the two edges.
-        fwd = leaf[2]
-        a, b = fwd.left, fwd.right
-        leaves, edges = state
-        ports = dict(edges)
-        dropped = [leaf]
-        renamed = []
-        for other in leaves:
-            if other is leaf or b not in _leaf_names(other):
-                continue
-            dropped.append(other)
-            match other:
-                case ("weak", _):
-                    renamed.append(("weak", a))
-                case ("con", *ns):
-                    renamed.append(("con", *(a if n == b else n for n in ns)))
-                case (kind, subject, p, names):
-                    subject = a if subject == b else subject
-                    renamed.append((kind, subject, substitute(p, a, b), (names - {b}) | {a}))
-        premise = (
-            (leaves - frozenset(dropped)) | frozenset(renamed),
-            (edges - {(a, ports[a]), (b, ports[b])}) | {(a, ports[a] | ports[b])},
-        )
-        return premise, _same
-
-    def _comm(self, name, sender, receiver, ports):
-        """The local rewrite of the redex on ``name``.
-
-        Returns the leaves it drops, the leaves and edges it adds and the
-        transform from the premise's relation to the conclusion's, or None
-        when the step already exceeds the bound.
-        """
-        new = _Items(name if name.startswith("#") else f"#{name}")
-        match sender[2], receiver:
-            case EmptyOut(), (_, _, EmptyIn(_, body), _):
-                new.norm(body)
-                transform = _put(ports, lambda: STAR)
-
-            case Out(y, a, pl, pr), (_, _, In(b, y2, body), _):
-                np_, nc = new.hide(), new.hide()
-                new.norm(
-                    substitute(pl, np_, y),
-                    substitute(pr, nc, a),
-                    substitute(substitute(body, np_, y2), nc, b),
-                )
-                transform = _put(ports, Pair, (np_, nc), (np_, nc))
-
-            case Select(a, i, body), (_, _, Case(b, q1, q2), _):
-                nc = new.hide()
-                new.norm(substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b))
-                transform = _put(ports, partial(Tag, i), (nc,), (nc,))
-
-            case Server(a, y, body), (_, _, Client(b, y2, qbody), _):
-                if self.bound < 1:
-                    return None  # a one-shot interaction already exceeds the bound
-                ns = new.hide()
-                new.norm(substitute(body, ns, y), substitute(qbody, ns, y2))
-                transform = _put(ports, lambda o: bag((o,)), (ns,), (ns,))
-
-            case Server(), ("weak", _):
-                # the dropped server's carried ?-names are weakened as well
-                new.leaves.extend(("weak", n) for n in sorted(sender[3] - {name}))
-                transform = _put(ports, bag)
-
-            case Server() as srv, ("con", _, f1, f2):
-                copy1 = substitute(srv, f1, name)
-                copy2 = substitute(srv, f2, name)
-                # each carried ?-name splits into one copy per server replica,
-                # re-merged by a fresh contraction marker on the original edge
-                for n in sorted(sender[3] - {name}):
-                    n1, n2 = new.hide(), new.hide()
-                    copy1 = substitute(copy1, n1, n)
-                    copy2 = substitute(copy2, n2, n)
-                    new.leaves.append(("con", n, n1, n2))
-                new.leaves += (_proc_leaf(copy1), _proc_leaf(copy2))
-                transform = _put(ports, bounded_union(self.bound), (f1, f2), (f1, f2))
-
-            case _:
-                raise AssertionError((sender, receiver))
-
-        drop = frozenset((sender, receiver))
-        return drop, frozenset(new.leaves), frozenset(new.edges.items()), transform
+    del leaves[sender], leaves[receiver], edges[name]
+    leaves.update(dict.fromkeys(new.leaves))
+    edges.update(new.edges)
+    return transform
 
 
 DEFAULT_DEPTH = 4000
 
 
 def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
-    """All observation tuples of a closed configuration, at bound ``bound``."""
+    """All observation tuples of a closed configuration, at bound ``bound``.
+
+    Reduction is confluent, so one maximal reduction sequence gives every
+    observation: fire the first redex of each soup until the soup is empty
+    (one observation) or stuck (none), then fold the steps' transforms back
+    over that result, last step first.
+    """
     check_bound(bound)
     gamma, theta_ctx = check_config(c)
     if gamma:
         raise OpenConfiguration(f"configuration has free names: {sorted(gamma)}")
-    eng = _Engine(bound)
-    state = eng.build(c)
-    observable = {al for _, ports in state[1] for al, obs in ports if obs}
+    names = (f"#{i}" for i in count(1))
+    built = _Items(names)
+    built.config(c, {})
+    leaves, edges = dict.fromkeys(built.leaves), built.edges
+    observable = {al for ports in edges.values() for al, obs in ports if obs}
 
-    try:
-        final = project(eng.search(state, depth), observable)
-    except DepthExceeded as e:
-        raise DepthExceeded(project(e.partial, observable).tuples()) from None
+    transforms = []
+    result = UNIT
+    while leaves:
+        for name, u, v in _redexes(leaves, edges):
+            if name is None:
+                transform = _link(leaves, edges, u)
+            else:
+                transform = _comm(leaves, edges, name, u, v, bound, names)
+            if transform is not None:
+                break
+        else:
+            result = NOTHING  # a stuck soup
+            break
+        if len(transforms) == depth:
+            raise DepthExceeded(f"more than {depth} steps")
+        transforms.append(transform)
+    for transform in reversed(transforms):
+        result = transform(result)
+
+    final = project(result, observable)
     assert not final.rows or set(final.cols) == set(theta_ctx)
     return final.tuples()
 

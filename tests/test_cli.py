@@ -20,7 +20,9 @@ from cpwb.cli import (
     parse_process,
     parse_type,
 )
+from cpwb.denotations import STAR, mk_tuple
 from cpwb.harness import enumerate_processes
+from cpwb.oracle import observe
 from cpwb.syntax import (
     Bottom,
     Cut,
@@ -155,11 +157,34 @@ def test_cli_observe(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == '[{"x":"*"}]'
 
 
+def _link_chain(i, j):
+    # the links x_i().x_{i+1}[] for i <= k < j, as a balanced tree of cuts
+    if j - i == 1:
+        return f"{{ x{i}().x{j}[] @ x{i}:bot, x{j}:1 }}"
+    m = (i + j) // 2
+    return f"cut x{m}:1 ({_link_chain(i, m)} | {_link_chain(m, j)})"
+
+
+def test_observe_follows_a_long_chain_without_recursion(tmp_path, capsys):
+    # 1,500 steps, well inside the default --depth, over a configuration
+    # nested only about 12 cuts deep
+    n = 1500
+    text = (f"cut x{n}:1 (cut x0:1 ({{ x0[] @ x0:1 }} | {_link_chain(0, n)})"
+            f" | {{ x{n}().0 @ x{n}:bot }})")
+    f = tmp_path / "chain.cfg"
+    f.write_text(text)
+    assert main(["observe", str(f)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out) == [{f"x{i}": "*" for i in range(n + 1)}]
+    assert observe(parse_config(text)) == frozenset({mk_tuple({f"x{i}": STAR for i in range(n + 1)})})
+
+
 def test_cli_observe_depth_exceeded(tmp_path, capsys):
     f = tmp_path / "c.cfg"
     f.write_text("cut y:1 ({ new x:1 (x[] | x().y[]) @ y:1 } | { y().0 @ y:bot })")
     assert main(["observe", str(f), "--depth", "1"]) == 1
-    assert "partial observation set" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "depth exceeded: more than 1 steps\n")
     assert main(["observe", str(f), "--depth", "2"]) == 0
     assert capsys.readouterr().out.strip() == '[{"y":"*"}]'
 
@@ -227,6 +252,8 @@ def test_format_context_is_canonical():
         '{"system": 2}',
         '{"system": "cp02"}',
         '{"bound": 2',
+        '{"connectives": []}',
+        '{"connectives": ["ofcourse"], "suites": ["duality"]}',
     ],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, text):

@@ -247,18 +247,18 @@ def test_depth_exceeded():
         observe(c, 2, depth=1)
 
 
-def test_interleavings_meet_in_the_memo(monkeypatch):
-    # k independent copies of a three-step cut: every interleaving of their
-    # steps must reach the same soups, so that the search expands each of the
-    # 4^k - 1 product states that still has leaves exactly once
-    expanded = []
-    real = oracle._Engine._redexes
+def test_one_path_takes_three_steps_per_copy(monkeypatch):
+    # k independent copies of a three-step cut: the search follows one
+    # reduction sequence, so it takes exactly 3k steps and looks for a redex
+    # once per step, not once per interleaved state
+    looked = []
+    real = oracle._redexes
 
-    def counting(self, state):
-        expanded.append(state)
-        return real(self, state)
+    def counting(leaves, edges):
+        looked.append(leaves)
+        return real(leaves, edges)
 
-    monkeypatch.setattr(oracle._Engine, "_redexes", counting)
+    monkeypatch.setattr(oracle, "_redexes", counting)
     a = Tensor(one, one)
     for k in (2, 3):
         copies = []
@@ -268,11 +268,51 @@ def test_interleavings_meet_in_the_memo(monkeypatch):
             q = In(x, "y", EmptyIn("y", EmptyIn(x, Inact())))
             copies.append(CCut(x, a, proc(p, {x: a}), proc(q, {x: dual(a)})))
         c = reduce(CPar, copies)
-        expanded.clear()
+        looked.clear()
         got = observe(c)
-        assert len(expanded) == 4**k - 1
+        assert len(looked) == 3 * k
         assert got == frozenset({mk_tuple({f"x{i}": Pair(STAR, STAR) for i in range(k)})})
+        assert observe(c, depth=3 * k) == got
+        with pytest.raises(DepthExceeded):
+            observe(c, depth=3 * k - 1)
         assert adequacy_check(c)
+
+
+def test_last_redex_first_observes_the_same(monkeypatch):
+    # reduction is confluent, so firing the last enabled redex of each soup
+    # instead of the first must not change any observation: over the clients
+    # of test_adequacy_over_exponentials and a configuration with con, weak
+    # and par
+    a, b = WhyNot(bot), OfCourse(one)
+    srv = proc(Server("x", "y", EmptyOut("y")), {"x": b})
+    clients = enumerate_processes({"x": a}, 7, System.CP02)
+    assert len(clients) == 132
+    configs = [CCut("x", b, srv, proc(q, {"x": a})) for q in clients]
+    uses = CPar(
+        proc(Client("a", "u", EmptyIn("u", Inact())), {"a": a}),
+        CPar(
+            proc(Contract("b", "c", "d", Client("c", "u", EmptyIn("u", Weak("d", a, Inact())))),
+                 {"b": a}),
+            CWeak("e", a, CZero()),
+        ),
+    )
+    merged = CCon("a", "e", CCon("a", "b", uses))
+    configs.append(CCut("a", b, proc(Server("a", "y", EmptyOut("y")), {"a": b}), merged))
+    first = {(c, k): observe(c, k) for c in configs for k in (0, 1, 2)}
+    assert first[configs[-1], 2] == frozenset({mk_tuple({"a": bag([STAR, STAR])})})
+
+    reordered = []
+    real = oracle._redexes
+
+    def last_first(leaves, edges):
+        found = list(real(leaves, edges))
+        reordered.append(len(found) > 1)
+        return reversed(found)
+
+    monkeypatch.setattr(oracle, "_redexes", last_first)
+    for (c, k), got in first.items():
+        assert observe(c, k) == got, (k, c)
+    assert any(reordered)
 
 
 def test_adequacy_over_exponentials():
