@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .denotations import dumps, equivalent, denote, tuples_to_json
+from .denotations import check_shared, dumps, denote, tuples_to_json
 from .harness import ConfigError, SuiteConfig, run_suite
 from .oracle import (
     CCon,
@@ -638,23 +638,21 @@ def _dispatch(args) -> int:
             ctx = parse_context(args.ctx)
             p = parse_process(_read(args.file))
             check(p, ctx, System.CP02)
-            k = transformer_context(ctx)
-            print(format_process(fill(k, p)))
+            print(format_process(fill(transformer_context(ctx), p).process))
             return 0
         case "equiv":
             ctx = parse_context(args.ctx)
             p = parse_process(_read(args.file_p))
             q = parse_process(_read(args.file_q))
-            system = _system(args.sys)
-            if equivalent(p, q, ctx, system, args.bound):
+            dp, dq = check_shared(p, q, ctx, _system(args.sys))
+            sp, sq = denote(dp, args.bound).tuples, denote(dq, args.bound).tuples
+            if sp == sq:
                 print("equivalent")
                 return 0
-            dp = denote(check(p, ctx, system), args.bound).tuples
-            dq = denote(check(q, ctx, system), args.bound).tuples
             print("not equivalent")
             print(dumps({
-                "only_left": tuples_to_json(dp - dq),
-                "only_right": tuples_to_json(dq - dp),
+                "only_left": tuples_to_json(sp - sq),
+                "only_right": tuples_to_json(sq - sp),
             }))
             return EXIT_PROPERTY
         case "suite":

@@ -16,10 +16,11 @@ import os
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
-from . import obs_transform, transformers
+from . import transformers
 from .denotations import STAR, Bag, Pair, denote, mk_tuple, obs_space, tuples_to_json
-from .obs_transform import l_ctx, l_obs
+from .obs_transform import l_ctx, l_obs, translation_image, translation_verdict
 from .oracle import CCut, CProc, adequacy_check
 from .syntax import (
     Bottom,
@@ -51,7 +52,7 @@ from .syntax import (
     fresh_name,
     process_size,
 )
-from .translation import closing_name, neg_image, translate_process, translated_context
+from .translation import closing_name, neg_image
 from .typing import CpwbError, System, check, ctx_items
 
 
@@ -300,9 +301,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
     except ValueError:
         raise ConfigError(f"CPWB_SEED must be an integer, got {seed!r}") from None
     results = []
+    table = _ImageTable(cfg, seed)
     for name in names:
         t0 = time.monotonic()
-        instances, failures = _SUITES[name](cfg, random.Random(seed))
+        instances, failures = _SUITES[name](cfg, random.Random(seed), table)
         millis = int((time.monotonic() - t0) * 1000)
         results.append(SuiteResult(name, instances, tuple(failures), millis))
     return Report(tuple(results))
@@ -429,7 +431,7 @@ def formula_pool(depth: int, connectives=CONNECTIVES, per_level: int = 4500) -> 
     return pool
 
 
-def _suite_duality(cfg: SuiteConfig, rng):
+def _suite_duality(cfg: SuiteConfig, rng, table):
     pool = formula_pool(cfg.duality_depth, cfg.connectives)
     failures = []
     for a in pool:
@@ -464,25 +466,24 @@ def _adequacy_instances(cfg: SuiteConfig):
     return out
 
 
-def _suite_adequacy(cfg: SuiteConfig, rng):
-    one, bot = Unit(), Bottom()
-    failures = []
-    count = 0
-    for a, p, q, extra in _adequacy_instances(cfg)[:2500]:
+def _suite_adequacy(cfg: SuiteConfig, rng, table):
+    instances = _adequacy_instances(cfg)[:2500]
+    closers = {e: CProc(check(c, {"y": dual(e)}, System.CP02))
+               for e, c in ((Unit(), EmptyIn("y", Inact())), (Bottom(), EmptyOut("y")))}
+    failures, rights = [], {}  # each right process is checked once per type
+    for a, p, q, extra in instances:
+        if (a, q) not in rights:
+            rights[a, q] = CProc(check(q, {"x": dual(a)}, System.CP02))
         dp = check(p, {"x": a} if extra is None else {"x": a, "y": extra}, System.CP02)
-        dq = check(q, {"x": dual(a)}, System.CP02)
-        config = CCut("x", a, CProc(dp), CProc(dq))
+        config = CCut("x", a, CProc(dp), rights[a, q])
         if extra is not None:
-            closer = EmptyIn("y", Inact()) if extra == one else EmptyOut("y")
-            dr = check(closer, {"y": dual(extra)}, System.CP02)
-            config = CCut("y", extra, config, CProc(dr))
-        count += 1
+            config = CCut("y", extra, config, closers[extra])
         if not adequacy_check(config, cfg.bound):
             failures.append(f"cut at {a}: {p!r} | {q!r}")
-    return count, failures
+    return len(instances), failures
 
 
-def _suite_synchronizer(cfg: SuiteConfig, rng):
+def _suite_synchronizer(cfg: SuiteConfig, rng, table):
     from .translation import synchronizer
 
     one, bot = Unit(), Bottom()
@@ -508,49 +509,75 @@ def _suite_synchronizer(cfg: SuiteConfig, rng):
     return len(cases), failures
 
 
-def _translation_instances(cfg: SuiteConfig, rng):
-    out = []
-    for ctx, procs in exp_free_families(cfg.process_size):
-        out.extend((ctx, p) for p in procs)
-    out.extend(cut_families(4))
-    exp = []
-    for ctx, procs in exponential_families(cfg.process_size):
-        exp.extend((ctx, p) for p in procs)
-    rng.shuffle(exp)
-    out.extend(exp[: max(50, len(exp) // 4)])
-    return out
+SOURCE, TRANSLATION, TRANSFORMER = "source", "translation", "transformer"
 
 
-def _suite_translation(cfg: SuiteConfig, rng):
+class _ImageTable:
+    """One run's translation instances and their denotation sets, made on first use.
+
+    An instance (ctx, p) has three images: its source denotation, that of its
+    translation and that of p in its transformer context. Only sets are kept,
+    each distinct set once, so no derivation or typed context outlives its
+    suite; and the table lives for one run, so no patched module is read stale.
+    """
+
+    def __init__(self, cfg: SuiteConfig, seed: int):
+        self.cfg, self.seed, self.sets, self.distinct = cfg, seed, {}, {}
+
+    @cached_property
+    def families(self):
+        return exp_free_families(self.cfg.process_size)
+
+    @cached_property
+    def instances(self):
+        """The families, the cuts and a seeded quarter of the exponential families."""
+        out = [(ctx, p) for ctx, ps in self.families for p in ps] + cut_families(4)
+        exp = [(ctx, p) for ctx, ps in exponential_families(self.cfg.process_size) for p in ps]
+        random.Random(self.seed).shuffle(exp)
+        return out + exp[: max(50, len(exp) // 4)]
+
+    def images(self, instances, *kinds):
+        """Yield each (ctx, p) with its sets of ``kinds``; p is checked once for both
+        of its own images, and one transformer context serves a run of equal contexts."""
+        bound, kctx = self.cfg.bound, None
+        for ctx, p in instances:
+            d, row = None, self.sets.setdefault((p, ctx_items(ctx)), {})
+            for kind in kinds:
+                if kind in row:
+                    continue
+                if kind == TRANSFORMER:
+                    if kctx != ctx:
+                        kctx, k = ctx, transformers.transformer_context(ctx)
+                    s = transformers.transformer_image(k, p, bound)
+                else:
+                    d = d or check(p, ctx, System.CP02)
+                    s = denote(d, bound).tuples if kind == SOURCE else translation_image(d, ctx, bound)
+                row[kind] = self.distinct.setdefault(s, s)
+            yield ctx, p, [row[kind] for kind in kinds]
+
+
+def _suite_translation(cfg: SuiteConfig, rng, table):
     failures = []
-    count = 0
-    for ctx, p in _translation_instances(cfg, rng):
-        count += 1
-        v = obs_transform.check_translation_theorem(p, ctx, System.CP02, cfg.bound)
+    for ctx, p, (src, img) in table.images(table.instances, SOURCE, TRANSLATION):
+        v = translation_verdict(ctx, src, img)
         if not v.holds:
             failures.append(f"{p!r} at {dict(ctx)}: missing={v.missing} extra={v.extra}")
-    return count, failures
+    return len(table.instances), failures
 
 
-def _suite_fa1(cfg: SuiteConfig, rng):
-    failures = []
-    pairs = 0
-    for ctx, procs in exp_free_families(cfg.process_size):
-        tctx = translated_context(ctx)
-        data = []
-        for p in procs:
-            d = check(p, ctx, System.CP02)
-            src = denote(d, cfg.bound).tuples
-            img = denote(check(translate_process(d), tctx, System.CP02), cfg.bound).tuples
-            data.append((p, src, img))
-        for (p, sp, ip), (q, sq, iq) in itertools.combinations(data, 2):
+def _suite_full_abstraction(image, cfg: SuiteConfig, rng, table):
+    """Source equivalence iff equivalence of ``image``, over each family's pairs."""
+    failures, pairs = [], 0
+    for ctx, procs in table.families:
+        data = list(table.images([(ctx, p) for p in procs], SOURCE, image))
+        for (_, p, (sp, ip)), (_, q, (sq, iq)) in itertools.combinations(data, 2):
             pairs += 1
             if (sp == sq) != (ip == iq):
                 failures.append(f"{p!r} vs {q!r} at {dict(ctx)}")
     return pairs, failures
 
 
-def _suite_transformer_graph(cfg: SuiteConfig, rng):
+def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
     formulas = [
         a
         for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
@@ -564,7 +591,7 @@ def _suite_transformer_graph(cfg: SuiteConfig, rng):
     return len(formulas), failures
 
 
-def _suite_context_denotation(cfg: SuiteConfig, rng):
+def _suite_context_denotation(cfg: SuiteConfig, rng, table):
     one, bot = Unit(), Bottom()
     t2 = Plus(one, one)
     deltas = [
@@ -593,37 +620,13 @@ def _suite_context_denotation(cfg: SuiteConfig, rng):
     return count, failures
 
 
-def _suite_transformer_correct(cfg: SuiteConfig, rng):
-    failures = []
-    count = 0
-    for ctx, p in _translation_instances(cfg, rng):
-        count += 1
-        v = transformers.check_transformer_correct(p, ctx, cfg.bound)
-        if not v.holds:
-            failures.append(f"{p!r} at {dict(ctx)}")
-    return count, failures
+def _suite_transformer_correct(cfg: SuiteConfig, rng, table):
+    pairs = table.images(table.instances, TRANSLATION, TRANSFORMER)
+    failures = [f"{p!r} at {dict(ctx)}" for ctx, p, (left, right) in pairs if left != right]
+    return len(table.instances), failures
 
 
-def _suite_fa2(cfg: SuiteConfig, rng):
-    failures = []
-    pairs = 0
-    for ctx, procs in exp_free_families(cfg.process_size):
-        k = transformers.transformer_context(ctx, closing_name(ctx))
-        rctx = k.result_context
-        data = []
-        for p in procs:
-            d = check(p, ctx, System.CP02)
-            src = denote(d, cfg.bound).tuples
-            img = denote(check(transformers.fill(k, p), rctx, System.CP02), cfg.bound).tuples
-            data.append((p, src, img))
-        for (p, sp, ip), (q, sq, iq) in itertools.combinations(data, 2):
-            pairs += 1
-            if (sp == sq) != (ip == iq):
-                failures.append(f"{p!r} vs {q!r} at {dict(ctx)}")
-    return pairs, failures
-
-
-def _suite_mix_permutation(cfg: SuiteConfig, rng):
+def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
     one, bot = Unit(), Bottom()
     t2 = Plus(one, one)
     w2 = With(one, bot)
@@ -638,10 +641,8 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng):
     failures = []
     count = 0
 
-    def same(p, q, ctx):
-        dp = denote(check(p, ctx, System.CP02), cfg.bound).tuples
-        dq = denote(check(q, ctx, System.CP02), cfg.bound).tuples
-        return dp == dq
+    def den(p, ctx):
+        return denote(check(p, ctx, System.CP02), cfg.bound).tuples
 
     for a1, a2 in itertools.product((one, bot, t2, w2), repeat=2):
         for p, q in itertools.product(small[a1][:3], small[a2][:3]):
@@ -651,7 +652,7 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng):
                     count += 1
                     lhs = Mix(Case("x", p, q), r)
                     rhs = Case("x", Mix(p, r), Mix(q, r))
-                    if not same(lhs, rhs, ctx):
+                    if den(lhs, ctx) != den(rhs, ctx):
                         failures.append(f"case-mix: {lhs!r}")
     for a in (one, t2):
         lefts = small[a]
@@ -664,7 +665,7 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng):
                     lhs = Mix(Cut("x", a, p, q), r)
                     mid = Cut("x", a, p, Mix(q, r))
                     rhs = Cut("x", a, Mix(p, r), q)
-                    if not (same(lhs, mid, ctx) and same(lhs, rhs, ctx)):
+                    if not den(lhs, ctx) == den(mid, ctx) == den(rhs, ctx):
                         failures.append(f"cut-mix: {lhs!r}")
     outs_p = enumerate_processes({"y": one}, 2, System.CP02, markers=False)
     outs_q = enumerate_processes({"x": t2}, 3, System.CP02, markers=False)
@@ -676,12 +677,12 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng):
                     count += 1
                     lhs = Out("y", "x", p, Mix(q, r))
                     rhs = Mix(Out("y", "x", p, q), r)
-                    if not same(lhs, rhs, ctx):
+                    if den(lhs, ctx) != den(rhs, ctx):
                         failures.append(f"out-mix: {lhs!r}")
     return count, failures
 
 
-def _suite_injectivity(cfg: SuiteConfig, rng):
+def _suite_injectivity(cfg: SuiteConfig, rng, table):
     formulas = [
         a
         for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
@@ -720,15 +721,12 @@ def _suite_injectivity(cfg: SuiteConfig, rng):
     return count, failures
 
 
-def _suite_worked_example(cfg: SuiteConfig, rng):
+def _suite_worked_example(cfg: SuiteConfig, rng, table):
     one = Unit()
     cut = Cut("x", one, EmptyOut("x"), EmptyIn("x", EmptyOut("y")))
     ctx = {"y": one}
-    tctx = translated_context(ctx)
-    d1 = check(cut, ctx, System.CP02)
-    d2 = check(EmptyOut("y"), ctx, System.CP02)
-    s1 = denote(check(translate_process(d1), tctx, System.CP02), cfg.bound).tuples
-    s2 = denote(check(translate_process(d2), tctx, System.CP02), cfg.bound).tuples
+    s1 = translation_image(check(cut, ctx, System.CP02), ctx, cfg.bound)
+    s2 = translation_image(check(EmptyOut("y"), ctx, System.CP02), ctx, cfg.bound)
     failures = [] if s1 == s2 else [f"worked example: {tuples_to_json(s1)} vs {tuples_to_json(s2)}"]
     return 1, failures
 
@@ -738,11 +736,11 @@ _SUITES = {
     "adequacy": _suite_adequacy,
     "synchronizer": _suite_synchronizer,
     "translation": _suite_translation,
-    "full_abstraction_1": _suite_fa1,
+    "full_abstraction_1": partial(_suite_full_abstraction, TRANSLATION),
     "transformer_graph": _suite_transformer_graph,
     "context_denotation": _suite_context_denotation,
     "transformer_correct": _suite_transformer_correct,
-    "full_abstraction_2": _suite_fa2,
+    "full_abstraction_2": partial(_suite_full_abstraction, TRANSFORMER),
     "mix_permutation": _suite_mix_permutation,
     "injectivity": _suite_injectivity,
     "worked_example": _suite_worked_example,

@@ -37,7 +37,7 @@ from .syntax import (
     WhyNot,
     With,
 )
-from .typing import CPTypeError, System, check
+from .typing import CPTypeError, Derivation, System, check
 from .translation import closing_name, prime_map, translate_process, translated_context
 
 
@@ -100,16 +100,23 @@ def _set_verdict(expected, actual, label: str) -> Verdict:
     )
 
 
+def translation_image(d: Derivation, ctx, bound: int = 2) -> frozenset:
+    """The denotation of the translation of ``d`` at the translated context."""
+    return denote(check(translate_process(d), translated_context(ctx), System.CP02), bound).tuples
+
+
+def translation_verdict(ctx, source, image) -> Verdict:
+    """The l_ctx image of a source denotation vs its translation's denotation."""
+    w = closing_name(ctx)
+    return _set_verdict({l_ctx(ctx, t, w) for t in source}, image, "translation theorem")
+
+
 def check_translation_theorem(
     p: Process, ctx, system: System = System.CP0, bound: int = 2
 ) -> Verdict:
     """l_ctx image of the source denotation vs the translated denotation."""
     d = check(p, ctx, system)
-    w = closing_name(ctx)
-    image = {l_ctx(ctx, t, w) for t in denote(d, bound)}
-    lp = translate_process(d)
-    dlp = check(lp, translated_context(ctx), System.CP02)
-    return _set_verdict(image, denote(dlp, bound).tuples, "translation theorem")
+    return translation_verdict(ctx, denote(d, bound).tuples, translation_image(d, ctx, bound))
 
 
 @dataclass(frozen=True)
@@ -126,8 +133,5 @@ def full_abstraction_I(
     """Source equivalence iff equivalence of the translations."""
     dp, dq = check_shared(p, q, ctx, system)
     src = denote(dp, bound).tuples == denote(dq, bound).tuples
-    tctx = translated_context(ctx)
-    dlp = check(translate_process(dp), tctx, System.CP02)
-    dlq = check(translate_process(dq), tctx, System.CP02)
-    img = denote(dlp, bound).tuples == denote(dlq, bound).tuples
+    img = translation_image(dp, ctx, bound) == translation_image(dq, ctx, bound)
     return AbstractionVerdict(src == img, src, img, "full abstraction (translation)")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .denotations import check_shared, denote, from_tuples, join, mk_tuple, obs_space
 from .denotations import product, well_sorted
 from .obs_transform import AbstractionVerdict, SortMismatch, Verdict, _set_verdict, l_ctx, l_obs
+from .obs_transform import translation_image
 from .syntax import (
     Bottom,
     Case,
@@ -39,7 +40,7 @@ from .syntax import (
     With,
     dual,
 )
-from .translation import closing_name, prime_map, translate_formula_dual, translate_process, translated_context
+from .translation import closing_name, prime_map, translate_formula_dual
 from .typing import (
     CpwbError,
     Hole,
@@ -131,19 +132,19 @@ def context_denotation(k: TypedContext, tuples, bound: int = 2):
         for n, o in t:
             if not well_sorted(o, hole[n]):
                 raise SortMismatch(f"component {n} is not sorted at {hole[n]}")
-    return _ctx_den(k, k.tree, from_tuples(tuple(sorted(hole)), xs), bound).tuples()
+    return _ctx_den(k.tree, k.deriv, from_tuples(tuple(sorted(hole)), xs), bound).tuples()
 
 
-def _ctx_den(k: TypedContext, tree, xs, bound: int):
+def _ctx_den(tree, deriv, xs, bound: int):
     match tree:
         case Hole():
             return xs
-        case KCut(x, _, sub, right, right_ctx):
-            dq = check(right, dict(right_ctx), k.system)
-            return join(_ctx_den(k, sub, xs, bound), denote(dq, bound).relation, x)
-        case KMix(sub, right, right_ctx):
-            dq = check(right, dict(right_ctx), k.system)
-            return product(_ctx_den(k, sub, xs, bound), denote(dq, bound).relation)
+        case KCut(x, _, sub, _, _):
+            below, dq = deriv.premises
+            return join(_ctx_den(sub, below, xs, bound), denote(dq, bound).relation, x)
+        case KMix(sub, _, _):
+            below, dq = deriv.premises
+            return product(_ctx_den(sub, below, xs, bound), denote(dq, bound).relation)
     raise CpwbError(f"not a context tree: {tree!r}")
 
 
@@ -164,28 +165,26 @@ def check_transformer_theorem(ctx, tuples, bound: int = 2) -> Verdict:
     return _set_verdict(want, got, "transformer context denotation")
 
 
+def transformer_image(k: TypedContext, p: Process, bound: int = 2) -> frozenset:
+    """The denotation of ``p`` filled into the transformer context ``k``."""
+    return denote(fill(k, p), bound).tuples
+
+
 def check_transformer_correct(p: Process, ctx, bound: int = 2) -> Verdict:
     """Translated process vs the same process under the transformer context.
 
     Both sides use the same primed names and the same closing name, so the
     comparison is plain set equality.
     """
-    d = check(p, ctx, System.CP02)
-    lp = translate_process(d)
-    left = denote(check(lp, translated_context(ctx), System.CP02), bound)
-    k = transformer_context(ctx, closing_name(ctx))
-    filled = fill(k, p)
-    right = denote(check(filled, k.result_context, System.CP02), bound)
-    return _set_verdict(left.tuples, right.tuples, "transformer correctness")
+    left = translation_image(check(p, ctx, System.CP02), ctx, bound)
+    right = transformer_image(transformer_context(ctx), p, bound)
+    return _set_verdict(left, right, "transformer correctness")
 
 
 def full_abstraction_II(p: Process, q: Process, ctx, bound: int = 2) -> AbstractionVerdict:
     """Source equivalence iff equivalence under the transformer context."""
     dp, dq = check_shared(p, q, ctx, System.CP02)
     src = denote(dp, bound).tuples == denote(dq, bound).tuples
-    k = transformer_context(ctx, closing_name(ctx))
-    rctx = k.result_context
-    dfp = check(fill(k, p), rctx, System.CP02)
-    dfq = check(fill(k, q), rctx, System.CP02)
-    img = denote(dfp, bound).tuples == denote(dfq, bound).tuples
+    k = transformer_context(ctx)
+    img = transformer_image(k, p, bound) == transformer_image(k, q, bound)
     return AbstractionVerdict(src == img, src, img, "full abstraction (transformers)")

@@ -329,13 +329,16 @@ class KMix(CtxTree):
 @dataclass(frozen=True)
 class TypedContext:
     tree: CtxTree
-    hole_ctx: CtxItems
-    result_ctx: CtxItems
+    deriv: ContextDerivation
     system: System
 
     @property
+    def result_ctx(self) -> CtxItems:
+        return self.deriv.result_ctx
+
+    @property
     def hole_context(self) -> TypingContext:
-        return dict(self.hole_ctx)
+        return dict(self.deriv.hole_ctx)
 
     @property
     def result_context(self) -> TypingContext:
@@ -352,8 +355,7 @@ class ContextDerivation:
 
 def make_context(tree: CtxTree, hole_ctx, system: System) -> TypedContext:
     """Build a TypedContext, computing its result typing from the tree."""
-    deriv = _check_tree(tree, ctx_items(dict(hole_ctx)), system)
-    return TypedContext(tree, ctx_items(dict(hole_ctx)), deriv.result_ctx, system)
+    return TypedContext(tree, _check_tree(tree, ctx_items(hole_ctx), system), system)
 
 
 def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation:
@@ -397,11 +399,9 @@ def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation
 
 def check_context(k: TypedContext, hole_ctx, result_ctx, system: System) -> ContextDerivation:
     """Verify that ``k`` maps hole typing ``hole_ctx`` to result ``result_ctx``."""
-    if ctx_items(dict(hole_ctx)) != k.hole_ctx:
-        raise HoleTypeMismatch(
-            f"context expects hole typing {dict(k.hole_ctx)}, got {dict(hole_ctx)}"
-        )
-    deriv = _check_tree(k.tree, k.hole_ctx, system)
+    if ctx_items(dict(hole_ctx)) != k.deriv.hole_ctx:
+        raise HoleTypeMismatch(f"context expects hole typing {k.hole_context}, got {dict(hole_ctx)}")
+    deriv = _check_tree(k.tree, k.deriv.hole_ctx, system)
     if deriv.result_ctx != ctx_items(dict(result_ctx)):
         raise HoleTypeMismatch(
             f"context produces {dict(deriv.result_ctx)}, expected {dict(result_ctx)}"
@@ -409,21 +409,22 @@ def check_context(k: TypedContext, hole_ctx, result_ctx, system: System) -> Cont
     return deriv
 
 
-def fill(k: TypedContext, p: Process) -> Process:
-    """Replace the hole of ``k`` with ``p``; the result checks at k's result typing."""
+def fill(k: TypedContext, p: Process) -> Derivation:
+    """The derivation of ``p`` in the hole of ``k``: ``p`` is checked at the
+    hole typing, and k's own derivation is grafted around it."""
     try:
-        check(p, k.hole_context, k.system)
+        d = check(p, k.hole_context, k.system)
     except CPTypeError as e:
         raise TypeMismatch(f"process does not fit the hole typing: {e}") from e
-    return _fill_tree(k.tree, p)
+    return _graft(k.tree, k.deriv, d)
 
 
-def _fill_tree(tree: CtxTree, p: Process) -> Process:
-    match tree:
-        case Hole():
-            return p
-        case KCut(x, annot, sub, right, _):
-            return Cut(x, annot, _fill_tree(sub, p), right)
-        case KMix(sub, right, _):
-            return Mix(_fill_tree(sub, p), right)
-    raise CPTypeError(f"not a context tree: {tree!r}")
+def _graft(tree: CtxTree, deriv: ContextDerivation, d: Derivation) -> Derivation:
+    if isinstance(tree, Hole):
+        return d
+    below, dq = deriv.premises
+    dl = _graft(tree.sub, below, d)
+    if isinstance(tree, KCut):
+        p = Cut(tree.name, tree.annot, dl.process, tree.right)
+        return Derivation("cut", p, deriv.result_ctx, (dl, dq))
+    return Derivation("mix2", Mix(dl.process, tree.right), deriv.result_ctx, (dl, dq))

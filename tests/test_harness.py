@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from cpwb.harness import (
@@ -14,6 +17,7 @@ from cpwb.harness import (
 )
 from cpwb.syntax import (
     Bottom,
+    Case,
     EmptyOut,
     Fwd,
     OfCourse,
@@ -25,7 +29,7 @@ from cpwb.syntax import (
     dual,
     process_size,
 )
-from cpwb.typing import System, check
+from cpwb.typing import System, check, ctx_items
 
 one, bot = Unit(), Bottom()
 
@@ -143,3 +147,75 @@ def test_mutant_is_caught(monkeypatch):
     report = run_suite(SuiteConfig(suites=("translation",)))
     assert not report.ok
     assert report.results[0].failures
+
+
+IMAGE_SUITES = ("translation", "full_abstraction_1", "transformer_correct", "full_abstraction_2")
+
+
+def test_each_translation_instance_is_translated_once(monkeypatch):
+    import cpwb.translation
+    from cpwb.harness import _ImageTable
+
+    monkeypatch.delenv("CPWB_SEED", raising=False)
+    real, calls = cpwb.translation.translate_process, Counter()
+
+    def counting(d):
+        calls[d.process, d.ctx] += 1
+        return real(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cpwb") and getattr(module, "translate_process", None) is real:
+            monkeypatch.setattr(module, "translate_process", counting)
+    cfg = SuiteConfig(suites=IMAGE_SUITES, process_size=4)
+    assert run_suite(cfg).ok
+    instances = {(p, ctx_items(ctx)) for ctx, p in _ImageTable(cfg, cfg.seed).instances}
+    assert set(calls) == instances
+    assert set(calls.values()) == {1}
+
+
+def test_images_do_not_outlive_their_run(monkeypatch):
+    # a mutant transformer between two clean runs: a table kept past its
+    # run would hide the mutant, or hand its images to the second clean run
+    import cpwb.transformers as tf
+
+    monkeypatch.delenv("CPWB_SEED", raising=False)
+    real = tf.transformer
+
+    def swapped(a, x, xp, supply=None):
+        t = real(a, x, xp, supply)
+        if isinstance(a, Plus) and a.left == a.right:  # so the swap still type-checks
+            return Case(t.channel, t.right, t.left)
+        return t
+
+    cfg = SuiteConfig(suites=IMAGE_SUITES, process_size=4)
+    assert run_suite(cfg).ok
+    monkeypatch.setattr(tf, "transformer", swapped)
+    mutant = {r.name: r for r in run_suite(cfg).results}
+    monkeypatch.setattr(tf, "transformer", real)
+    assert mutant["transformer_correct"].failures
+    assert run_suite(cfg).ok
+
+
+def test_no_derivation_outlives_its_suite(monkeypatch):
+    import gc
+
+    from cpwb import harness
+    from cpwb.typing import Derivation, TypedContext
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, (Derivation, TypedContext)) for o in gc.get_objects())
+
+    def watched(suite):
+        def run(*args):
+            before = alive()
+            out = suite(*args)
+            assert alive() == before
+            return out
+
+        return run
+
+    monkeypatch.delenv("CPWB_SEED", raising=False)
+    monkeypatch.setattr(harness, "_SUITES", {n: watched(s) for n, s in harness._SUITES.items()})
+    suites = ("adequacy", "mix_permutation", "worked_example") + IMAGE_SUITES
+    assert run_suite(SuiteConfig(suites=suites, process_size=4)).ok

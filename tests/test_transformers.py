@@ -13,7 +13,7 @@ from cpwb.denotations import (
     mk_tuple,
     obs_space,
 )
-from cpwb.harness import enumerate_processes
+from cpwb.harness import cut_families, enumerate_processes, exp_free_families, exponential_families
 from cpwb.obs_transform import SortMismatch, l_obs
 from cpwb.syntax import (
     Bottom,
@@ -153,8 +153,8 @@ def test_transformer_context_cut_order_is_irrelevant():
     tree = KMix(tree, EmptyOut("w"), ctx_items({"w": one}))
     k_rev = make_context(tree, ctx, System.CP02)
     for p in procs:
-        a = denote(check(fill(k, p), k.result_context, System.CP02), 2).tuples
-        b = denote(check(fill(k_rev, p), k_rev.result_context, System.CP02), 2).tuples
+        a = denote(fill(k, p), 2).tuples
+        b = denote(fill(k_rev, p), 2).tuples
         assert a == b
 
 
@@ -177,8 +177,18 @@ def test_context_denotation_matches_fill():
     for p in enumerate_processes(ctx, 4, System.CP02, markers=False):
         d = check(p, ctx, System.CP02)
         via_fn = context_denotation(k, denote(d, 2).tuples, 2)
-        via_fill = denote(check(fill(k, p), k.result_context, System.CP02), 2).tuples
+        via_fill = denote(fill(k, p), 2).tuples
         assert via_fn == via_fill
+
+
+def test_fill_grafts_the_checked_derivation():
+    families = exp_free_families(5) + exponential_families(5)
+    families += [(ctx, [p]) for ctx, p in cut_families(4)]
+    for ctx, procs in families:
+        k = transformer_context(ctx)
+        for p in procs:
+            filled = fill(k, p)
+            assert filled == check(filled.process, k.result_context, k.system)
 
 
 def test_context_denotation_sort_mismatch():
@@ -250,9 +260,9 @@ def test_transformer_equivalence_lemma_input_shape():
     # x'(y').T<P>_{y:A,x:B} ~ T<x(y).P>_{x:A par B}
     a, b = Plus(one, one), bot
     for p in enumerate_processes({"y": a, "x": b}, 4, System.CP02, markers=False):
-        lhs = In("x'", "y'", fill(transformer_context({"y": a, "x": b}, "w"), p))
+        lhs = In("x'", "y'", fill(transformer_context({"y": a, "x": b}, "w"), p).process)
         rhs_k = transformer_context({"x": Par(a, b)}, "w")
-        rhs = fill(rhs_k, In("x", "y", p))
+        rhs = fill(rhs_k, In("x", "y", p)).process
         _same(lhs, rhs, rhs_k.result_context)
 
 
@@ -261,13 +271,13 @@ def test_transformer_equivalence_lemma_select_shape():
     a = Plus(one, one)
     for i, sub in ((1, one), (2, one)):
         for p in enumerate_processes({"y": sub}, 3, System.CP02, markers=False):
-            inner = fill(transformer_context({"y": sub}, "u"), p)
+            inner = fill(transformer_context({"y": sub}, "u"), p).process
             lhs = Mix(
                 Out("u", "y'", Select("u", i, In("u", "y'", inner)), EmptyIn("y'", Inact())),
                 EmptyOut("w"),
             )
             rhs_k = transformer_context({"y": a}, "w")
-            rhs = fill(rhs_k, Select("y", i, p))
+            rhs = fill(rhs_k, Select("y", i, p)).process
             _same(lhs, rhs, rhs_k.result_context)
 
 
@@ -279,8 +289,8 @@ def test_transformer_equivalence_lemma_case_shape():
     rhs_k = transformer_context({"y": With(a1, a2)}, "w")
     for p1 in enumerate_processes({"y": a1}, 3, System.CP02, markers=False):
         for p2 in enumerate_processes({"y": a2}, 3, System.CP02, markers=False):
-            lhs = Case("y'", fill(k1, p1), fill(k2, p2))
-            rhs = fill(rhs_k, Case("y", p1, p2))
+            lhs = Case("y'", fill(k1, p1).process, fill(k2, p2).process)
+            rhs = fill(rhs_k, Case("y", p1, p2)).process
             _same(lhs, rhs, rhs_k.result_context)
 
 
@@ -291,11 +301,11 @@ def test_transformer_equivalence_lemma_output_shape():
     rhs_k = transformer_context({"x": Tensor(a, b)}, "w")
     for p1 in enumerate_processes({"y": a}, 2, System.CP02, markers=False):
         for p2 in enumerate_processes({"x": b}, 3, System.CP02, markers=False):
-            t1 = fill(transformer_context({"y": a}, "z1"), p1)
-            t2 = fill(transformer_context({"x": b}, "z2"), p2)
+            t1 = fill(transformer_context({"y": a}, "z1"), p1).process
+            t2 = fill(transformer_context({"x": b}, "z2"), p2).process
             pair = Out("z1", "z2", In("z1", "y'", t1), In("z2", "x'", t2))
             lhs = Mix(Out("z2", "x'", pair, EmptyIn("x'", Inact())), EmptyOut("w"))
-            rhs = fill(rhs_k, Out("y", "x", p1, p2))
+            rhs = fill(rhs_k, Out("y", "x", p1, p2)).process
             _same(lhs, rhs, rhs_k.result_context)
 
 
@@ -304,10 +314,10 @@ def test_transformer_equivalence_lemma_server_shape():
     a = one
     rhs_k = transformer_context({"x": OfCourse(a)}, "w")
     for p in enumerate_processes({"y": a}, 2, System.CP02, markers=False):
-        inner = fill(transformer_context({"y": a}, "v"), p)
+        inner = fill(transformer_context({"y": a}, "v"), p).process
         srv = Out("u", "x'", Server("u", "v", In("v", "y'", inner)), EmptyIn("x'", Inact()))
         lhs = Mix(srv, EmptyOut("w"))
-        rhs = fill(rhs_k, Server("x", "y", p))
+        rhs = fill(rhs_k, Server("x", "y", p)).process
         _same(lhs, rhs, rhs_k.result_context)
 
 
@@ -316,8 +326,8 @@ def test_transformer_equivalence_lemma_client_shape():
     a = Plus(one, one)
     rhs_k = transformer_context({"x": WhyNot(a)}, "w")
     for p in enumerate_processes({"y": a}, 3, System.CP02, markers=False):
-        inner = fill(transformer_context({"y": a}, "v"), p)
+        inner = fill(transformer_context({"y": a}, "v"), p).process
         cli = Client("x'", "m", Out("v", "m", In("v", "y'", inner), EmptyIn("m", Inact())))
         lhs = Mix(cli, EmptyOut("w"))
-        rhs = fill(rhs_k, Client("x", "y", p))
+        rhs = fill(rhs_k, Client("x", "y", p)).process
         _same(lhs, rhs, rhs_k.result_context)

@@ -151,19 +151,20 @@ def test_context_rejects_ill_typed_embedded_process():
 
 def test_fill():
     k = make_context(Hole(), {"x": one}, System.CP)
-    assert fill(k, EmptyOut("x")) == EmptyOut("x")
+    assert fill(k, EmptyOut("x")).process == EmptyOut("x")
     closer = EmptyIn("x", EmptyOut("y"))
     tree = KCut("x", one, Hole(), closer, ctx_items({"x": bot, "y": one}))
     k2 = make_context(tree, {"x": one}, System.CP0)
     filled = fill(k2, EmptyOut("x"))
-    assert filled == Cut("x", one, EmptyOut("x"), closer)
-    check(filled, k2.result_context, System.CP0)
+    assert filled.process == Cut("x", one, EmptyOut("x"), closer)
+    assert filled == check(filled.process, k2.result_context, System.CP0)
     with pytest.raises(TypeMismatch):
         fill(k2, EmptyIn("x", Inact()))
 
 
 def test_fill_round_trip_enumerated():
-    # the fill lemma at small scale: check(fill(K, P), result) succeeds
+    # the fill lemma at small scale: the grafted derivation is the one
+    # that checking the filled process at the result typing finds
     for a in (one, Plus(one, one), With(one, bot)):
         hole = {"x": a}
         closer_ctx = {"x": dual(a), "y": one}
@@ -174,4 +175,4 @@ def test_fill_round_trip_enumerated():
                 k = make_context(mixed, hole, System.CP02)
                 for p in enumerate_processes(hole, 4, System.CP02, markers=False):
                     filled = fill(k, p)
-                    check(filled, k.result_context, System.CP02)
+                    assert filled == check(filled.process, k.result_context, k.system)
