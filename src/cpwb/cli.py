@@ -62,7 +62,7 @@ from .syntax import (
 )
 from .transformers import transformer_context
 from .translation import translate_process, translated_context
-from .typing import CpwbError, CPTypeError, Derivation, System, check, fill
+from .typing import CpwbError, CPTypeError, Derivation, System, TypeMismatch, check, fill
 
 KEYWORDS = {"new", "fwd", "weak", "ctr", "bot", "zero", "cut", "par", "con"}
 
@@ -637,8 +637,14 @@ def _dispatch(args) -> int:
         case "transform":
             ctx = parse_context(args.ctx)
             p = parse_process(_read(args.file))
-            check(p, ctx, System.CP02)
-            print(format_process(fill(transformer_context(ctx), p).process))
+            try:
+                d = fill(transformer_context(ctx), p)
+            except TypeMismatch:
+                # fill checks at the sorted hole typing; the checker's own
+                # error names the names in the order of --ctx
+                check(p, ctx, System.CP02)
+                raise
+            print(format_process(d.process))
             return 0
         case "equiv":
             ctx = parse_context(args.ctx)

@@ -8,8 +8,8 @@ replication bound K so every denotation is a finite, canonical set.
 Inside this layer a denotation is a ``Relation``: a set of rows, each a
 plain tuple of observations in the order of the sorted context names.
 Every rule is one operation of a small relational algebra (product, join,
-extend, project, union), each premise is denoted once, and output rows are
-built by index maps.  The name-keyed ``ObsTuple`` is built only at the boundary:
+extend, union), each premise is denoted once, and output rows are built by
+index maps.  The name-keyed ``ObsTuple`` is built only at the boundary:
 ``denote(...).tuples`` and the JSON encoding.
 """
 
@@ -256,32 +256,32 @@ def _plan(src: tuple[str, ...], new: tuple[str, ...] = (), args=(), drop=()):
     return cols, _picker(tuple(i for _, i in out)), _picker(tuple(map(src.index, args)))
 
 
-def _build(rows, src, names=(), fn=None, args=(), drop=()) -> Relation:
-    """Rows over ``src`` without the columns ``drop``, with every column of
-    ``names`` set to ``fn`` of the row's ``args``; a row where ``fn`` gives
-    None goes."""
-    cols, pick, get = _plan(src, names, args, drop)
+def _build(rows, src, name=None, fn=None, args=(), drop=()) -> Relation:
+    """Rows over ``src`` without the columns ``drop``, with a column ``name``
+    set to ``fn`` of the row's ``args``; a row where ``fn`` gives None goes.
+    Without ``fn``, the rows as they are, in sorted column order."""
     if fn is None:
+        cols, pick, _ = _plan(src)
         return Relation(cols, frozenset(map(pick, rows)))
-    new = len(names)
+    cols, pick, get = _plan(src, (name,), args, drop)
     out = set()
     for row in rows:
         v = fn(*get(row))
         if v is not None:
-            out.add(pick(row + (v,) * new))
+            out.add(pick(row + (v,)))
     return Relation(cols, frozenset(out))
 
 
-def extend(rel: Relation, names, fn, args=(), drop=()) -> Relation:
-    """Each row without the columns ``drop``, with every column of ``names``
-    set to ``fn`` of the row's ``args``; a row where ``fn`` gives None goes."""
-    return _build(rel.rows, rel.cols, names, fn, args, drop)
+def extend(rel: Relation, name, fn, args=(), drop=()) -> Relation:
+    """Each row without the columns ``drop``, with a column ``name`` set to
+    ``fn`` of the row's ``args``; a row where ``fn`` gives None goes."""
+    return _build(rel.rows, rel.cols, name, fn, args, drop)
 
 
-def product(left: Relation, right: Relation, names=(), fn=None, args=(), drop=()) -> Relation:
+def product(left: Relation, right: Relation, name=None, fn=None, args=(), drop=()) -> Relation:
     """Every left row with every right row, extended as by ``extend``."""
     rows = (a + b for a in left.rows for b in right.rows)
-    return _build(rows, left.cols + right.cols, names, fn, args, drop)
+    return _build(rows, left.cols + right.cols, name, fn, args, drop)
 
 
 def join(left: Relation, right: Relation, name: str, keep: bool = False) -> Relation:
@@ -309,11 +309,6 @@ def union(*rels: Relation) -> Relation:
     return Relation(full[0].cols, frozenset().union(*(r.rows for r in full)))
 
 
-def project(rel: Relation, names) -> Relation:
-    """The columns of ``rel`` that are in ``names``."""
-    return _build(rel.rows, rel.cols, drop=tuple(n for n in rel.cols if n not in names))
-
-
 # --- the semantics -----------------------------------------------------------
 
 
@@ -335,21 +330,21 @@ def _denote(d: Derivation, bound: int) -> Relation:
             space = obs_space(d.context[p.left], bound)
             return Relation(tuple(sorted((p.left, p.right))), frozenset((o, o) for o in space))
         case "bot":
-            return extend(_denote(d.premises[0], bound), (p.channel,), lambda: STAR)
+            return extend(_denote(d.premises[0], bound), p.channel, lambda: STAR)
         case "tensor":
             x, y = p.channel, p.payload
             left, right = (_denote(prem, bound) for prem in d.premises)
-            return product(left, right, (x,), Pair, (y, x), (y, x))
+            return product(left, right, x, Pair, (y, x), (y, x))
         case "par":
             x, y = p.channel, p.payload
-            return extend(_denote(d.premises[0], bound), (x,), Pair, (y, x), (y, x))
+            return extend(_denote(d.premises[0], bound), x, Pair, (y, x), (y, x))
         case "plus":
             x = p.channel
-            return extend(_denote(d.premises[0], bound), (x,), partial(Tag, p.branch), (x,), (x,))
+            return extend(_denote(d.premises[0], bound), x, partial(Tag, p.branch), (x,), (x,))
         case "with":
             x = p.channel
             return union(*(
-                extend(_denote(prem, bound), (x,), partial(Tag, i), (x,), (x,))
+                extend(_denote(prem, bound), x, partial(Tag, i), (x,), (x,))
                 for i, prem in enumerate(d.premises, 1)
             ))
         case "bang":
@@ -368,12 +363,12 @@ def _denote(d: Derivation, bound: int) -> Relation:
             if bound < 1:
                 return Relation(tuple(n for n, _ in d.ctx), frozenset())
             x, y = p.channel, p.payload
-            return extend(_denote(d.premises[0], bound), (x,), lambda o: Bag((o,)), (y,), (y,))
+            return extend(_denote(d.premises[0], bound), x, lambda o: Bag((o,)), (y,), (y,))
         case "weak":
-            return extend(_denote(d.premises[0], bound), (p.name,), bag)
+            return extend(_denote(d.premises[0], bound), p.name, bag)
         case "contract":
             ends = (p.left_name, p.right_name)
-            return extend(_denote(d.premises[0], bound), (p.name,), bounded_union(bound), ends, ends)
+            return extend(_denote(d.premises[0], bound), p.name, bounded_union(bound), ends, ends)
         case "cut":
             left, right = (_denote(prem, bound) for prem in d.premises)
             return join(left, right, p.name)

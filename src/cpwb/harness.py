@@ -577,12 +577,17 @@ def _suite_full_abstraction(image, cfg: SuiteConfig, rng, table):
     return pairs, failures
 
 
-def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
-    formulas = [
+def _small_formulas(cfg: SuiteConfig) -> list[Formula]:
+    """The formulas up to ``cfg.formula_depth`` with at most 64 observations."""
+    return [
         a
         for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
         if len(obs_space(a, cfg.bound)) <= 64
     ]
+
+
+def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
+    formulas = _small_formulas(cfg)
     failures = []
     for a in formulas:
         v = transformers.transformer_graph(a, cfg.bound)
@@ -683,14 +688,9 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
 
 
 def _suite_injectivity(cfg: SuiteConfig, rng, table):
-    formulas = [
-        a
-        for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
-        if len(obs_space(a, cfg.bound)) <= 64
-    ]
     failures = []
     count = 0
-    for a in formulas:
+    for a in _small_formulas(cfg):
         space = obs_space(a, cfg.bound)
         images = [l_obs(a, o) for o in space]
         count += 1

@@ -14,6 +14,11 @@ reduction is confluent, and under that diamond property every maximal
 sequence has the same length and gives the same observations.  So the
 search is complete although it fires only the first redex of each soup.
 Hidden names come from one counter per ``observe`` call.
+
+Each communication step is recorded as data: the names of the fired edge,
+the function that gives their value, and the hidden names it reads that
+value from.  A reduction to the empty soup has exactly one observation,
+which is read back from that list, last step first, into one dict.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
-from .denotations import NOTHING, STAR, UNIT, DenotationSet, Pair, Relation, Tag, bag
-from .denotations import bounded_union, check_bound, denote, extend, join, product, project
+from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, bag, bounded_union
+from .denotations import check_bound, denote, extend, join, mk_tuple, product
 from .syntax import (
     Case,
     Client,
@@ -163,8 +168,10 @@ def _disjoint(gl, gr, tl, tr, extra):
 # Leaves: (type(P), subject of P, P, free names of P) | ("weak", name)
 #         | ("con", ext, f1, f2); every leaf starts with its kind and the name
 #         it acts on (None for a forwarder).
-# Edges:  name -> frozenset of (alias, observable)
+# Edges:  name -> frozenset of its aliases, the names that a link merged
+#         into it; a fired edge gives every alias its value.
 # A soup is a dict of leaves (an insertion-ordered set) and a dict of edges.
+# A step is (aliases of the fired edge, fn, hidden names that fn reads).
 
 # The (sender, receiver) kinds of the communication steps; see _comm.
 _STEPS = frozenset({
@@ -200,7 +207,7 @@ class _Items:
     def hide(self) -> Name:
         """A fresh name, as a hidden edge."""
         n = next(self.names)
-        self.edges[n] = frozenset({(n, False)})
+        self.edges[n] = frozenset({n})
         return n
 
     def norm(self, *ps: Process) -> None:
@@ -239,7 +246,7 @@ class _Items:
                     p = substitute(p, new, old)
                 self.norm(p)
             case CCut(x, _, l, r):
-                self.edges[x] = frozenset({(x, True)})
+                self.edges[x] = frozenset({x})
                 self.config(l, renamed)
                 self.config(r, renamed)
             case CPar(l, r):
@@ -252,17 +259,6 @@ class _Items:
                 f1, f2 = self.hide(), self.hide()
                 self.leaves.append(("con", renamed.get(x1, x1), f1, f2))
                 self.config(sub, {**renamed, x1: f1, x2: f2})
-
-
-def _put(ports, fn, args=(), drop=()):
-    """The transform that drops the step's hidden names ``drop`` and gives
-    every port of the fired edge ``fn`` of the premise's ``args``."""
-    names = tuple(al for al, _ in ports)
-    return lambda rel: extend(rel, names, fn, args, drop) if rel.rows else NOTHING
-
-
-def _same(rel):
-    return rel
 
 
 def _redexes(leaves, edges):
@@ -303,21 +299,19 @@ def _link(leaves, edges, fwd_leaf):
                 leaf = (kind, subject, substitute(p, a, b), (names - {b}) | {a})
         leaves[leaf] = None
     edges[a] |= edges.pop(b)
-    return _same
 
 
 def _comm(leaves, edges, name, sender, receiver, bound, names):
     """Fire the redex on ``name``: replace its two leaves and its edge by
-    what the step makes, and return the transform from the premise's
-    relation to the conclusion's; or return None, and leave the soup as it
-    is, when the step already exceeds the bound.
+    what the step makes, and return the step; or return None, and leave the
+    soup as it is, when the step already exceeds the bound.
     """
     ports = edges[name]
     new = _Items(names)
     match sender[2], receiver:
         case EmptyOut(), (_, _, EmptyIn(_, body), _):
             new.norm(body)
-            transform = _put(ports, lambda: STAR)
+            step = ports, lambda: STAR, ()
 
         case Out(y, a, pl, pr), (_, _, In(b, y2, body), _):
             np_, nc = new.hide(), new.hide()
@@ -326,24 +320,24 @@ def _comm(leaves, edges, name, sender, receiver, bound, names):
                 substitute(pr, nc, a),
                 substitute(substitute(body, np_, y2), nc, b),
             )
-            transform = _put(ports, Pair, (np_, nc), (np_, nc))
+            step = ports, Pair, (np_, nc)
 
         case Select(a, i, body), (_, _, Case(b, q1, q2), _):
             nc = new.hide()
             new.norm(substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b))
-            transform = _put(ports, partial(Tag, i), (nc,), (nc,))
+            step = ports, partial(Tag, i), (nc,)
 
         case Server(a, y, body), (_, _, Client(b, y2, qbody), _):
             if bound < 1:
                 return None  # a one-shot interaction already exceeds the bound
             ns = new.hide()
             new.norm(substitute(body, ns, y), substitute(qbody, ns, y2))
-            transform = _put(ports, lambda o: bag((o,)), (ns,), (ns,))
+            step = ports, lambda o: bag((o,)), (ns,)
 
         case Server(), ("weak", _):
             # the dropped server's carried ?-names are weakened as well
             new.leaves.extend(("weak", n) for n in sorted(sender[3] - {name}))
-            transform = _put(ports, bag)
+            step = ports, bag, ()
 
         case Server() as srv, ("con", _, f1, f2):
             copy1 = substitute(srv, f1, name)
@@ -356,7 +350,7 @@ def _comm(leaves, edges, name, sender, receiver, bound, names):
                 copy2 = substitute(copy2, n2, n)
                 new.leaves.append(("con", n, n1, n2))
             new.leaves += (_proc_leaf(copy1), _proc_leaf(copy2))
-            transform = _put(ports, bounded_union(bound), (f1, f2), (f1, f2))
+            step = ports, bounded_union(bound), (f1, f2)
 
         case _:
             raise AssertionError((sender, receiver))
@@ -364,7 +358,7 @@ def _comm(leaves, edges, name, sender, receiver, bound, names):
     del leaves[sender], leaves[receiver], edges[name]
     leaves.update(dict.fromkeys(new.leaves))
     edges.update(new.edges)
-    return transform
+    return step
 
 
 DEFAULT_DEPTH = 4000
@@ -375,41 +369,44 @@ def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
 
     Reduction is confluent, so one maximal reduction sequence gives every
     observation: fire the first redex of each soup until the soup is empty
-    (one observation) or stuck (none), then fold the steps' transforms back
-    over that result, last step first.
+    (one observation) or stuck (none), then read the one observation back
+    from the steps, last step first: each step reads its hidden names and
+    gives every alias of its edge ``fn`` of them.
     """
     check_bound(bound)
-    gamma, theta_ctx = check_config(c)
+    gamma, theta = check_config(c)
     if gamma:
         raise OpenConfiguration(f"configuration has free names: {sorted(gamma)}")
     names = (f"#{i}" for i in count(1))
     built = _Items(names)
     built.config(c, {})
     leaves, edges = dict.fromkeys(built.leaves), built.edges
-    observable = {al for ports in edges.values() for al, obs in ports if obs}
 
-    transforms = []
-    result = UNIT
+    steps = []
+    taken = 0
     while leaves:
         for name, u, v in _redexes(leaves, edges):
             if name is None:
-                transform = _link(leaves, edges, u)
-            else:
-                transform = _comm(leaves, edges, name, u, v, bound, names)
-            if transform is not None:
+                _link(leaves, edges, u)
+                break
+            step = _comm(leaves, edges, name, u, v, bound, names)
+            if step is not None:
+                steps.append(step)
                 break
         else:
-            result = NOTHING  # a stuck soup
-            break
-        if len(transforms) == depth:
+            return frozenset()  # a stuck soup
+        if taken == depth:
             raise DepthExceeded(f"more than {depth} steps")
-        transforms.append(transform)
-    for transform in reversed(transforms):
-        result = transform(result)
+        taken += 1
 
-    final = project(result, observable)
-    assert not final.rows or set(final.cols) == set(theta_ctx)
-    return final.tuples()
+    seen: dict = {}
+    for ports, fn, args in reversed(steps):
+        value = fn(*map(seen.pop, args))
+        if value is None:
+            return frozenset()  # a union of bags past the bound
+        seen.update(dict.fromkeys(ports, value))
+    # the observable names are the configuration's cut names, theta
+    return frozenset({mk_tuple({x: seen[x] for x in theta})})
 
 
 def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
@@ -431,10 +428,10 @@ def _denote_config(c: Configuration, bound: int) -> Relation:
         case CPar(l, r):
             return product(_denote_config(l, bound), _denote_config(r, bound))
         case CWeak(x, _, sub):
-            return extend(_denote_config(sub, bound), (x,), bag)
+            return extend(_denote_config(sub, bound), x, bag)
         case CCon(x1, x2, sub):
             ends = (x1, x2)
-            return extend(_denote_config(sub, bound), (x1,), bounded_union(bound), ends, ends)
+            return extend(_denote_config(sub, bound), x1, bounded_union(bound), ends, ends)
     raise CPTypeError(f"not a configuration: {c!r}")
 
 

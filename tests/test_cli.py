@@ -9,7 +9,7 @@ import pytest
 
 import cpwb
 
-from cpwb import cli
+from cpwb import cli, denotations
 from cpwb.cli import (
     CPSyntaxError,
     format_context,
@@ -165,12 +165,16 @@ def _link_chain(i, j):
     return f"cut x{m}:1 ({_link_chain(i, m)} | {_link_chain(m, j)})"
 
 
+def _chain_config(n):
+    return (f"cut x{n}:1 (cut x0:1 ({{ x0[] @ x0:1 }} | {_link_chain(0, n)})"
+            f" | {{ x{n}().0 @ x{n}:bot }})")
+
+
 def test_observe_follows_a_long_chain_without_recursion(tmp_path, capsys):
     # 1,500 steps, well inside the default --depth, over a configuration
     # nested only about 12 cuts deep
     n = 1500
-    text = (f"cut x{n}:1 (cut x0:1 ({{ x0[] @ x0:1 }} | {_link_chain(0, n)})"
-            f" | {{ x{n}().0 @ x{n}:bot }})")
+    text = _chain_config(n)
     f = tmp_path / "chain.cfg"
     f.write_text(text)
     assert main(["observe", str(f)]) == 0
@@ -178,6 +182,22 @@ def test_observe_follows_a_long_chain_without_recursion(tmp_path, capsys):
     assert out.err == ""
     assert json.loads(out.out) == [{f"x{i}": "*" for i in range(n + 1)}]
     assert observe(parse_config(text)) == frozenset({mk_tuple({f"x{i}": STAR for i in range(n + 1)})})
+
+
+def test_observe_builds_no_relation_rows(monkeypatch):
+    # the observation is read back from the steps into one dict: observing
+    # the 1,500-link chain makes no call into the relational algebra
+    config = parse_config(_chain_config(1500))
+    built = []
+    real = denotations._build
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(denotations, "_build", counting)
+    assert len(observe(config)) == 1
+    assert built == []
 
 
 def test_cli_observe_depth_exceeded(tmp_path, capsys):
@@ -213,6 +233,33 @@ def test_cli_transform(tmp_path, capsys):
     assert main(["transform", str(f), "--ctx", "x:1"]) == 0
     out = capsys.readouterr().out
     assert "new x:1" in out
+
+
+def test_cli_transform_checks_once(tmp_path, capsys, monkeypatch):
+    # an ill-typed process gets the checker's own error, as from `check`,
+    # with the context in the order given
+    f = tmp_path / "p.cp"
+    for source, ctx, err in (
+        ("x().0", "x:1", "RuleMismatch: empty input needs type bot, got 1"),
+        ("!x(y).y[]", "x:!1, b:1, a:1", "NonBangContext: server context must be all ?-typed, b has 1"),
+    ):
+        f.write_text(source)
+        assert main(["transform", str(f), "--ctx", ctx]) == 3
+        assert capsys.readouterr() == ("", f"type error: {err}\n")
+    # a well-typed one is checked once, by fill at the hole typing
+    calls = []
+    real = cli.check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check", counting)
+    monkeypatch.setattr(cpwb.typing, "check", counting)
+    f.write_text("x[]")
+    assert main(["transform", str(f), "--ctx", "x:1"]) == 0
+    assert "new x:1" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_cli_suite(tmp_path, capsys):

@@ -405,3 +405,45 @@ def test_adequacy_small_sweep():
                 assert adequacy_check(c, 2), (p, q)
                 count += 1
     assert count >= 12
+
+
+def con_weak_sweep():
+    """A `!1` server and a `!(1 + 1)` server, each cut against every
+    configuration-level contraction of two small clients, against each
+    client contracted with a configuration-level weakening, and against a
+    weakening alone."""
+    configs = []
+    t2 = Plus(one, one)
+    for a, bodies, size in ((one, [EmptyOut("y")], 5),
+                            (t2, [Select("y", 1, EmptyOut("y")), Select("y", 2, EmptyOut("y"))], 6)):
+        bang, whynot = OfCourse(a), WhyNot(dual(a))
+        firsts = [proc(q, {"x": whynot}) for q in enumerate_processes({"x": whynot}, size, System.CP02)]
+        seconds = [proc(q, {"w": whynot}) for q in enumerate_processes({"w": whynot}, size, System.CP02)]
+        users = [CCon("x", "w", CPar(p, q)) for p in firsts for q in seconds]
+        users += [CCon("x", "w", CPar(p, CWeak("w", whynot, CZero()))) for p in firsts]
+        users.append(CWeak("x", whynot, CZero()))
+        for body in bodies:
+            srv = proc(Server("x", "y", body), {"x": bang})
+            configs += [CCut("x", bang, srv, u) for u in users]
+    return configs
+
+
+def test_adequacy_of_configuration_weak_and_con():
+    # the server is replicated through a configuration contraction and
+    # dropped by a configuration weakening: the readback's bag and bounded
+    # union steps, at every bound up to the default
+    configs = con_weak_sweep()
+    assert len(configs) == 10 * 10 + 10 + 1 + 2 * (20 * 20 + 20 + 1)
+    past_bound = 0
+    for c in configs:
+        got = {k: observe(c, k) for k in (0, 1, 2)}
+        for k in (0, 1, 2):
+            assert got[k] == denote_config(c, k).tuples, (k, c)
+        # two uses merge into a bag of two, which K = 1 does not allow
+        past_bound += bool(got[2]) and not got[1]
+    assert past_bound > 0
+    dropped = [c for c in configs if isinstance(c.right, CWeak)]
+    assert len(dropped) == 3
+    for c in dropped:
+        for k in (0, 1, 2):
+            assert observe(c, k) == frozenset({mk_tuple({"x": bag()})})
