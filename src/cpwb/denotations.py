@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -198,8 +198,6 @@ class DenotationSet:
     tuples: frozenset[ObsTuple]
     ctx: tuple
     bound: int
-    # the same rows, positional: the form other layers compose
-    relation: Relation | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.tuples)
@@ -315,8 +313,7 @@ def union(*rels: Relation) -> Relation:
 def denote(d: Derivation, bound: int = 2) -> DenotationSet:
     """Denotation of a typing derivation at replication bound ``bound``."""
     check_bound(bound)
-    rel = _denote(d, bound)
-    return DenotationSet(rel.tuples(), d.ctx, bound, rel)
+    return DenotationSet(_denote(d, bound).tuples(), d.ctx, bound)
 
 
 def _denote(d: Derivation, bound: int) -> Relation:

@@ -1,12 +1,20 @@
 """Configurations and the big-step observation relation.
 
 A configuration is a tree of checked processes composed by observable
-cuts.  For the observation search the tree is flattened into a "soup":
-process leaves connected by named edges (observable for configuration
-cuts, hidden for process-level cuts), with weakening/contraction markers
-as pseudo-leaves.  Soup equality subsumes the structural congruence
-(cut commutation/reassociation, parallel rearrangement), so the search
-is a rewrite over soups.
+cuts.  For the observation search the tree is flattened into a "soup" of
+process leaves connected by names (observable for configuration cuts,
+hidden for process-level cuts), with weakening/contraction markers as
+pseudo-leaves.  Soup equality subsumes the structural congruence (cut
+commutation/reassociation, parallel rearrangement), so the search is a
+rewrite over soups.
+
+The search never rebuilds a term.  A process leaf is a node of the
+original checked process and an environment: a dict from the names that
+the node's binders, and the contractions above it, bound to soup names.
+A cut, a contraction or a communication step extends the environment of
+the continuation it unfolds; a forwarder merges its two names in one
+alias map; and an index of the names that leaves act on, kept across
+steps, finds each enabled redex as its second leaf arrives.
 
 The search follows one reduction sequence.  Names are linear and each
 leaf acts on one name, so two redexes never share a leaf and commute; CP
@@ -15,8 +23,8 @@ sequence has the same length and gives the same observations.  So the
 search is complete although it fires only the first redex of each soup.
 Hidden names come from one counter per ``observe`` call.
 
-Each communication step is recorded as data: the names of the fired edge,
-the function that gives their value, and the hidden names it reads that
+Each communication step is recorded as data: the name of the fired edge,
+the function that gives its value, and the hidden names it reads that
 value from.  A reduction to the empty soup has exactly one observation,
 which is read back from that list, last step first, into one dict.
 """
@@ -27,8 +35,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
-from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, bag, bounded_union
-from .denotations import check_bound, denote, extend, join, mk_tuple, product
+from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, _denote, bag
+from .denotations import bounded_union, check_bound, extend, join, mk_tuple, product
 from .syntax import (
     Case,
     Client,
@@ -37,19 +45,18 @@ from .syntax import (
     EmptyIn,
     EmptyOut,
     Formula,
+    Fwd,
     In,
     Inact,
     Mix,
     Name,
     Out,
-    Process,
     Select,
     Server,
     Weak,
     WhyNot,
     dual,
     free_names,
-    substitute,
 )
 from .typing import CPTypeError, Derivation, ctx_items
 
@@ -110,16 +117,38 @@ class CCon(Configuration):
     sub: Configuration
 
 
+def _fold(c: Configuration, node):
+    """``node(c, *results of c's subconfigurations)``, bottom-up, left to
+    right, over an explicit stack: a configuration of any depth."""
+    order, todo = [], [c]
+    while todo:
+        c = todo.pop()
+        subs = _SUBS.get(type(c), ())
+        order.append((c, len(subs)))
+        todo += [getattr(c, f) for f in subs]
+    results: list = []
+    for c, k in reversed(order):
+        n = len(results) - k
+        results[n:] = [node(c, *results[n:])]
+    return results[0]
+
+
+_SUBS = {CCut: ("left", "right"), CPar: ("left", "right"), CWeak: ("sub",), CCon: ("sub",)}
+
+
 def check_config(c: Configuration):
     """Return (free context, observable context) for a configuration."""
+    return _fold(c, _check_node)
+
+
+def _check_node(c, *subs):
     match c:
         case CZero():
             return {}, {}
         case CProc(d):
             return dict(d.ctx), {}
-        case CCut(x, annot, l, r):
-            gl, tl = check_config(l)
-            gr, tr = check_config(r)
+        case CCut(x, annot):
+            (gl, tl), (gr, tr) = subs
             if gl.get(x) != annot:
                 raise CutTypeMismatch(f"left side must offer {x} at {annot}")
             if gr.get(x) != dual(annot):
@@ -128,21 +157,20 @@ def check_config(c: Configuration):
             del gr[x]
             _disjoint(gl, gr, tl, tr, {x: annot})
             return {**gl, **gr}, {**tl, **tr, x: annot}
-        case CPar(l, r):
-            gl, tl = check_config(l)
-            gr, tr = check_config(r)
+        case CPar():
+            (gl, tl), (gr, tr) = subs
             _disjoint(gl, gr, tl, tr, {})
             return {**gl, **gr}, {**tl, **tr}
-        case CWeak(x, annot, sub):
-            g, t = check_config(sub)
+        case CWeak(x, annot):
+            ((g, t),) = subs
             if not isinstance(annot, WhyNot):
                 raise CutTypeMismatch(f"configuration weakening needs a ?-type, got {annot}")
             if x in g or x in t:
                 raise CutTypeMismatch(f"weakened name {x} already in use")
             g[x] = annot
             return g, t
-        case CCon(x1, x2, sub):
-            g, t = check_config(sub)
+        case CCon(x1, x2):
+            ((g, t),) = subs
             t1, t2 = g.get(x1), g.get(x2)
             if t1 is None or t1 != t2 or not isinstance(t1, WhyNot):
                 raise CutTypeMismatch(
@@ -154,26 +182,25 @@ def check_config(c: Configuration):
 
 
 def _disjoint(gl, gr, tl, tr, extra):
-    groups = [set(gl), set(gr), set(tl), set(tr), set(extra)]
     seen: set[str] = set()
-    for g in groups:
-        clash = seen & g
+    for g in (gl, gr, tl, tr, extra):
+        clash = seen.intersection(g)
         if clash:
             raise CutTypeMismatch(f"names occur twice in a configuration: {sorted(clash)}")
-        seen |= g
+        seen.update(g)
 
 
 # --- the observation search ---------------------------------------------------
 
-# Leaves: (type(P), subject of P, P, free names of P) | ("weak", name)
-#         | ("con", ext, f1, f2); every leaf starts with its kind and the name
-#         it acts on (None for a forwarder).
-# Edges:  name -> frozenset of its aliases, the names that a link merged
-#         into it; a fired edge gives every alias its value.
-# A soup is a dict of leaves (an insertion-ordered set) and a dict of edges.
-# A step is (aliases of the fired edge, fn, hidden names that fn reads).
+# Leaves: (type(P), P, env) | ("weak", name) | ("con", ext, f1, f2).  P is a
+#         node of a checked process; env maps the names that binders above
+#         P bound to soup names, and any other name of P is its own soup
+#         name.  Marker names are soup names.
+# Names:  a soup name that a link merged away points, in ``alias``, to the
+#         name it merged into; every lookup goes through ``find``.
+# A step is (fired name, fn, hidden names that fn reads).
 
-# The (sender, receiver) kinds of the communication steps; see _comm.
+# The (sender, receiver) kinds of the communication steps; see _Soup.comm.
 _STEPS = frozenset({
     (EmptyOut, EmptyIn),
     (Out, In),
@@ -184,181 +211,158 @@ _STEPS = frozenset({
 })
 
 
-def _proc_leaf(p: Process):
-    return type(p), getattr(p, "channel", None), p, free_names(p)
+class _Soup:
+    """The leaves of a soup, held only by the index of the names they act on.
 
-
-def _leaf_names(leaf):
-    return leaf[1:] if leaf[0] in ("weak", "con") else leaf[3]
-
-
-class _Items:
-    """The leaves and hidden edges that one step, or the build, adds.
-
-    Hidden names are drawn from ``names``, one counter per ``observe`` call
-    (``#1``, ``#2``, ...); parsed names never contain ``#``.
+    ``acting`` maps a name to the one leaf that acts on it until the leaf
+    at its other end arrives; the pair then moves to ``ready``, the enabled
+    communication steps in the order they became enabled.  ``fwds`` holds
+    the forwarders by id, and ``size`` counts the leaves.  At bound 0 a
+    server never meets a client, so that pair is never enabled.  Hidden
+    names are drawn from one counter per ``observe`` call (``#1``, ``#2``,
+    ...); parsed names never contain ``#``.
     """
 
-    def __init__(self, names):
-        self.names = names
-        self.leaves: list = []
-        self.edges: dict = {}
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.enabled = _STEPS if bound else _STEPS - {(Server, Client)}
+        self.names = (f"#{i}" for i in count(1))
+        self.alias: dict = {}
+        self.acting: dict = {}
+        self.ready: dict = {}
+        self.fwds: dict = {}
+        self.size = 0
 
-    def hide(self) -> Name:
-        """A fresh name, as a hidden edge."""
-        n = next(self.names)
-        self.edges[n] = frozenset({n})
-        return n
+    def find(self, n: Name) -> Name:
+        """The name that ``n`` was merged into, compressing the path to it."""
+        alias, root = self.alias, n
+        while root in alias:
+            root = alias[root]
+        while n != root:
+            alias[n], n = root, alias[n]
+        return root
 
-    def norm(self, *ps: Process) -> None:
-        """Normalize processes into sub-leaves and the hidden edges of their cuts."""
-        for p in ps:
-            match p:
-                case Inact():
+    def act(self, leaf, name: Name) -> None:
+        """Let ``leaf`` act on ``name``: with the leaf already there, a redex."""
+        name = self.find(name)
+        other = self.acting.pop(name, None)
+        if other is None:
+            self.acting[name] = leaf
+        elif (other[0], leaf[0]) in self.enabled:
+            self.ready[name] = other, leaf
+        elif (leaf[0], other[0]) in self.enabled:
+            self.ready[name] = leaf, other
+
+    def add(self, leaf, name: Name) -> None:
+        self.size += 1
+        self.act(leaf, name)
+
+    def grow(self, todo: list) -> None:
+        """Add the leaves of configurations and processes, each popped from
+        ``todo`` with its environment, and the hidden names of their cuts."""
+        names = self.names
+        while todo:
+            node, env = todo.pop()
+            match node:
+                case CZero() | Inact():
                     pass
+                case CProc(d):
+                    todo.append((d.process, env))
+                case CCut(_, _, l, r) | CPar(l, r) | Mix(l, r):
+                    todo += (l, env), (r, env)
                 case Cut(x, _, l, r):
-                    nx = self.hide()
-                    self.norm(substitute(l, nx, x), substitute(r, nx, x))
-                case Mix(l, r):
-                    self.norm(l, r)
-                case Weak(x, _, b):
-                    self.leaves.append(("weak", x))
-                    self.norm(b)
-                case Contract(x, x1, x2, b):
-                    f1, f2 = self.hide(), self.hide()
-                    self.leaves.append(("con", x, f1, f2))
-                    self.norm(substitute(substitute(b, f1, x1), f2, x2))
+                    env = {**env, x: next(names)}
+                    todo += (l, env), (r, env)
+                case CWeak(x, _, b) | Weak(x, _, b):
+                    x = env.get(x, x)
+                    self.add(("weak", x), x)
+                    todo.append((b, env))
+                case CCon(x1, x2, b) | Contract(_, x1, x2, b):
+                    x = getattr(node, "name", x1)  # a configuration contraction keeps x1
+                    x, f1, f2 = env.get(x, x), next(names), next(names)
+                    self.add(("con", x, f1, f2), x)
+                    todo.append((b, {**env, x1: f1, x2: f2}))
+                case Fwd():
+                    leaf = Fwd, node, env
+                    self.size += 1
+                    self.fwds[id(leaf)] = leaf
                 case _:
-                    self.leaves.append(_proc_leaf(p))
+                    self.add((type(node), node, env), env.get(node.channel, node.channel))
 
-    def config(self, c: Configuration, renamed: dict) -> None:
-        """Flatten a configuration: each of its cuts is an observable edge.
+    def link(self, fwd) -> None:
+        """[a<->b] composed on both of its names: merge b into a."""
+        _, p, env = fwd
+        del self.fwds[id(fwd)]
+        self.size -= 1
+        a, b = (self.find(env.get(n, n)) for n in (p.left, p.right))
+        self.alias[b] = a
+        leaf = self.acting.pop(b, None)
+        if leaf is not None:
+            self.act(leaf, a)
 
-        ``renamed`` maps the free names that an enclosing contraction split
-        to their hidden names.
-        """
-        match c:
-            case CZero():
-                pass
-            case CProc(d):
-                p = d.process
-                for old, new in renamed.items():
-                    p = substitute(p, new, old)
-                self.norm(p)
-            case CCut(x, _, l, r):
-                self.edges[x] = frozenset({x})
-                self.config(l, renamed)
-                self.config(r, renamed)
-            case CPar(l, r):
-                self.config(l, renamed)
-                self.config(r, renamed)
-            case CWeak(x, _, sub):
-                self.leaves.append(("weak", renamed.get(x, x)))
-                self.config(sub, renamed)
-            case CCon(x1, x2, sub):
-                f1, f2 = self.hide(), self.hide()
-                self.leaves.append(("con", renamed.get(x1, x1), f1, f2))
-                self.config(sub, {**renamed, x1: f1, x2: f2})
+    def comm(self, name: Name, sender, receiver):
+        """Fire the enabled redex on ``name``: drop its two leaves, add what
+        the step unfolds, and return the step."""
+        del self.ready[name]
+        self.size -= 2
+        todo: list = []
+        hide = partial(next, self.names)
+        _, p, env = sender
+        match p, receiver:
+            case EmptyOut(), (_, EmptyIn(_, body), renv):
+                todo.append((body, renv))
+                step = name, lambda: STAR, ()
+
+            case Out(y, a, pl, pr), (_, In(b, y2, body), renv):
+                np_, nc = hide(), hide()
+                todo += (pl, {**env, y: np_}), (pr, {**env, a: nc})
+                todo.append((body, {**renv, y2: np_, b: nc}))
+                step = name, Pair, (np_, nc)
+
+            case Select(a, i, body), (_, Case(b, q1, q2), renv):
+                nc = hide()
+                todo += (body, {**env, a: nc}), (q1 if i == 1 else q2, {**renv, b: nc})
+                step = name, partial(Tag, i), (nc,)
+
+            case Server(a, y, body), (_, Client(b, y2, qbody), renv):
+                ns = hide()
+                todo += (body, {**env, y: ns}), (qbody, {**renv, y2: ns})
+                step = name, lambda o: bag((o,)), (ns,)
+
+            case Server(a), ("weak", _):
+                # the dropped server's carried ?-names are weakened as well
+                for n in sorted(free_names(p) - {a}):
+                    n = env.get(n, n)
+                    self.add(("weak", n), n)
+                step = name, bag, ()
+
+            case Server(a), ("con", _, f1, f2):
+                # one server node, two environments; each carried ?-name
+                # splits into one name per copy, re-merged by a contraction
+                env1, env2 = {**env, a: f1}, {**env, a: f2}
+                for n in sorted(free_names(p) - {a}):
+                    env1[n], env2[n] = hide(), hide()
+                    ext = env.get(n, n)
+                    self.add(("con", ext, env1[n], env2[n]), ext)
+                self.add((Server, p, env1), f1)
+                self.add((Server, p, env2), f2)
+                step = name, bounded_union(self.bound), (f1, f2)
+
+            case _:
+                raise AssertionError((sender, receiver))
+
+        self.grow(todo)
+        return step
 
 
-def _redexes(leaves, edges):
-    """The redexes of a soup, in soup order: each forwarder ``(None, leaf,
-    None)``, then each edge whose two acting leaves make a communication
-    step, as ``(name, sender, receiver)``."""
-    acting: dict = {}
-    for leaf in leaves:
-        acting.setdefault(leaf[1], []).append(leaf)
-    for fwd in acting.get(None, ()):
+def _redexes(soup: _Soup):
+    """The enabled redexes of a soup, in soup order, read from its index:
+    each forwarder ``(None, leaf, None)``, then each communication step
+    ``(name, sender, receiver)`` in the order it became enabled."""
+    for fwd in soup.fwds.values():
         yield None, fwd, None
-    # names are linear, so the two leaves acting on an edge are all its leaves
-    for name in edges:
-        pair = acting.get(name)
-        if pair is None or len(pair) != 2:
-            continue
-        u, v = pair
-        if (u[0], v[0]) in _STEPS:
-            yield name, u, v
-        elif (v[0], u[0]) in _STEPS:
-            yield name, v, u
-
-
-def _link(leaves, edges, fwd_leaf):
-    # [a<->b] composed on both of its names: merge the two edges.
-    fwd = fwd_leaf[2]
-    a, b = fwd.left, fwd.right
-    del leaves[fwd_leaf]
-    for leaf in [leaf for leaf in leaves if b in _leaf_names(leaf)]:
-        del leaves[leaf]
-        match leaf:
-            case ("weak", _):
-                leaf = ("weak", a)
-            case ("con", *ns):
-                leaf = ("con", *(a if n == b else n for n in ns))
-            case (kind, subject, p, names):
-                subject = a if subject == b else subject
-                leaf = (kind, subject, substitute(p, a, b), (names - {b}) | {a})
-        leaves[leaf] = None
-    edges[a] |= edges.pop(b)
-
-
-def _comm(leaves, edges, name, sender, receiver, bound, names):
-    """Fire the redex on ``name``: replace its two leaves and its edge by
-    what the step makes, and return the step; or return None, and leave the
-    soup as it is, when the step already exceeds the bound.
-    """
-    ports = edges[name]
-    new = _Items(names)
-    match sender[2], receiver:
-        case EmptyOut(), (_, _, EmptyIn(_, body), _):
-            new.norm(body)
-            step = ports, lambda: STAR, ()
-
-        case Out(y, a, pl, pr), (_, _, In(b, y2, body), _):
-            np_, nc = new.hide(), new.hide()
-            new.norm(
-                substitute(pl, np_, y),
-                substitute(pr, nc, a),
-                substitute(substitute(body, np_, y2), nc, b),
-            )
-            step = ports, Pair, (np_, nc)
-
-        case Select(a, i, body), (_, _, Case(b, q1, q2), _):
-            nc = new.hide()
-            new.norm(substitute(body, nc, a), substitute(q1 if i == 1 else q2, nc, b))
-            step = ports, partial(Tag, i), (nc,)
-
-        case Server(a, y, body), (_, _, Client(b, y2, qbody), _):
-            if bound < 1:
-                return None  # a one-shot interaction already exceeds the bound
-            ns = new.hide()
-            new.norm(substitute(body, ns, y), substitute(qbody, ns, y2))
-            step = ports, lambda o: bag((o,)), (ns,)
-
-        case Server(), ("weak", _):
-            # the dropped server's carried ?-names are weakened as well
-            new.leaves.extend(("weak", n) for n in sorted(sender[3] - {name}))
-            step = ports, bag, ()
-
-        case Server() as srv, ("con", _, f1, f2):
-            copy1 = substitute(srv, f1, name)
-            copy2 = substitute(srv, f2, name)
-            # each carried ?-name splits into one copy per server replica,
-            # re-merged by a fresh contraction marker on the original edge
-            for n in sorted(sender[3] - {name}):
-                n1, n2 = new.hide(), new.hide()
-                copy1 = substitute(copy1, n1, n)
-                copy2 = substitute(copy2, n2, n)
-                new.leaves.append(("con", n, n1, n2))
-            new.leaves += (_proc_leaf(copy1), _proc_leaf(copy2))
-            step = ports, bounded_union(bound), (f1, f2)
-
-        case _:
-            raise AssertionError((sender, receiver))
-
-    del leaves[sender], leaves[receiver], edges[name]
-    leaves.update(dict.fromkeys(new.leaves))
-    edges.update(new.edges)
-    return step
+    for name, (u, v) in soup.ready.items():
+        yield name, u, v
 
 
 DEFAULT_DEPTH = 4000
@@ -371,28 +375,25 @@ def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
     observation: fire the first redex of each soup until the soup is empty
     (one observation) or stuck (none), then read the one observation back
     from the steps, last step first: each step reads its hidden names and
-    gives every alias of its edge ``fn`` of them.
+    gives its fired name ``fn`` of them.  A name a link merged away reads
+    the value of the name it merged into.
     """
     check_bound(bound)
     gamma, theta = check_config(c)
     if gamma:
         raise OpenConfiguration(f"configuration has free names: {sorted(gamma)}")
-    names = (f"#{i}" for i in count(1))
-    built = _Items(names)
-    built.config(c, {})
-    leaves, edges = dict.fromkeys(built.leaves), built.edges
+    soup = _Soup(bound)
+    soup.grow([(c, {})])
 
     steps = []
     taken = 0
-    while leaves:
-        for name, u, v in _redexes(leaves, edges):
+    while soup.size:
+        for name, u, v in _redexes(soup):
             if name is None:
-                _link(leaves, edges, u)
-                break
-            step = _comm(leaves, edges, name, u, v, bound, names)
-            if step is not None:
-                steps.append(step)
-                break
+                soup.link(u)
+            else:
+                steps.append(soup.comm(name, u, v))
+            break
         else:
             return frozenset()  # a stuck soup
         if taken == depth:
@@ -400,38 +401,39 @@ def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
         taken += 1
 
     seen: dict = {}
-    for ports, fn, args in reversed(steps):
-        value = fn(*map(seen.pop, args))
+    find = soup.find
+    for name, fn, args in reversed(steps):
+        value = fn(*[seen[find(n)] for n in args])
         if value is None:
             return frozenset()  # a union of bags past the bound
-        seen.update(dict.fromkeys(ports, value))
+        seen[name] = value
     # the observable names are the configuration's cut names, theta
-    return frozenset({mk_tuple({x: seen[x] for x in theta})})
+    return frozenset({mk_tuple({x: seen[find(x)] for x in theta})})
 
 
 def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
     """Fig-4 denotation extended to configurations: cuts keep their coordinate."""
     check_bound(bound)
     gamma, theta = check_config(c)
-    full = {**gamma, **theta}
-    return DenotationSet(_denote_config(c, bound).tuples(), ctx_items(full), bound)
+    rel = _fold(c, partial(_denote_node, bound))
+    return DenotationSet(rel.tuples(), ctx_items({**gamma, **theta}), bound)
 
 
-def _denote_config(c: Configuration, bound: int) -> Relation:
+def _denote_node(bound: int, c, *subs) -> Relation:
     match c:
         case CZero():
             return UNIT
         case CProc(d):
-            return denote(d, bound).relation
-        case CCut(x, _, l, r):
-            return join(_denote_config(l, bound), _denote_config(r, bound), x, keep=True)
-        case CPar(l, r):
-            return product(_denote_config(l, bound), _denote_config(r, bound))
-        case CWeak(x, _, sub):
-            return extend(_denote_config(sub, bound), x, bag)
-        case CCon(x1, x2, sub):
+            return _denote(d, bound)
+        case CCut(x):
+            return join(*subs, x, keep=True)
+        case CPar():
+            return product(*subs)
+        case CWeak(x):
+            return extend(*subs, x, bag)
+        case CCon(x1, x2):
             ends = (x1, x2)
-            return extend(_denote_config(sub, bound), x1, bounded_union(bound), ends, ends)
+            return extend(*subs, x1, bounded_union(bound), ends, ends)
     raise CPTypeError(f"not a configuration: {c!r}")
 
 

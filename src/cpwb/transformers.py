@@ -10,8 +10,8 @@ second full abstraction result.
 
 from __future__ import annotations
 
-from .denotations import check_shared, denote, from_tuples, join, mk_tuple, obs_space
-from .denotations import product, well_sorted
+from .denotations import _denote, check_bound, check_shared, denote, from_tuples, join, mk_tuple
+from .denotations import obs_space, product, well_sorted
 from .obs_transform import AbstractionVerdict, SortMismatch, Verdict, _set_verdict, l_ctx, l_obs
 from .obs_transform import translation_image
 from .syntax import (
@@ -132,6 +132,7 @@ def context_denotation(k: TypedContext, tuples, bound: int = 2):
         for n, o in t:
             if not well_sorted(o, hole[n]):
                 raise SortMismatch(f"component {n} is not sorted at {hole[n]}")
+    check_bound(bound)
     return _ctx_den(k.tree, k.deriv, from_tuples(tuple(sorted(hole)), xs), bound).tuples()
 
 
@@ -141,10 +142,10 @@ def _ctx_den(tree, deriv, xs, bound: int):
             return xs
         case KCut(x, _, sub, _, _):
             below, dq = deriv.premises
-            return join(_ctx_den(sub, below, xs, bound), denote(dq, bound).relation, x)
+            return join(_ctx_den(sub, below, xs, bound), _denote(dq, bound), x)
         case KMix(sub, _, _):
             below, dq = deriv.premises
-            return product(_ctx_den(sub, below, xs, bound), denote(dq, bound).relation)
+            return product(_ctx_den(sub, below, xs, bound), _denote(dq, bound))
     raise CpwbError(f"not a context tree: {tree!r}")
 
 

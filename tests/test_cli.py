@@ -9,7 +9,7 @@ import pytest
 
 import cpwb
 
-from cpwb import cli, denotations
+from cpwb import cli, denotations, oracle, syntax
 from cpwb.cli import (
     CPSyntaxError,
     format_context,
@@ -22,7 +22,7 @@ from cpwb.cli import (
 )
 from cpwb.denotations import STAR, mk_tuple
 from cpwb.harness import enumerate_processes
-from cpwb.oracle import observe
+from cpwb.oracle import CCut, CProc, observe
 from cpwb.syntax import (
     Bottom,
     Cut,
@@ -32,6 +32,7 @@ from cpwb.syntax import (
     OfCourse,
     Par,
     Plus,
+    Process,
     Server,
     Tensor,
     Unit,
@@ -40,7 +41,7 @@ from cpwb.syntax import (
     With,
     alpha_eq,
 )
-from cpwb.typing import System
+from cpwb.typing import System, check
 
 one, bot = Unit(), Bottom()
 
@@ -198,6 +199,72 @@ def test_observe_builds_no_relation_rows(monkeypatch):
     monkeypatch.setattr(denotations, "_build", counting)
     assert len(observe(config)) == 1
     assert built == []
+
+
+def _calls_to(fn, *functions):
+    """The result of ``fn()`` and the number of calls it made to each function."""
+    at = {id(f.__code__): i for i, f in enumerate(functions)}
+    calls = [0] * len(functions)
+
+    def profile(frame, event, arg):
+        i = at.get(id(frame.f_code)) if event == "call" else None
+        if i is not None:
+            calls[i] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(old)
+    return result, calls
+
+
+def test_observe_rebuilds_no_term():
+    # a leaf is a node of the checked process with an environment, and a link
+    # merges names in an alias map: observing makes no substitution and
+    # builds no process node, over the ?bot clients of
+    # test_adequacy_over_exponentials at K = 0, 1, 2 and the 1,500-link chain
+    bang, whynot = OfCourse(one), WhyNot(bot)
+    srv = CProc(check(Server("x", "y", EmptyOut("y")), {"x": bang}, System.CP02))
+    clients = enumerate_processes({"x": whynot}, 7, System.CP02)
+    assert len(clients) == 132
+    configs = [CCut("x", bang, srv, CProc(check(q, {"x": whynot}, System.CP02))) for q in clients]
+    chain = parse_config(_chain_config(1500))
+
+    def run():
+        return [observe(c, k) for c in configs for k in (0, 1, 2)] + [observe(chain)]
+
+    inits = [cls.__init__ for cls in Process.__subclasses__() if hasattr(cls.__init__, "__code__")]
+    got, (substituted, *built) = _calls_to(run, syntax.substitute, *inits)
+    assert sum(map(len, got)) > len(configs) and len(got[-1]) == 1
+    assert substituted == 0
+    assert sum(built) == 0
+
+
+def test_finding_a_redex_does_not_walk_the_soup():
+    # the index of acting names is kept across steps: on the 3,000-link chain,
+    # whose soup starts with 3,002 leaves, _redexes runs a few lines per step
+    config = parse_config(_chain_config(3000))
+    code = oracle._redexes.__code__
+    lines = 0
+
+    def in_redexes(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return in_redexes
+
+    def tracer(frame, event, arg):
+        return in_redexes if frame.f_code is code else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = observe(config)
+    finally:
+        sys.settrace(old)
+    assert got == frozenset({mk_tuple({f"x{i}": STAR for i in range(3001)})})
+    assert lines <= 10 * 3001  # the chain takes 3,001 steps
 
 
 def test_cli_observe_depth_exceeded(tmp_path, capsys):

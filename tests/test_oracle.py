@@ -247,6 +247,20 @@ def test_depth_exceeded():
         observe(c, 2, depth=1)
 
 
+def test_deep_configurations_need_no_python_stack():
+    # a CPar 5,000 deep built through the API, of empty configurations and of
+    # closed process-level cut pairs: the configuration check, the soup build
+    # and the configuration denotation each walk it over an explicit stack
+    pair = proc(Cut("x", one, EmptyOut("x"), closed_in("x")), {})
+    for leaf, steps in ((CZero(), 0), (pair, 5000)):
+        c = reduce(CPar, [leaf] * 5000)
+        assert check_config(c) == ({}, {})
+        assert observe(c, depth=steps) == frozenset({()})
+        assert adequacy_check(c, depth=steps)
+    with pytest.raises(DepthExceeded):
+        observe(c, depth=4999)
+
+
 def test_one_path_takes_three_steps_per_copy(monkeypatch):
     # k independent copies of a three-step cut: the search follows one
     # reduction sequence, so it takes exactly 3k steps and looks for a redex
@@ -254,9 +268,9 @@ def test_one_path_takes_three_steps_per_copy(monkeypatch):
     looked = []
     real = oracle._redexes
 
-    def counting(leaves, edges):
-        looked.append(leaves)
-        return real(leaves, edges)
+    def counting(soup):
+        looked.append(soup)
+        return real(soup)
 
     monkeypatch.setattr(oracle, "_redexes", counting)
     a = Tensor(one, one)
@@ -304,8 +318,8 @@ def test_last_redex_first_observes_the_same(monkeypatch):
     reordered = []
     real = oracle._redexes
 
-    def last_first(leaves, edges):
-        found = list(real(leaves, edges))
+    def last_first(soup):
+        found = list(real(soup))
         reordered.append(len(found) > 1)
         return reversed(found)
 
