@@ -513,7 +513,8 @@ SOURCE, TRANSLATION, TRANSFORMER = "source", "translation", "transformer"
 
 
 class _ImageTable:
-    """One run's translation instances and their denotation sets, made on first use.
+    """One run's translation instances and their denotation sets, and the
+    formula pool of transformer_graph and injectivity, made on first use.
 
     An instance (ctx, p) has three images: its source denotation, that of its
     translation and that of p in its transformer context. Only sets are kept,
@@ -527,6 +528,16 @@ class _ImageTable:
     @cached_property
     def families(self):
         return exp_free_families(self.cfg.process_size)
+
+    @cached_property
+    def small_formulas(self) -> list[Formula]:
+        """The formulas up to ``formula_depth`` with at most 64 observations."""
+        cfg = self.cfg
+        return [
+            a
+            for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
+            if len(obs_space(a, cfg.bound)) <= 64
+        ]
 
     @cached_property
     def instances(self):
@@ -577,17 +588,8 @@ def _suite_full_abstraction(image, cfg: SuiteConfig, rng, table):
     return pairs, failures
 
 
-def _small_formulas(cfg: SuiteConfig) -> list[Formula]:
-    """The formulas up to ``cfg.formula_depth`` with at most 64 observations."""
-    return [
-        a
-        for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
-        if len(obs_space(a, cfg.bound)) <= 64
-    ]
-
-
 def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
-    formulas = _small_formulas(cfg)
+    formulas = table.small_formulas
     failures = []
     for a in formulas:
         v = transformers.transformer_graph(a, cfg.bound)
@@ -690,7 +692,7 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
 def _suite_injectivity(cfg: SuiteConfig, rng, table):
     failures = []
     count = 0
-    for a in _small_formulas(cfg):
+    for a in table.small_formulas:
         space = obs_space(a, cfg.bound)
         images = [l_obs(a, o) for o in space]
         count += 1

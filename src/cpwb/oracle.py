@@ -415,8 +415,13 @@ def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
     """Fig-4 denotation extended to configurations: cuts keep their coordinate."""
     check_bound(bound)
     gamma, theta = check_config(c)
-    rel = _fold(c, partial(_denote_node, bound))
+    rel = _config_relation(c, bound)
     return DenotationSet(rel.tuples(), ctx_items({**gamma, **theta}), bound)
+
+
+def _config_relation(c: Configuration, bound: int) -> Relation:
+    """The denotation of a configuration that ``check_config`` accepted."""
+    return _fold(c, partial(_denote_node, bound))
 
 
 def _denote_node(bound: int, c, *subs) -> Relation:
@@ -438,5 +443,9 @@ def _denote_node(bound: int, c, *subs) -> Relation:
 
 
 def adequacy_check(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH) -> bool:
-    """Operational observations equal the configuration denotation."""
-    return observe(c, bound, depth) == denote_config(c, bound).tuples
+    """Operational observations equal the configuration denotation.
+
+    ``observe`` checks the configuration, so its denotation is not checked
+    again: one ``check_config`` per call.
+    """
+    return observe(c, bound, depth) == _config_relation(c, bound).tuples()

@@ -5,7 +5,8 @@ no 0/top).  Processes carry explicit weakening/contraction markers and
 type-annotated cuts so that type checking is syntax directed: one term,
 one derivation.
 
-Every node is an immutable slotted dataclass. Its hash counts its class,
+Every node is an immutable slotted dataclass whose constructor stores each
+field through its slot's descriptor. Its hash counts its class,
 so ``Unit()`` and ``Bottom()``, or ``Tensor`` and ``Par`` over the same
 arguments, do not collide; it is computed on first use and kept in a
 slot, so hashing a term built over hashed subterms is O(1). A process
@@ -15,6 +16,7 @@ Equality stays structural and nodes are not interned.
 Each process class declares its binders once (``Process.binds``), and
 every walk over names (free names, substitution, alpha-equivalence, size
 and the set of all names) is one generic function over that declaration.
+``dual`` reads the dual connective of each formula class from one table.
 """
 
 from __future__ import annotations
@@ -49,13 +51,15 @@ class _Node:
 def _node(cls):
     """A frozen slotted dataclass with ``_Node``'s cached class-aware hash.
 
-    ``_fields`` gives a node's field values as a tuple. A process class
-    also gets ``_shape``, the positions of its fields that its ``binds``
-    declaration implies (see ``Process``).
+    Its ``__init__`` stores each field through the field's slot descriptor
+    (``_slot_init``). ``_fields`` gives a node's field values as a tuple. A
+    process class also gets ``_shape``, the positions of its fields that
+    its ``binds`` declaration implies (see ``Process``).
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     fs = fields(cls)
     names = tuple(f.name for f in fs)
+    cls.__init__ = _slot_init(cls, names)
     cls._tag = cls.__name__
     key = attrgetter(*names) if names else lambda _: ()
     cls._key = staticmethod(key)  # what the hash covers; one field's value is not a tuple
@@ -65,6 +69,20 @@ def _node(cls):
     if binds is not None:
         cls._shape = _shape(fs, *binds)
     return cls
+
+
+def _slot_init(cls, names):
+    """An ``__init__(self, <names>)`` that sets each slot with its member
+    descriptor's ``__set__``: the frozen dataclass's own ``__init__`` goes
+    through ``object.__setattr__`` once per field, which looks the
+    descriptor up by name each time. Assignment after construction still
+    raises ``FrozenInstanceError``."""
+    setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in names) or "    pass\n"
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", setters)
+    init = setters["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _shape(fs, binders, scope):
@@ -160,25 +178,28 @@ def format_formula(a: Formula) -> str:
 
 
 def dual(a: Formula) -> Formula:
-    """Structural dual; an involution."""
-    match a:
-        case Unit():
-            return Bottom()
-        case Bottom():
-            return Unit()
-        case Tensor(l, r):
-            return Par(dual(l), dual(r))
-        case Par(l, r):
-            return Tensor(dual(l), dual(r))
-        case Plus(l, r):
-            return With(dual(l), dual(r))
-        case With(l, r):
-            return Plus(dual(l), dual(r))
-        case OfCourse(b):
-            return WhyNot(dual(b))
-        case WhyNot(b):
-            return OfCourse(dual(b))
-    raise TypeError(f"not a formula: {a!r}")
+    """Structural dual; an involution.
+
+    The connective comes from one table, and the subformulas are dualized
+    through this function's module-level name.
+    """
+    try:
+        make = _DUAL[type(a)]
+    except KeyError:
+        raise TypeError(f"not a formula: {a!r}") from None
+    return make(*map(dual, a._fields(a)))
+
+
+_DUAL = {
+    Unit: Bottom,
+    Bottom: Unit,
+    Tensor: Par,
+    Par: Tensor,
+    Plus: With,
+    With: Plus,
+    OfCourse: WhyNot,
+    WhyNot: OfCourse,
+}
 
 
 def formula_depth(a: Formula) -> int:

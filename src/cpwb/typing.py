@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Bottom,
@@ -99,8 +100,7 @@ def ctx_items(ctx) -> CtxItems:
     return tuple(sorted(dict(ctx).items()))
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     rule: str
     process: Process
     ctx: CtxItems
@@ -132,10 +132,10 @@ def _split(ctx: TypingContext, left: set[Name], right: set[Name]):
     both = left & right
     if both:
         raise LinearityViolation(f"names used on both sides of a split: {sorted(both)}")
-    for n in left | right:
-        if n not in ctx:
-            raise UnboundName(f"name {n} not in context")
-    unused = set(ctx) - left - right
+    missing = (left | right) - ctx.keys()
+    if missing:
+        raise UnboundName(f"name {min(missing)} not in context")
+    unused = ctx.keys() - left - right
     if unused:
         raise LinearityViolation(f"unused assignments: {sorted(unused)}")
     return {n: ctx[n] for n in left}, {n: ctx[n] for n in right}
@@ -147,153 +147,191 @@ def _check_binder(ctx: TypingContext, y: Name) -> None:
 
 
 def _check(p: Process, ctx: TypingContext, sys: System) -> Derivation:
-    match p:
-        case Inact():
-            if not sys.allows_mix0:
-                raise SystemViolation("the empty process needs Mix0")
-            _exactly(ctx, set())
-            return Derivation("mix0", p, ctx_items(ctx))
+    """The derivation of ``p`` at ``ctx``: the rule of p's class gives the
+    rule name and checks the premises; each node keeps ``ctx`` sorted."""
+    try:
+        rule, premises = _RULES[type(p)]
+    except KeyError:
+        raise CPTypeError(f"not a process: {p!r}") from None
+    return Derivation(rule, p, tuple(sorted(ctx.items())), premises(p, ctx, sys))
 
-        case Fwd(a, b):
-            ta = _lookup(ctx, a)
-            tb = _lookup(ctx, b)
-            _exactly(ctx, {a, b})
-            if a == b or tb != dual(ta):
-                raise RuleMismatch(f"forwarder endpoints must be dual, got {ta} and {tb}")
-            return Derivation("id", p, ctx_items(ctx))
 
-        case EmptyOut(x):
-            t = _lookup(ctx, x)
-            _exactly(ctx, {x})
-            if t != Unit():
-                raise RuleMismatch(f"empty output needs type 1, got {t}")
-            return Derivation("one", p, ctx_items(ctx))
+# One function per process class: it checks the node against ``ctx`` and
+# returns the derivations of its premises.
 
-        case EmptyIn(x, body):
-            t = _lookup(ctx, x)
-            if t != Bottom():
-                raise RuleMismatch(f"empty input needs type bot, got {t}")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            return Derivation("bot", p, ctx_items(ctx), (_check(body, rest, sys),))
 
-        case Out(y, x, left, right):
-            t = _lookup(ctx, x)
-            if not isinstance(t, Tensor):
-                raise RuleMismatch(f"output needs a tensor type, got {t}")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            lnames = free_names(left) - {y}
-            rnames = free_names(right) - {x}
-            lctx, rctx = _split(rest, lnames, rnames)
-            if y in lctx:
-                raise LinearityViolation(f"binder {y} shadows an assignment")
-            lctx[y] = t.left
-            rctx[x] = t.right
-            dl = _check(left, lctx, sys)
-            dr = _check(right, rctx, sys)
-            return Derivation("tensor", p, ctx_items(ctx), (dl, dr))
+def _mix0(p: Inact, ctx, sys):
+    if not sys.allows_mix0:
+        raise SystemViolation("the empty process needs Mix0")
+    _exactly(ctx, set())
+    return ()
 
-        case In(x, y, body):
-            t = _lookup(ctx, x)
-            if not isinstance(t, Par):
-                raise RuleMismatch(f"input needs a par type, got {t}")
-            if y == x:
-                raise RuleMismatch("receive binder collides with its channel")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            _check_binder(rest, y)
-            rest[y] = t.left
-            rest[x] = t.right
-            return Derivation("par", p, ctx_items(ctx), (_check(body, rest, sys),))
 
-        case Select(x, i, body):
-            t = _lookup(ctx, x)
-            if not isinstance(t, Plus):
-                raise RuleMismatch(f"selection needs a plus type, got {t}")
-            if i not in (1, 2):
-                raise RuleMismatch(f"selection index must be 1 or 2, got {i}")
-            rest = dict(ctx)
-            rest[x] = t.left if i == 1 else t.right
-            return Derivation("plus", p, ctx_items(ctx), (_check(body, rest, sys),))
+def _id(p: Fwd, ctx, sys):
+    a, b = p.left, p.right
+    ta = _lookup(ctx, a)
+    tb = _lookup(ctx, b)
+    _exactly(ctx, {a, b})
+    if a == b or tb != dual(ta):
+        raise RuleMismatch(f"forwarder endpoints must be dual, got {ta} and {tb}")
+    return ()
 
-        case Case(x, left, right):
-            t = _lookup(ctx, x)
-            if not isinstance(t, With):
-                raise RuleMismatch(f"case needs a with type, got {t}")
-            lctx = dict(ctx)
-            lctx[x] = t.left
-            rctx = dict(ctx)
-            rctx[x] = t.right
-            return Derivation(
-                "with", p, ctx_items(ctx), (_check(left, lctx, sys), _check(right, rctx, sys))
-            )
 
-        case Server(x, y, body):
-            t = _lookup(ctx, x)
-            if not isinstance(t, OfCourse):
-                raise RuleMismatch(f"server needs a !-type, got {t}")
-            for n, f in ctx.items():
-                if n != x and not isinstance(f, WhyNot):
-                    raise NonBangContext(f"server context must be all ?-typed, {n} has {f}")
-            if y == x:
-                raise RuleMismatch("server binder collides with its channel")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            _check_binder(rest, y)
-            rest[y] = t.body
-            return Derivation("bang", p, ctx_items(ctx), (_check(body, rest, sys),))
+def _one(p: EmptyOut, ctx, sys):
+    x = p.channel
+    t = _lookup(ctx, x)
+    _exactly(ctx, {x})
+    if t != Unit():
+        raise RuleMismatch(f"empty output needs type 1, got {t}")
+    return ()
 
-        case Client(x, y, body):
-            t = _lookup(ctx, x)
-            if not isinstance(t, WhyNot):
-                raise RuleMismatch(f"client needs a ?-type, got {t}")
-            if y == x:
-                raise RuleMismatch("client binder collides with its channel")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            _check_binder(rest, y)
-            rest[y] = t.body
-            return Derivation("quest", p, ctx_items(ctx), (_check(body, rest, sys),))
 
-        case Weak(x, annot, body):
-            t = _lookup(ctx, x)
-            if not isinstance(annot, WhyNot):
-                raise RuleMismatch(f"weakening marker needs a ?-type annotation, got {annot}")
-            if t != annot:
-                raise RuleMismatch(f"weakening annotation {annot} disagrees with context {t}")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            return Derivation("weak", p, ctx_items(ctx), (_check(body, rest, sys),))
+def _bot(p: EmptyIn, ctx, sys):
+    x = p.channel
+    t = _lookup(ctx, x)
+    if t != Bottom():
+        raise RuleMismatch(f"empty input needs type bot, got {t}")
+    return (_check(p.body, {n: f for n, f in ctx.items() if n != x}, sys),)
 
-        case Contract(x, x1, x2, body):
-            t = _lookup(ctx, x)
-            if not isinstance(t, WhyNot):
-                raise RuleMismatch(f"contraction needs a ?-type, got {t}")
-            if x1 == x2:
-                raise RuleMismatch("contraction binders must be distinct")
-            rest = {n: f for n, f in ctx.items() if n != x}
-            _check_binder(rest, x1)
-            _check_binder(rest, x2)
-            rest[x1] = t
-            rest[x2] = t
-            return Derivation("contract", p, ctx_items(ctx), (_check(body, rest, sys),))
 
-        case Cut(x, annot, left, right):
-            if x in ctx:
-                raise LinearityViolation(f"cut binder {x} shadows an assignment")
-            lnames = free_names(left) - {x}
-            rnames = free_names(right) - {x}
-            lctx, rctx = _split(ctx, lnames, rnames)
-            lctx[x] = annot
-            rctx[x] = dual(annot)
-            dl = _check(left, lctx, sys)
-            dr = _check(right, rctx, sys)
-            return Derivation("cut", p, ctx_items(ctx), (dl, dr))
+def _tensor(p: Out, ctx, sys):
+    y, x, left, right = p.payload, p.channel, p.left, p.right
+    t = _lookup(ctx, x)
+    if not isinstance(t, Tensor):
+        raise RuleMismatch(f"output needs a tensor type, got {t}")
+    rest = {n: f for n, f in ctx.items() if n != x}
+    lctx, rctx = _split(rest, free_names(left) - {y}, free_names(right) - {x})
+    lctx[y] = t.left
+    rctx[x] = t.right
+    return _check(left, lctx, sys), _check(right, rctx, sys)
 
-        case Mix(left, right):
-            if not sys.allows_mix2:
-                raise SystemViolation("parallel composition needs Mix2")
-            lctx, rctx = _split(ctx, free_names(left), free_names(right))
-            dl = _check(left, lctx, sys)
-            dr = _check(right, rctx, sys)
-            return Derivation("mix2", p, ctx_items(ctx), (dl, dr))
 
-    raise CPTypeError(f"not a process: {p!r}")
+def _par(p: In, ctx, sys):
+    x, y = p.channel, p.payload
+    t = _lookup(ctx, x)
+    if not isinstance(t, Par):
+        raise RuleMismatch(f"input needs a par type, got {t}")
+    if y == x:
+        raise RuleMismatch("receive binder collides with its channel")
+    rest = {n: f for n, f in ctx.items() if n != x}
+    _check_binder(rest, y)
+    rest[y] = t.left
+    rest[x] = t.right
+    return (_check(p.body, rest, sys),)
+
+
+def _plus(p: Select, ctx, sys):
+    x, i = p.channel, p.branch
+    t = _lookup(ctx, x)
+    if not isinstance(t, Plus):
+        raise RuleMismatch(f"selection needs a plus type, got {t}")
+    if i not in (1, 2):
+        raise RuleMismatch(f"selection index must be 1 or 2, got {i}")
+    rest = dict(ctx)
+    rest[x] = t.left if i == 1 else t.right
+    return (_check(p.body, rest, sys),)
+
+
+def _with(p: Case, ctx, sys):
+    x = p.channel
+    t = _lookup(ctx, x)
+    if not isinstance(t, With):
+        raise RuleMismatch(f"case needs a with type, got {t}")
+    lctx = dict(ctx)
+    lctx[x] = t.left
+    rctx = dict(ctx)
+    rctx[x] = t.right
+    return _check(p.left, lctx, sys), _check(p.right, rctx, sys)
+
+
+def _bang(p: Server, ctx, sys):
+    x, y = p.channel, p.payload
+    t = _lookup(ctx, x)
+    if not isinstance(t, OfCourse):
+        raise RuleMismatch(f"server needs a !-type, got {t}")
+    for n, f in ctx.items():
+        if n != x and not isinstance(f, WhyNot):
+            raise NonBangContext(f"server context must be all ?-typed, {n} has {f}")
+    if y == x:
+        raise RuleMismatch("server binder collides with its channel")
+    rest = {n: f for n, f in ctx.items() if n != x}
+    _check_binder(rest, y)
+    rest[y] = t.body
+    return (_check(p.body, rest, sys),)
+
+
+def _quest(p: Client, ctx, sys):
+    x, y = p.channel, p.payload
+    t = _lookup(ctx, x)
+    if not isinstance(t, WhyNot):
+        raise RuleMismatch(f"client needs a ?-type, got {t}")
+    if y == x:
+        raise RuleMismatch("client binder collides with its channel")
+    rest = {n: f for n, f in ctx.items() if n != x}
+    _check_binder(rest, y)
+    rest[y] = t.body
+    return (_check(p.body, rest, sys),)
+
+
+def _weak(p: Weak, ctx, sys):
+    x, annot = p.name, p.annot
+    t = _lookup(ctx, x)
+    if not isinstance(annot, WhyNot):
+        raise RuleMismatch(f"weakening marker needs a ?-type annotation, got {annot}")
+    if t != annot:
+        raise RuleMismatch(f"weakening annotation {annot} disagrees with context {t}")
+    return (_check(p.body, {n: f for n, f in ctx.items() if n != x}, sys),)
+
+
+def _contract(p: Contract, ctx, sys):
+    x, x1, x2 = p.name, p.left_name, p.right_name
+    t = _lookup(ctx, x)
+    if not isinstance(t, WhyNot):
+        raise RuleMismatch(f"contraction needs a ?-type, got {t}")
+    if x1 == x2:
+        raise RuleMismatch("contraction binders must be distinct")
+    rest = {n: f for n, f in ctx.items() if n != x}
+    _check_binder(rest, x1)
+    _check_binder(rest, x2)
+    rest[x1] = t
+    rest[x2] = t
+    return (_check(p.body, rest, sys),)
+
+
+def _cut(p: Cut, ctx, sys):
+    x, annot, left, right = p.name, p.annot, p.left, p.right
+    if x in ctx:
+        raise LinearityViolation(f"cut binder {x} shadows an assignment")
+    lctx, rctx = _split(ctx, free_names(left) - {x}, free_names(right) - {x})
+    lctx[x] = annot
+    rctx[x] = dual(annot)
+    return _check(left, lctx, sys), _check(right, rctx, sys)
+
+
+def _mix2(p: Mix, ctx, sys):
+    if not sys.allows_mix2:
+        raise SystemViolation("parallel composition needs Mix2")
+    lctx, rctx = _split(ctx, free_names(p.left), free_names(p.right))
+    return _check(p.left, lctx, sys), _check(p.right, rctx, sys)
+
+
+# process class -> (rule name, premises function)
+_RULES = {
+    Inact: ("mix0", _mix0),
+    Fwd: ("id", _id),
+    EmptyOut: ("one", _one),
+    EmptyIn: ("bot", _bot),
+    Out: ("tensor", _tensor),
+    In: ("par", _par),
+    Select: ("plus", _plus),
+    Case: ("with", _with),
+    Server: ("bang", _bang),
+    Client: ("quest", _quest),
+    Weak: ("weak", _weak),
+    Contract: ("contract", _contract),
+    Cut: ("cut", _cut),
+    Mix: ("mix2", _mix2),
+}
 
 
 # --- typed contexts with one hole -------------------------------------------

@@ -471,3 +471,21 @@ def test_cli_closed_stdout_exits_as_sigpipe(tmp_path, monkeypatch, capsys):
     assert sys.stdout.name == os.devnull
     sys.stdout.close()
     assert capsys.readouterr().err == ""
+
+
+def test_cli_unbound_name_message_does_not_depend_on_the_hash_seed(tmp_path):
+    # a split's first missing name is the least one, not the first a set yields
+    f = tmp_path / "p.cp"
+    f.write_text("a[] | b[] | c[]")
+    src = str(Path(cpwb.__file__).resolve().parent.parent)
+    errors = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpwb", "check", str(f), "--ctx", "c:1", "--sys", "cp02"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        errors.add(proc.stderr)
+    assert errors == {"type error: UnboundName: name a not in context\n"}

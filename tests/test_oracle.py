@@ -461,3 +461,19 @@ def test_adequacy_of_configuration_weak_and_con():
     for c in dropped:
         for k in (0, 1, 2):
             assert observe(c, k) == frozenset({mk_tuple({"x": bag()})})
+
+
+def test_adequacy_check_checks_the_configuration_once(monkeypatch):
+    calls = []
+    real = oracle.check_config
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(oracle, "check_config", counting)
+    c = CCut("x", one, proc(EmptyOut("x"), {"x": one}), proc(closed_in("x"), {"x": bot}))
+    assert adequacy_check(c)
+    assert calls == [c]
+    with pytest.raises(OpenConfiguration):
+        adequacy_check(proc(EmptyOut("x"), {"x": one}))

@@ -302,3 +302,59 @@ def test_renaming_to_a_new_name_and_back(p, x):
     while f in all_names(p):
         f += "'"
     assert alpha_eq(substitute(substitute(p, f, x), x, f), p)
+
+
+# --- constructors and the dual table ---------------------------------------------
+
+
+def _concrete(base):
+    """The node classes below ``base`` that ``cpwb.syntax`` exports: making a
+    class slotted replaces it, and the class it replaced stays listed in
+    ``__subclasses__()``."""
+    todo, found = [base], set()
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if vars(syntax).get(sub.__name__) is sub:
+                found.add(sub)
+    return found
+
+
+def test_every_formula_class_has_a_dual():
+    classes = _concrete(Formula)
+    assert len(classes) == 8
+    assert classes == set(syntax._DUAL)
+    for cls in classes:
+        a = cls(*[Unit()] * len(dataclasses.fields(cls)))
+        assert type(dual(a)) is syntax._DUAL[cls]
+        assert dual(dual(a)) == a
+
+
+def test_dual_of_a_non_formula_raises_type_error():
+    for bad in (Inact(), syntax.IUnit(), "1", None):
+        with pytest.raises(TypeError, match="not a formula"):
+            dual(bad)
+
+
+def test_keyword_construction_equals_positional():
+    p, q = Inact(), EmptyOut("x")
+    pos = Out("y", "x", p, q)
+    kw = Out(payload="y", channel="x", left=p, right=q)
+    mixed = Out("y", "x", right=q, left=p)
+    for node in (kw, mixed):
+        assert node == pos and hash(node) == hash(pos) and repr(node) == repr(pos)
+    assert Tensor(right=bot, left=one) == Tensor(one, bot)
+    with pytest.raises(TypeError):
+        Out("y", "x", p)
+    with pytest.raises(TypeError):
+        Tensor(one, bot, left=one)
+
+
+def test_every_field_of_every_node_stays_frozen():
+    for cls in _concrete(Formula) | _concrete(Process):
+        fs = dataclasses.fields(cls)
+        node = cls(*[f"v{i}" for i in range(len(fs))])
+        for f in fs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f.name, "w")
+            assert getattr(node, f.name) != "w"

@@ -1,5 +1,6 @@
 import pytest
 
+from cpwb import syntax, typing as cp_typing
 from cpwb.harness import enumerate_processes
 from cpwb.syntax import (
     Bottom,
@@ -24,6 +25,8 @@ from cpwb.syntax import (
     dual,
 )
 from cpwb.typing import (
+    CPTypeError,
+    Derivation,
     Hole,
     HoleTypeMismatch,
     KCut,
@@ -176,3 +179,51 @@ def test_fill_round_trip_enumerated():
                 for p in enumerate_processes(hole, 4, System.CP02, markers=False):
                     filled = fill(k, p)
                     assert filled == check(filled.process, k.result_context, k.system)
+
+
+# --- the rule table and derivation records ---------------------------------------
+
+
+def _processes():
+    """The process classes that ``cpwb.syntax`` exports, found by walking
+    ``Process.__subclasses__()``."""
+    todo, found = [syntax.Process], set()
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if vars(syntax).get(sub.__name__) is sub:
+                found.add(sub)
+    return found
+
+
+def test_every_process_class_has_a_rule():
+    classes = _processes()
+    assert len(classes) == 14
+    assert classes == set(cp_typing._RULES)
+    assert len({rule for rule, _ in cp_typing._RULES.values()}) == 14
+
+
+def test_check_of_a_non_process_raises_a_type_error():
+    for bad in ("x[]", one, None, KMix(Hole(), EmptyOut("z"), ())):
+        with pytest.raises(CPTypeError, match="not a process"):
+            check(bad, {}, System.CP02)
+
+
+def test_derivations_are_records_that_stay_frozen():
+    d = check(Cut("x", one, EmptyOut("x"), EmptyIn("x", Inact())), {}, System.CP0)
+    assert isinstance(d, Derivation)
+    assert (d.rule, d.ctx, [p.rule for p in d.premises]) == ("cut", (), ["one", "bot"])
+    assert d.premises[0].context == {"x": one}
+    assert d == Derivation(d.rule, d.process, d.ctx, d.premises)
+    assert repr(d.premises[1].premises[0]) == (
+        "Derivation(rule='mix0', process=Inact(), ctx=(), premises=())"
+    )
+    for field in ("rule", "process", "ctx", "premises"):
+        with pytest.raises(AttributeError):
+            setattr(d, field, None)
+
+
+def test_split_reports_the_first_missing_name_in_sorted_order():
+    p = Mix(Mix(EmptyOut("c"), EmptyOut("b")), EmptyOut("a"))
+    with pytest.raises(UnboundName, match="name a not in context"):
+        check(p, {"c": one}, System.CP02)
