@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from . import transformers
-from .denotations import STAR, Bag, Pair, denote, mk_tuple, obs_space, tuples_to_json
+from .denotations import STAR, Bag, Pair, denote, mk_tuple, obs_space, space_size, tuples_to_json
 from .obs_transform import l_ctx, l_obs, translation_image, translation_verdict
 from .oracle import CCut, CProc, adequacy_check
 from .syntax import (
@@ -536,7 +536,7 @@ class _ImageTable:
         return [
             a
             for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
-            if len(obs_space(a, cfg.bound)) <= 64
+            if space_size(a, cfg.bound) <= 64
         ]
 
     @cached_property

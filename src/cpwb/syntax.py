@@ -47,16 +47,25 @@ class _Node:
             _set_slot(self, "_hash", h)
         return h
 
+    def __reduce__(self):
+        # copy and pickle rebuild a node through its constructor
+        return type(self), self._fields(self)
+
 
 def _node(cls):
     """A frozen slotted dataclass with ``_Node``'s cached class-aware hash.
 
-    Its ``__init__`` stores each field through the field's slot descriptor
-    (``_slot_init``). ``_fields`` gives a node's field values as a tuple. A
-    process class also gets ``_shape``, the positions of its fields that
-    its ``binds`` declaration implies (see ``Process``).
+    The slotted class is built here, once, with a slot per annotated field;
+    ``dataclass(slots=True)`` would build a second class and leave the
+    first alive in its frozen ``__setattr__``. Its ``__init__`` stores each
+    field through the field's slot descriptor (``_slot_init``). ``_fields``
+    gives a node's field values as a tuple. A process class also gets
+    ``_shape``, the positions of its fields that its ``binds`` declaration
+    implies (see ``Process``).
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    ns["__slots__"] = tuple(ns.get("__annotations__", ()))
+    cls = dataclass(frozen=True, init=False)(type(cls)(cls.__name__, cls.__bases__, ns))
     fs = fields(cls)
     names = tuple(f.name for f in fs)
     cls.__init__ = _slot_init(cls, names)
@@ -462,9 +471,6 @@ class NameSupply:
     def __init__(self, avoid=()):
         self._avoid = set(avoid)
         self._counts: dict[str, int] = {}
-
-    def reserve(self, names) -> None:
-        self._avoid.update(names)
 
     def fresh(self, base: str = "u") -> Name:
         stem = base.rstrip("0123456789") or "u"

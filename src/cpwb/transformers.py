@@ -133,7 +133,11 @@ def context_denotation(k: TypedContext, tuples, bound: int = 2):
             if not well_sorted(o, hole[n]):
                 raise SortMismatch(f"component {n} is not sorted at {hole[n]}")
     check_bound(bound)
-    return _ctx_den(k.tree, k.deriv, from_tuples(tuple(sorted(hole)), xs), bound).tuples()
+    if isinstance(k.tree, Hole):
+        return xs
+    # a tuple with a bag of more than ``bound`` items has no row, so it is
+    # left out: at a cut it would meet no observation of the other side
+    return _ctx_den(k.tree, k.deriv, from_tuples(k.deriv.hole_ctx, xs, bound), bound).tuples()
 
 
 def _ctx_den(tree, deriv, xs, bound: int):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from cpwb import denotations, syntax
@@ -12,10 +14,13 @@ from cpwb.denotations import (
     denote,
     dumps,
     equivalent,
+    from_tuples,
     mk_tuple,
     obs_key,
     obs_space,
     obs_to_json,
+    space,
+    space_size,
     tuples_to_json,
     well_sorted,
 )
@@ -24,6 +29,7 @@ from cpwb.syntax import (
     Bottom,
     Case,
     Client,
+    Contract,
     Cut,
     EmptyIn,
     EmptyOut,
@@ -39,6 +45,7 @@ from cpwb.syntax import (
     Server,
     Tensor,
     Unit,
+    Weak,
     WhyNot,
     With,
     dual,
@@ -317,3 +324,147 @@ def test_equal_observations_hash_equal():
     assert {a: 1}[b] == 1
     assert Pair(STAR, STAR) != Tag(1, STAR) and Tag(1, STAR) != Tag(2, STAR)
     assert bag([STAR]) != bag([STAR, STAR]) and bag() == Bag(())
+
+
+# --- observations as indices ---------------------------------------------------
+
+
+def test_indices_encode_and_decode_over_formula_spaces():
+    # index order is obs_key order, and decoding an encoded observation
+    # gives it back, over every formula of depth <= 2 at K = 0, 1, 2
+    from cpwb.harness import enumerate_formulas
+
+    for a in enumerate_formulas(2):
+        ctx = (("x", a),)
+        for k in (0, 1, 2):
+            obs = obs_space(a, k)
+            assert list(obs) == sorted(obs, key=obs_key)
+            assert len(set(obs)) == len(obs) == space_size(a, k) == space(a, k)[1]
+            assert space(dual(a), k) == space(a, k)
+            for i, o in enumerate(obs):
+                rel = from_tuples(ctx, [(("x", o),)], k)
+                assert rel.rows == {(i,)}
+                assert rel.tuples() == {(("x", o),)}
+
+
+def test_obs_space_of_nested_tensors_walks_each_operand_once():
+    import sys
+
+    def walks(n):
+        a = one
+        for _ in range(n):
+            a = Tensor(B, a)  # B has 7 nodes
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is denotations._table.__code__:
+                calls[0] += 1
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert len(obs_space(a)) == 4**n
+        finally:
+            sys.setprofile(old)
+        return calls[0]
+
+    assert [walks(n) for n in range(1, 8)] == [8 * n + 1 for n in range(1, 8)]
+
+
+def _rows_hold_ints(rel):
+    return all(type(v) is int for row in rel.rows for v in row)
+
+
+def test_relation_rows_hold_only_indices():
+    from cpwb.oracle import CCon, CCut, CPar, CProc, CWeak, _config_relation
+    from cpwb.transformers import _ctx_den, transformer_context
+
+    ctxs = [{"x": OfCourse(Plus(one, one))}, {"x": WhyNot(bot), "y": Tensor(one, WhyNot(bot))},
+            {"x": With(one, bot), "y": Par(bot, Plus(one, one))}]
+    for ctx in ctxs:
+        for p in enumerate_processes(ctx, 5, System.CP02):
+            d = check(p, ctx, System.CP02)
+            for k in (0, 1, 2):
+                assert _rows_hold_ints(denotations._denote(d, k))
+    bang, quest = OfCourse(Plus(one, one)), WhyNot(With(bot, bot))
+    server = check(Server("x", "y", Select("y", 1, EmptyOut("y"))), {"x": bang})
+    branch = EmptyIn("u", Weak("b", quest, Inact()))
+    client = check(Contract("x", "a", "b", Client("a", "u", Case("u", branch, branch))),
+                   {"x": quest}, System.CP02)
+    cut = CCut("x", bang, CProc(server), CProc(client))
+    two = Client("a", "u", EmptyIn("u", Client("b", "v", EmptyIn("v", Inact()))))
+    configs = [
+        cut,
+        CPar(cut, CWeak("w", WhyNot(one), CProc(check(EmptyOut("z"), {"z": one})))),
+        CCon("a", "b", CProc(check(two, {"a": WhyNot(bot), "b": WhyNot(bot)}, System.CP02))),
+    ]
+    for c in configs:
+        for k in (0, 1, 2):
+            assert _rows_hold_ints(_config_relation(c, k))
+    plus = Plus(one, one)
+    k = transformer_context({"x": plus, "y": WhyNot(bot)})
+    xs = denotations.from_tuples(k.deriv.hole_ctx, [mk_tuple({"x": Tag(1, STAR), "y": bag([STAR])})], 2)
+    rel = _ctx_den(k.tree, k.deriv, xs, 2)
+    assert rel.rows and _rows_hold_ints(rel) and _rows_hold_ints(xs)
+
+
+def test_a_hole_tuple_past_the_bound_passes_a_bare_hole_and_no_cut():
+    from cpwb.transformers import context_denotation, transformer_context
+    from cpwb.typing import Hole, make_context
+
+    big, small = mk_tuple({"x": bag([STAR] * 3)}), mk_tuple({"x": bag([STAR])})
+    k = make_context(Hole(), {"x": WhyNot(bot)}, System.CP02)
+    assert context_denotation(k, {big, small}, 2) == {big, small}
+    k = transformer_context({"x": WhyNot(bot)})
+    assert context_denotation(k, {big, small}, 2) == context_denotation(k, {small}, 2) != set()
+    assert from_tuples(k.deriv.hole_ctx, {big, small}, 2).rows == {(1,)}
+
+
+def test_bag_ranks_follow_the_enumeration_of_bags():
+    import itertools
+
+    for n in range(6):
+        bags = [c for k in range(5) for c in itertools.combinations_with_replacement(range(n), k)]
+        assert [denotations._rank(n, c) for c in bags] == list(range(len(bags)))
+        assert [denotations._unrank(n, i) for i in range(len(bags))] == bags
+        space = denotations.bag_space(("tag", n), 2)  # only the element count is read
+        union = denotations.bag_union(space)
+        for i, j in itertools.product(range(space[1]), repeat=2):
+            merged = tuple(sorted(bags[i] + bags[j]))
+            assert union(i, j) == (bags.index(merged) if len(merged) <= 2 else None)
+
+
+def test_a_space_of_many_bags_is_never_built():
+    # ?T for the 7-deep chain type T of 16,384 observations has
+    # comb(16,386, 2) > 10^8 bags at K = 2; weakening at it, and encoding
+    # and decoding one of its bags, touch only the indices that occur
+    import time
+
+    t = one
+    for _ in range(7):
+        t = Tensor(Plus(Plus(one, one), Plus(one, one)), t)
+    a = WhyNot(t)
+    assert space_size(a, 2) == comb(16384 + 2, 2) > 10**8
+    o = obs_space(t)[-1]
+    start = time.perf_counter()
+    d = check(Weak("w", a, EmptyOut("x")), {"x": one, "w": a}, System.CP02)
+    assert denote(d, 2).tuples == {mk_tuple({"x": STAR, "w": bag()})}
+    pair = mk_tuple({"w": bag([o, o])})
+    rel = from_tuples((("w", a),), {pair}, 2)
+    assert rel.rows == {(space_size(a, 2) - 1,)} and rel.tuples() == {pair}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_join_tuples_composes_on_the_shared_name():
+    from cpwb.denotations import join_tuples
+
+    left = {mk_tuple({"x": Tag(i, STAR), "a": o}) for i in (1, 2) for o in (STAR, bag([STAR]))}
+    right = {mk_tuple({"x": Tag(1, STAR), "b": Pair(STAR, STAR)})}
+    for keep in (False, True):
+        want = {
+            mk_tuple({**dict(a), **dict(b)} if keep else
+                     {n: o for n, o in (*a, *b) if n != "x"})
+            for a in left for b in right if dict(a)["x"] == dict(b)["x"]
+        }
+        assert join_tuples(left, right, "x", keep) == want and len(want) == 2
+    assert join_tuples(left, set(), "x") == set()

@@ -477,3 +477,33 @@ def test_adequacy_check_checks_the_configuration_once(monkeypatch):
     assert calls == [c]
     with pytest.raises(OpenConfiguration):
         adequacy_check(proc(EmptyOut("x"), {"x": one}))
+
+
+def test_a_long_configuration_product_stays_linear_in_memory(monkeypatch):
+    # reduce(CPar, ...) over 2,000 observable cut pairs: check_config merges
+    # the smaller side into the larger, and no plan of a wide relation is
+    # cached, so neither keeps one ever longer copy per level
+    from cpwb import denotations
+
+    cached_widths = []
+    cached = denotations._cached_plan
+
+    def recording(src, *rest):
+        cached_widths.append(len(src))
+        return cached(src, *rest)
+
+    monkeypatch.setattr(denotations, "_cached_plan", recording)
+
+    pairs = [
+        CCut(f"x{i}", one, proc(EmptyOut(f"x{i}"), {f"x{i}": one}),
+             proc(closed_in(f"x{i}"), {f"x{i}": bot}))
+        for i in range(2000)
+    ]
+    c = reduce(CPar, pairs)
+    gamma, theta = check_config(c)
+    assert gamma == {} and theta == {f"x{i}": one for i in range(2000)}
+    assert adequacy_check(c)
+    assert max(cached_widths) <= denotations._CACHED_WIDTH < 2000
+    assert denote_config(c).tuples == {mk_tuple({f"x{i}": STAR for i in range(2000)})}
+    with pytest.raises(CutTypeMismatch, match=r"names occur twice in a configuration: \['x7'\]"):
+        check_config(CPar(c, pairs[7]))

@@ -308,9 +308,7 @@ def test_renaming_to_a_new_name_and_back(p, x):
 
 
 def _concrete(base):
-    """The node classes below ``base`` that ``cpwb.syntax`` exports: making a
-    class slotted replaces it, and the class it replaced stays listed in
-    ``__subclasses__()``."""
+    """The node classes below ``base`` that ``cpwb.syntax`` exports."""
     todo, found = [base], set()
     while todo:
         for sub in todo.pop().__subclasses__():
@@ -358,3 +356,33 @@ def test_every_field_of_every_node_stays_frozen():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, f.name, "w")
             assert getattr(node, f.name) != "w"
+
+
+def test_each_node_class_is_built_once():
+    # the slotted class is built in _node, so no first draft of a constructor
+    # class stays alive beside it
+    own = [c for base in (Process, Formula) for c in base.__subclasses__()
+           if c.__module__ == syntax.__name__]
+    assert sum(issubclass(c, Process) for c in own) == 14
+    assert sum(issubclass(c, Formula) for c in own) == 8
+    for cls in own:
+        assert dataclasses.is_dataclass(cls) and cls.__dictoffset__ == 0  # no instance dict
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+
+
+def test_a_new_attribute_is_refused_as_frozen():
+    for node in (Tensor(one, one), Unit(), Out("y", "x", Inact(), EmptyOut("x"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.foo = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.foo
+
+
+def test_nodes_copy_and_pickle_through_their_constructor():
+    import copy
+    import pickle
+
+    p = Out("y", "x", Fwd("y", "u"), Weak("w", WhyNot(Tensor(one, bot)), EmptyOut("x")))
+    for node in (p, Tensor(one, OfCourse(bot)), Unit()):
+        for clone in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert clone == node and hash(clone) == hash(node) and type(clone) is type(node)
