@@ -639,11 +639,8 @@ def _dispatch(args) -> int:
             p = parse_process(_read(args.file))
             try:
                 d = fill(transformer_context(ctx), p)
-            except TypeMismatch:
-                # fill checks at the sorted hole typing; the checker's own
-                # error names the names in the order of --ctx
-                check(p, ctx, System.CP02)
-                raise
+            except TypeMismatch as e:
+                raise e.__cause__ from None  # the checker's own error, as from `check`
             print(format_process(d.process))
             return 0
         case "equiv":

@@ -20,9 +20,10 @@ are built by index arithmetic, and the space of a new column is built from
 those of the premises.  Rows are decoded to name-keyed ``ObsTuple``s only at
 the boundary (``Relation.tuples``): in ``denote(...).tuples``,
 ``oracle.denote_config``, ``oracle.adequacy_check`` and
-``transformers.context_denotation``; ``from_tuples`` encodes. Either way
-only the indices and observations that occur are translated, so the cost
-is in the rows, never in the size of a space.
+``transformers.context_denotation``; ``from_tuples`` encodes. One
+``_Decoder`` per space serves ``obs_space``, this decoding and the encoding.
+Either way only the indices and observations that occur are translated, so
+the cost is in the rows, never in the size of a space.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def obs_space(a: Formula, bound: int = 2) -> tuple[Observation, ...]:
     """All observations of ``a`` with every multiset layer of size <= bound,
     in ``obs_key`` order: the observation of index ``i`` is the ``i``-th."""
     check_bound(bound)
-    return _table(space(a, bound))
+    s = space(a, bound)
+    return tuple(map(_decoder(s).__getitem__, range(s[1])))
 
 
 def space_size(a: Formula, bound: int = 2) -> int:
@@ -222,27 +224,9 @@ def space_size(a: Formula, bound: int = 2) -> int:
     return space(a, bound)[1]
 
 
-def _table(s: tuple) -> tuple[Observation, ...]:
-    """The observations of the space ``s`` by index, each part's once."""
-    kind = s[0]
-    if kind == "star":
-        return (STAR,)
-    if kind == "pair":
-        right = _table(s[3])
-        return tuple(Pair(x, y) for x in _table(s[2]) for y in right)
-    if kind == "tag":
-        return (*(Tag(1, x) for x in _table(s[2])), *(Tag(2, y) for y in _table(s[3])))
-    elems = _table(s[2])
-    return tuple(
-        Bag(tuple(map(elems.__getitem__, c)), sort=False)
-        for k in range(s[3] + 1)
-        for c in itertools.combinations_with_replacement(range(len(elems)), k)
-    )
-
-
 class _Memo(dict):
     """A dict that fills in a missing key as ``fn`` of it: the memo of one
-    encoding, union or bang."""
+    union or bang."""
 
     __slots__ = ("fn",)
 
@@ -259,20 +243,21 @@ _MEMO_SIZE = 1 << 16
 
 
 class _Decoder(dict):
-    """The observations of a space by index, each decoded when it is first
-    asked for, through the decoders of the space's parts; past
-    ``_MEMO_SIZE`` keys it decodes an index without keeping it."""
+    """The codec of a space: its observations by index, each decoded when it
+    is first asked for, through the decoders of the space's parts (past
+    ``_MEMO_SIZE`` keys it decodes an index without keeping it), and
+    ``index`` the other way."""
 
-    __slots__ = ("kind", "n", "left", "right")
+    __slots__ = ("kind", "n", "left", "right", "bound")
 
     def __init__(self, s: tuple):
-        self.kind, self.n, self.left, self.right = s[0], 0, None, None
+        self.kind, self.n, self.left, self.right, self.bound = s[0], 0, None, None, 0
         if self.kind == "pair":  # a pair index splits at |R|
             self.n, self.left, self.right = s[3][1], _decoder(s[2]), _decoder(s[3])
         elif self.kind == "tag":  # a tag index splits at |L|
             self.n, self.left, self.right = s[2][1], _decoder(s[2]), _decoder(s[3])
         elif self.kind == "bag":
-            self.n, self.left = s[2][1], _decoder(s[2])
+            self.n, self.left, self.bound = s[2][1], _decoder(s[2]), s[3]
 
     def __missing__(self, i: int) -> Observation:
         kind, n = self.kind, self.n
@@ -288,52 +273,37 @@ class _Decoder(dict):
             self[i] = o
         return o
 
+    def index(self, o: Observation) -> int | None:
+        """The index of ``o``, or None for an observation outside the space,
+        as a bag of more than its bound."""
+        kind, n = self.kind, self.n
+        if kind == "pair":
+            if type(o) is not Pair:
+                return None
+            i, j = self.left.index(o.fst), self.right.index(o.snd)
+            return None if i is None or j is None else i * n + j
+        if kind == "tag":
+            if type(o) is not Tag or o.index not in (1, 2):
+                return None
+            if o.index == 1:
+                return self.left.index(o.value)
+            j = self.right.index(o.value)
+            return None if j is None else n + j
+        if kind == "bag":
+            if type(o) is not Bag or len(o.items) > self.bound:
+                return None
+            idx = [self.left.index(x) for x in o.items]
+            return None if None in idx else _rank(n, sorted(idx))
+        return 0 if type(o) is Star else None
+
 
 # The decoders of the 128 spaces, and the (name, observation) pairs of the 32
-# columns, last decoded. A suite run meets each of a few thousand small
+# columns, last used. A suite run meets each of a few thousand small
 # spaces a few times in a row, with the same few observations in them, and a
 # space's parts are often another's. Each table holds only what was asked of
 # it. In a default suite run fewer decoders miss more often, and more column
 # tables keep more decoders alive without hitting more often.
 _decoder = lru_cache(maxsize=128)(_Decoder)
-
-
-def _encoder(s: tuple) -> _Memo:
-    """The index of each observation in the space ``s``, or None for one
-    outside it, each encoded when it is first asked for."""
-    kind = s[0]
-    if kind == "star":
-        return _Memo(lambda o: 0 if type(o) is Star else None)
-    if kind == "pair":
-        left, right, n = _encoder(s[2]), _encoder(s[3]), s[3][1]
-
-        def encode(o):
-            if type(o) is not Pair:
-                return None
-            i, j = left[o.fst], right[o.snd]
-            return None if i is None or j is None else i * n + j
-
-    elif kind == "tag":
-        left, right, n = _encoder(s[2]), _encoder(s[3]), s[2][1]
-
-        def encode(o):
-            if type(o) is not Tag or o.index not in (1, 2):
-                return None
-            if o.index == 1:
-                return left[o.value]
-            j = right[o.value]
-            return None if j is None else n + j
-
-    else:
-        elem, n, bound = _encoder(s[2]), s[2][1], s[3]
-
-        def encode(o):
-            if type(o) is not Bag or len(o.items) > bound:
-                return None
-            idx = [elem[x] for x in o.items]
-            return None if None in idx else _rank(n, sorted(idx))
-
-    return _Memo(encode)
 
 
 # A bag over n elements is numbered as ``obs_key`` orders bags: by size,
@@ -477,8 +447,8 @@ def from_tuples(ctx, tuples, bound: int) -> Relation:
     formula's space at ``bound``, as a bag of more items, is left out."""
     cols = tuple(n for n, _ in ctx)
     spaces = tuple(space(a, bound) for _, a in ctx)
-    codes = [_encoder(s) for s in spaces]
-    rows = (tuple(map(getitem, codes, map(dict(t).__getitem__, cols))) for t in tuples)
+    codecs = list(map(_decoder, spaces))
+    rows = (tuple(map(_Decoder.index, codecs, map(dict(t).__getitem__, cols))) for t in tuples)
     return Relation(cols, spaces, frozenset(row for row in rows if None not in row))
 
 

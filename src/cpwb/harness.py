@@ -400,7 +400,11 @@ def cut_families(size: int):
 # --- individual suites ------------------------------------------------------------
 
 
-def formula_pool(depth: int, connectives=CONNECTIVES, per_level: int = 4500) -> list[Formula]:
+# The formulas formula_pool tries at each level past 2.
+POOL_PER_LEVEL = 4500
+
+
+def formula_pool(depth: int, connectives=CONNECTIVES) -> list[Formula]:
     """Exhaustive to depth 2, then a deterministic spread of deeper formulas.
 
     The full closure beyond depth 2 is astronomically large, so deeper
@@ -414,7 +418,7 @@ def formula_pool(depth: int, connectives=CONNECTIVES, per_level: int = 4500) -> 
     prev = pool
     for level in range(3, depth + 1):
         fresh = []
-        for i in range(per_level):
+        for i in range(POOL_PER_LEVEL):
             j = (i * 7 + level) % len(prev)  # one argument from the previous level
             k = (i * 13 + 3 * level) % len(pool)
             if unary and i % 5 == 4:
@@ -598,6 +602,12 @@ def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
     return len(formulas), failures
 
 
+def _all_tuples(delta, bound: int) -> list:
+    """Every name-keyed observation tuple over the typing ``delta``."""
+    columns = [[(n, o) for o in obs_space(a, bound)] for n, a in sorted(delta.items())]
+    return list(itertools.product(*columns))
+
+
 def _suite_context_denotation(cfg: SuiteConfig, rng, table):
     one, bot = Unit(), Bottom()
     t2 = Plus(one, one)
@@ -616,8 +626,7 @@ def _suite_context_denotation(cfg: SuiteConfig, rng, table):
     failures = []
     count = 0
     for delta in deltas:
-        spaces = [[(n, o) for o in obs_space(a, cfg.bound)] for n, a in sorted(delta.items())]
-        full = [mk_tuple(dict(combo)) for combo in itertools.product(*spaces)]
+        full = _all_tuples(delta, cfg.bound)
         for _ in range(10):
             xs = {t for t in full if rng.random() < 0.5}
             count += 1
@@ -700,8 +709,7 @@ def _suite_injectivity(cfg: SuiteConfig, rng, table):
             failures.append(f"l_obs not injective at {a}")
     one, bot = Unit(), Bottom()
     for delta in ({"x": Plus(one, one), "y": bot}, {"x": one}, {"x": With(one, bot), "y": one}):
-        spaces = [[(n, o) for o in obs_space(a, cfg.bound)] for n, a in sorted(delta.items())]
-        tuples = [mk_tuple(dict(c)) for c in itertools.product(*spaces)]
+        tuples = _all_tuples(delta, cfg.bound)
         w = closing_name(delta)
         images = [l_ctx(delta, t, w) for t in tuples]
         count += 1

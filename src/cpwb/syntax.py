@@ -222,16 +222,6 @@ def formula_depth(a: Formula) -> int:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def is_exponential_free(a: Formula) -> bool:
-    match a:
-        case Unit() | Bottom():
-            return True
-        case Tensor(l, r) | Par(l, r) | Plus(l, r) | With(l, r):
-            return is_exponential_free(l) and is_exponential_free(r)
-        case _:
-            return False
-
-
 def is_positive(a: Formula) -> bool:
     """1, tensor, plus and ! are positive; their duals are negative."""
     return isinstance(a, (Unit, Tensor, Plus, OfCourse))

@@ -249,9 +249,10 @@ def _bang(p: Server, ctx, sys):
     t = _lookup(ctx, x)
     if not isinstance(t, OfCourse):
         raise RuleMismatch(f"server needs a !-type, got {t}")
-    for n, f in ctx.items():
-        if n != x and not isinstance(f, WhyNot):
-            raise NonBangContext(f"server context must be all ?-typed, {n} has {f}")
+    bad = [n for n, f in ctx.items() if n != x and not isinstance(f, WhyNot)]
+    if bad:
+        n = min(bad)
+        raise NonBangContext(f"server context must be all ?-typed, {n} has {ctx[n]}")
     if y == x:
         raise RuleMismatch("server binder collides with its channel")
     rest = {n: f for n, f in ctx.items() if n != x}

@@ -303,17 +303,8 @@ def test_cli_transform(tmp_path, capsys):
 
 
 def test_cli_transform_checks_once(tmp_path, capsys, monkeypatch):
-    # an ill-typed process gets the checker's own error, as from `check`,
-    # with the context in the order given
-    f = tmp_path / "p.cp"
-    for source, ctx, err in (
-        ("x().0", "x:1", "RuleMismatch: empty input needs type bot, got 1"),
-        ("!x(y).y[]", "x:!1, b:1, a:1", "NonBangContext: server context must be all ?-typed, b has 1"),
-    ):
-        f.write_text(source)
-        assert main(["transform", str(f), "--ctx", ctx]) == 3
-        assert capsys.readouterr() == ("", f"type error: {err}\n")
-    # a well-typed one is checked once, by fill at the hole typing
+    # every input is checked once, by fill at the hole typing; an ill-typed
+    # process gets the checker's own error, as from `check`
     calls = []
     real = cli.check
 
@@ -323,6 +314,17 @@ def test_cli_transform_checks_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "check", counting)
     monkeypatch.setattr(cpwb.typing, "check", counting)
+    f = tmp_path / "p.cp"
+    for source, ctx, err in (
+        ("x().0", "x:1", "RuleMismatch: empty input needs type bot, got 1"),
+        ("!x(y).y[]", "x:!1, b:1, a:1", "NonBangContext: server context must be all ?-typed, a has 1"),
+    ):
+        f.write_text(source)
+        calls.clear()
+        assert main(["transform", str(f), "--ctx", ctx]) == 3
+        assert capsys.readouterr() == ("", f"type error: {err}\n")
+        assert len(calls) == 1
+    calls.clear()
     f.write_text("x[]")
     assert main(["transform", str(f), "--ctx", "x:1"]) == 0
     assert "new x:1" in capsys.readouterr().out

@@ -348,6 +348,7 @@ def test_indices_encode_and_decode_over_formula_spaces():
 
 
 def test_obs_space_of_nested_tensors_walks_each_operand_once():
+    # one decoder per distinct space: *, 1+1, B and the n pairs of the chain
     import sys
 
     def walks(n):
@@ -357,9 +358,10 @@ def test_obs_space_of_nested_tensors_walks_each_operand_once():
         calls = [0]
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is denotations._table.__code__:
+            if event == "call" and frame.f_code is denotations._Decoder.__init__.__code__:
                 calls[0] += 1
 
+        denotations._decoder.cache_clear()
         old = sys.getprofile()
         sys.setprofile(profile)
         try:
@@ -368,7 +370,30 @@ def test_obs_space_of_nested_tensors_walks_each_operand_once():
             sys.setprofile(old)
         return calls[0]
 
-    assert [walks(n) for n in range(1, 8)] == [8 * n + 1 for n in range(1, 8)]
+    assert [walks(n) for n in range(1, 8)] == [n + 3 for n in range(1, 8)]
+
+
+def test_an_observation_outside_its_space_has_no_index():
+    two, bang = Plus(one, one), WhyNot(one)
+    cases = [
+        (one, Pair(STAR, STAR)),  # the wrong kind at each kind of space
+        (Tensor(one, one), STAR),
+        (Tensor(one, one), Pair(STAR, Tag(1, STAR))),
+        (two, bag()),
+        (two, Tag(1, Pair(STAR, STAR))),
+        (bang, Tag(2, STAR)),
+        (bang, bag([STAR, Tag(1, STAR)])),
+        (two, Tag(0, STAR)),  # a tag index outside {1, 2}
+        (two, Tag(3, STAR)),
+        (bang, bag([STAR] * 3)),  # a bag past the bound
+        (OfCourse(bang), bag([bag([STAR] * 3)])),
+    ]
+    for a, o in cases:
+        assert denotations._decoder(space(a, 2)).index(o) is None, (a, o)
+        ctx = (("x", a), ("y", one))
+        good = mk_tuple({"x": obs_space(a, 2)[-1], "y": STAR})
+        rel = from_tuples(ctx, [mk_tuple({"x": o, "y": STAR}), good], 2)
+        assert rel.rows == {(space_size(a, 2) - 1, 0)} and rel.tuples() == {good}
 
 
 def _rows_hold_ints(rel):

@@ -88,7 +88,7 @@ def test_enumeration_with_cut_formulas():
 
 
 def test_formula_pool_depth():
-    pool = formula_pool(4, per_level=100)
+    pool = formula_pool(4)
     from cpwb.syntax import formula_depth
 
     assert max(formula_depth(a) for a in pool) >= 4

@@ -81,10 +81,11 @@ def test_dual_translation_table():
     assert t(WhyNot(one)) == WhyNot(Tensor(Par(Tensor(one, bot), one), bot))
 
 
-def test_column_coherence():
-    from cpwb.harness import formula_pool
+def test_column_coherence(monkeypatch):
+    from cpwb import harness
 
-    pool = formula_pool(4, per_level=600)
+    monkeypatch.setattr(harness, "POOL_PER_LEVEL", 600)
+    pool = harness.formula_pool(4)
     assert len(pool) > 3000
     for a in pool:
         assert translate_formula_dual(a) == dual(embed_ill(translate_formula_ill(a))), a
