@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .denotations import check_shared, dumps, denote, tuples_to_json
+from .denotations import TooLarge, check_shared, dumps, denote, tuples_to_json
 from .harness import ConfigError, SuiteConfig, run_suite
 from .oracle import (
     CCon,
@@ -523,6 +523,7 @@ EXIT_PROPERTY = 1
 EXIT_SYNTAX = 2
 EXIT_TYPE = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 70  # EX_SOFTWARE: an error the CLI has no other code for
 EXIT_PIPE = 128 + 13  # as if killed by SIGPIPE, like other filters in a pipeline
 
 
@@ -587,7 +588,10 @@ def main(argv=None) -> int:
     sp.add_argument("--config", default=None, help="JSON suite configuration")
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, which is 4 here
+        return EXIT_USAGE if e.code else 0
     try:
         return _dispatch(args)
     except CPSyntaxError as e:
@@ -604,9 +608,12 @@ def main(argv=None) -> int:
         # goes to the null device, so the flush at exit does not fail again.
         sys.stdout = open(os.devnull, "w")
         return EXIT_PIPE
-    except (ConfigError, OSError) as e:
+    except (ConfigError, OSError, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:

@@ -44,6 +44,23 @@ class TypingMismatch(CPTypeError):
     pass
 
 
+class TooLarge(CpwbError):
+    """A rule would enumerate more rows than ``MAX_ROWS``."""
+
+
+# The most rows one rule may enumerate: the observations of a forwarder, or
+# the multisets of at most K rows of a server's premise. Past it the rule
+# refuses before it enumerates anything.
+MAX_ROWS = 1 << 16
+
+
+def _within_limit(n: int, subject: str, unit: str) -> None:
+    if n > MAX_ROWS:
+        count = n if n.bit_length() <= 64 else f"more than 2^{n.bit_length() - 1}"
+        raise TooLarge(f"the denotation of {subject} needs {count} {unit}, "
+                       f"more than the limit of {MAX_ROWS}")
+
+
 # --- observations -----------------------------------------------------------
 
 
@@ -579,6 +596,7 @@ def _one(d, p, bound):
 def _id(d, p, bound):
     (x, a), (y, _) = d.ctx
     s = space(a, bound)  # the space of dual(a) too
+    _within_limit(s[1], f"fwd {x} {y}", "observations")
     return Relation((x, y), (s, s), frozenset((i, i) for i in range(s[1])))
 
 
@@ -625,6 +643,7 @@ def _with(d, p, bound):
 
 def _bang(d, p, bound):
     prem = _denote(d.premises[0], bound)
+    _within_limit(comb(len(prem.rows) + bound, bound), f"server {p.channel}", "multisets of rows")
     i_payload = prem.cols.index(p.payload)
     others = [i for i in range(len(prem.cols)) if i != i_payload]
     cols, pick, _ = _plan(tuple(prem.cols[i] for i in others), (p.channel,))

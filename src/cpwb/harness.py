@@ -4,8 +4,9 @@ Process enumeration is derivation-directed: terms are grown by reading
 the typing rules bottom-up, so everything emitted type-checks by
 construction.  The suites mirror the verification story: adequacy of the
 oracle, synchronizer/transformer characterizations, the translation
-theorem, and both full-abstraction results, each reported with instance
-counts and concrete counterexamples on failure.
+theorem, and both full-abstraction results. Each suite yields one outcome
+per instance it checks (None, or a concrete counterexample), and
+`run_suite` reports the count and the counterexamples.
 """
 
 from __future__ import annotations
@@ -269,23 +270,10 @@ class Report:
         }
 
 
-SUITE_NAMES = (
-    "duality",
-    "adequacy",
-    "synchronizer",
-    "translation",
-    "full_abstraction_1",
-    "transformer_graph",
-    "context_denotation",
-    "transformer_correct",
-    "full_abstraction_2",
-    "mix_permutation",
-    "injectivity",
-    "worked_example",
-)
-
-
 def run_suite(cfg: SuiteConfig) -> Report:
+    """Run the selected suites. A suite yields one outcome per instance it checks,
+    None if the instance holds and else its counterexample; run_suite alone
+    counts the outcomes, times them and collects the counterexamples."""
     names = SUITE_NAMES if "all" in cfg.suites else cfg.suites
     bad = set(names) - set(SUITE_NAMES)
     if bad:
@@ -304,9 +292,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
     table = _ImageTable(cfg, seed)
     for name in names:
         t0 = time.monotonic()
-        instances, failures = _SUITES[name](cfg, random.Random(seed), table)
+        outcomes = list(_SUITES[name](cfg, random.Random(seed), table))
         millis = int((time.monotonic() - t0) * 1000)
-        results.append(SuiteResult(name, instances, tuple(failures), millis))
+        failures = tuple(o for o in outcomes if o is not None)
+        results.append(SuiteResult(name, len(outcomes), failures, millis))
     return Report(tuple(results))
 
 
@@ -436,81 +425,61 @@ def formula_pool(depth: int, connectives=CONNECTIVES) -> list[Formula]:
 
 
 def _suite_duality(cfg: SuiteConfig, rng, table):
-    pool = formula_pool(cfg.duality_depth, cfg.connectives)
-    failures = []
-    for a in pool:
-        if dual(dual(a)) != a:
-            failures.append(f"dual(dual({a})) != {a}")
-    return len(pool), failures
-
-
-def _adequacy_instances(cfg: SuiteConfig):
-    one, bot = Unit(), Bottom()
-    shallow = enumerate_formulas(1, ("one", "bot", "tensor", "par", "plus", "with"))
-    deep = [
-        a
-        for a in enumerate_formulas(2, ("one", "bot", "tensor", "par", "plus", "with"))
-        if formula_depth(a) == 2
-    ]
-    types = shallow + deep[::5][:200]
-    out = []
-    for a in types:
-        lefts = enumerate_processes({"x": a}, cfg.process_size, System.CP02, markers=False)
-        rights = enumerate_processes({"x": dual(a)}, cfg.process_size, System.CP02, markers=False)
-        for p in lefts[:16]:
-            for q in rights[:16]:
-                out.append((a, p, q, None))
-        for extra in (one, bot):
-            wide = enumerate_processes(
-                {"x": a, "y": extra}, cfg.process_size, System.CP02, markers=False
-            )
-            for p in wide[:8]:
-                for q in rights[:4]:
-                    out.append((a, p, q, extra))
-    return out
+    for a in formula_pool(cfg.duality_depth, cfg.connectives):
+        yield None if dual(dual(a)) == a else f"dual(dual({a})) != {a}"
 
 
 def _suite_adequacy(cfg: SuiteConfig, rng, table):
-    instances = _adequacy_instances(cfg)[:2500]
+    """The first 2,500 cuts at exponential-free types of depth <= 1 and a
+    spread of depth 2. Each process is checked once per type: a left one when
+    it is reached, and the right ones when the type's first left one is."""
+    conns = ("one", "bot", "tensor", "par", "plus", "with")
+    deep = [a for a in enumerate_formulas(2, conns) if formula_depth(a) == 2]
+    types = enumerate_formulas(1, conns) + deep[::5][:200]
     closers = {e: CProc(check(c, {"y": dual(e)}, System.CP02))
                for e, c in ((Unit(), EmptyIn("y", Inact())), (Bottom(), EmptyOut("y")))}
-    failures, rights = [], {}  # each right process is checked once per type
-    for a, p, q, extra in instances:
-        if (a, q) not in rights:
-            rights[a, q] = CProc(check(q, {"x": dual(a)}, System.CP02))
-        dp = check(p, {"x": a} if extra is None else {"x": a, "y": extra}, System.CP02)
-        config = CCut("x", a, CProc(dp), rights[a, q])
-        if extra is not None:
-            config = CCut("y", extra, config, closers[extra])
-        if not adequacy_check(config, cfg.bound):
-            failures.append(f"cut at {a}: {p!r} | {q!r}")
-    return len(instances), failures
+
+    def procs(ctx, n):
+        return enumerate_processes(ctx, cfg.process_size, System.CP02, markers=False)[:n]
+
+    def checked(ctx, ps):
+        for p in ps:
+            yield p, CProc(check(p, ctx, System.CP02))
+
+    def cuts():
+        # per type: 16 lefts by 16 rights, then for each unit type of a second
+        # name y, closed by a cut against its closer, 8 lefts by 4 rights
+        for a in types:
+            rights, checked_rights = procs({"x": dual(a)}, 16), None
+            if not rights:
+                continue  # no cut at a, so no left process is checked
+            for extra, n, m in ((None, 16, 16), (Unit(), 8, 4), (Bottom(), 8, 4)):
+                ctx = {"x": a} if extra is None else {"x": a, "y": extra}
+                for p, dp in checked(ctx, procs(ctx, n)):
+                    checked_rights = checked_rights or list(checked({"x": dual(a)}, rights))
+                    for q, dq in checked_rights[:m]:
+                        config = CCut("x", a, dp, dq)
+                        if extra is not None:
+                            config = CCut("y", extra, config, closers[extra])
+                        yield f"cut at {a}: {p!r} | {q!r}", config
+
+    for label, config in itertools.islice(cuts(), 2500):
+        yield None if adequacy_check(config, cfg.bound) else label
 
 
 def _suite_synchronizer(cfg: SuiteConfig, rng, table):
     from .translation import synchronizer
 
     one, bot = Unit(), Bottom()
-    cases = [one, bot, Tensor(one, bot), Par(bot, one), Plus(one, one), With(one, bot),
-             OfCourse(one), WhyNot(bot)]
-    failures = []
-    for a in cases:
+    for a in (one, bot, Tensor(one, bot), Par(bot, one), Plus(one, one), With(one, bot),
+              OfCourse(one), WhyNot(bot)):
         ctx = {"z": Tensor(neg_image(a), bot), "w": Tensor(neg_image(dual(a)), bot), "s": one}
         d = check(synchronizer(a, "z", "w", "s"), ctx, System.CP02)
         want = frozenset(
-            mk_tuple(
-                {
-                    "z": Pair(l_obs(a, o), STAR),
-                    "w": Pair(l_obs(dual(a), o), STAR),
-                    "s": STAR,
-                }
-            )
+            mk_tuple({"z": Pair(l_obs(a, o), STAR), "w": Pair(l_obs(dual(a), o), STAR), "s": STAR})
             for o in obs_space(a, cfg.bound)
         )
-        got = denote(d, cfg.bound).tuples
-        if got != want:
-            failures.append(f"synchronizer at {a}")
-    return len(cases), failures
+        yield None if denote(d, cfg.bound).tuples == want else f"synchronizer at {a}"
 
 
 SOURCE, TRANSLATION, TRANSFORMER = "source", "translation", "transformer"
@@ -572,34 +541,22 @@ class _ImageTable:
 
 
 def _suite_translation(cfg: SuiteConfig, rng, table):
-    failures = []
     for ctx, p, (src, img) in table.images(table.instances, SOURCE, TRANSLATION):
         v = translation_verdict(ctx, src, img)
-        if not v.holds:
-            failures.append(f"{p!r} at {dict(ctx)}: missing={v.missing} extra={v.extra}")
-    return len(table.instances), failures
+        yield None if v.holds else f"{p!r} at {dict(ctx)}: missing={v.missing} extra={v.extra}"
 
 
 def _suite_full_abstraction(image, cfg: SuiteConfig, rng, table):
     """Source equivalence iff equivalence of ``image``, over each family's pairs."""
-    failures, pairs = [], 0
     for ctx, procs in table.families:
         data = list(table.images([(ctx, p) for p in procs], SOURCE, image))
         for (_, p, (sp, ip)), (_, q, (sq, iq)) in itertools.combinations(data, 2):
-            pairs += 1
-            if (sp == sq) != (ip == iq):
-                failures.append(f"{p!r} vs {q!r} at {dict(ctx)}")
-    return pairs, failures
+            yield None if (sp == sq) == (ip == iq) else f"{p!r} vs {q!r} at {dict(ctx)}"
 
 
 def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
-    formulas = table.small_formulas
-    failures = []
-    for a in formulas:
-        v = transformers.transformer_graph(a, cfg.bound)
-        if not v.holds:
-            failures.append(f"transformer at {a}")
-    return len(formulas), failures
+    for a in table.small_formulas:
+        yield None if transformers.transformer_graph(a, cfg.bound).holds else f"transformer at {a}"
 
 
 def _all_tuples(delta, bound: int) -> list:
@@ -623,66 +580,50 @@ def _suite_context_denotation(cfg: SuiteConfig, rng, table):
         {"x": WhyNot(bot)},
         {"x": OfCourse(one)},
     ]
-    failures = []
-    count = 0
     for delta in deltas:
         full = _all_tuples(delta, cfg.bound)
         for _ in range(10):
             xs = {t for t in full if rng.random() < 0.5}
-            count += 1
             v = transformers.check_transformer_theorem(delta, xs, cfg.bound)
-            if not v.holds:
-                failures.append(f"context denotation over {dict(delta)} with |X|={len(xs)}")
-    return count, failures
+            yield None if v.holds else f"context denotation over {dict(delta)} with |X|={len(xs)}"
 
 
 def _suite_transformer_correct(cfg: SuiteConfig, rng, table):
-    pairs = table.images(table.instances, TRANSLATION, TRANSFORMER)
-    failures = [f"{p!r} at {dict(ctx)}" for ctx, p, (left, right) in pairs if left != right]
-    return len(table.instances), failures
+    for ctx, p, (left, right) in table.images(table.instances, TRANSLATION, TRANSFORMER):
+        yield None if left == right else f"{p!r} at {dict(ctx)}"
 
 
 def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
     one, bot = Unit(), Bottom()
     t2 = Plus(one, one)
     w2 = With(one, bot)
-    small = {
-        a: enumerate_processes({"x": a}, 4, System.CP02, markers=False)
-        for a in (one, bot, t2, w2)
-    }
-    rs = {
-        a: enumerate_processes({"z": a}, 4, System.CP02, markers=False)
-        for a in (one, t2, w2)
-    }
-    failures = []
-    count = 0
+    small = {a: enumerate_processes({"x": a}, 4, System.CP02, markers=False)
+             for a in (one, bot, t2, w2)}
+    rs = {a: enumerate_processes({"z": a}, 4, System.CP02, markers=False) for a in (one, t2, w2)}
 
-    def den(p, ctx):
-        return denote(check(p, ctx, System.CP02), cfg.bound).tuples
+    def alike(ctx, *procs):
+        """Whether the processes all denote, at ctx, what the first one does."""
+        sets = (denote(check(p, ctx, System.CP02), cfg.bound).tuples for p in procs)
+        first = next(sets)
+        return all(s == first for s in sets)
 
     for a1, a2 in itertools.product((one, bot, t2, w2), repeat=2):
         for p, q in itertools.product(small[a1][:3], small[a2][:3]):
             for rc, rlist in rs.items():
                 for r in rlist[:3]:
                     ctx = {"x": With(a1, a2), "z": rc}
-                    count += 1
                     lhs = Mix(Case("x", p, q), r)
                     rhs = Case("x", Mix(p, r), Mix(q, r))
-                    if den(lhs, ctx) != den(rhs, ctx):
-                        failures.append(f"case-mix: {lhs!r}")
+                    yield None if alike(ctx, lhs, rhs) else f"case-mix: {lhs!r}"
     for a in (one, t2):
-        lefts = small[a]
         rights = enumerate_processes({"x": dual(a)}, 3, System.CP02, markers=False)
-        for p, q in itertools.product(lefts[:4], rights[:4]):
+        for p, q in itertools.product(small[a][:4], rights[:4]):
             for rc, rlist in rs.items():
                 for r in rlist[:2]:
-                    ctx = {"z": rc}
-                    count += 1
                     lhs = Mix(Cut("x", a, p, q), r)
                     mid = Cut("x", a, p, Mix(q, r))
                     rhs = Cut("x", a, Mix(p, r), q)
-                    if not den(lhs, ctx) == den(mid, ctx) == den(rhs, ctx):
-                        failures.append(f"cut-mix: {lhs!r}")
+                    yield None if alike({"z": rc}, lhs, mid, rhs) else f"cut-mix: {lhs!r}"
     outs_p = enumerate_processes({"y": one}, 2, System.CP02, markers=False)
     outs_q = enumerate_processes({"x": t2}, 3, System.CP02, markers=False)
     for p in outs_p:
@@ -690,31 +631,22 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
             for rc, rlist in rs.items():
                 for r in rlist[:3]:
                     ctx = {"x": Tensor(one, t2), "z": rc}
-                    count += 1
                     lhs = Out("y", "x", p, Mix(q, r))
                     rhs = Mix(Out("y", "x", p, q), r)
-                    if den(lhs, ctx) != den(rhs, ctx):
-                        failures.append(f"out-mix: {lhs!r}")
-    return count, failures
+                    yield None if alike(ctx, lhs, rhs) else f"out-mix: {lhs!r}"
 
 
 def _suite_injectivity(cfg: SuiteConfig, rng, table):
-    failures = []
-    count = 0
     for a in table.small_formulas:
         space = obs_space(a, cfg.bound)
-        images = [l_obs(a, o) for o in space]
-        count += 1
-        if len(set(images)) != len(space):
-            failures.append(f"l_obs not injective at {a}")
+        injective = len({l_obs(a, o) for o in space}) == len(space)
+        yield None if injective else f"l_obs not injective at {a}"
     one, bot = Unit(), Bottom()
     for delta in ({"x": Plus(one, one), "y": bot}, {"x": one}, {"x": With(one, bot), "y": one}):
         tuples = _all_tuples(delta, cfg.bound)
         w = closing_name(delta)
-        images = [l_ctx(delta, t, w) for t in tuples]
-        count += 1
-        if len(set(images)) != len(tuples):
-            failures.append(f"l_ctx not injective at {dict(delta)}")
+        injective = len({l_ctx(delta, t, w) for t in tuples}) == len(tuples)
+        yield None if injective else f"l_ctx not injective at {dict(delta)}"
     for body in (one, bot, Plus(one, one)):
         qa = WhyNot(body)
         space3 = obs_space(qa, 3)
@@ -722,13 +654,9 @@ def _suite_injectivity(cfg: SuiteConfig, rng, table):
             merged = a1.items + a2.items
             if len(merged) > 3:
                 continue
-            count += 1
             lhs = l_obs(qa, Bag(merged))
-            rhs = l_obs(qa, a1)
-            rhs = Bag(rhs.items + l_obs(qa, a2).items)
-            if lhs != rhs:
-                failures.append(f"bag homomorphism at {qa}: {a1} u {a2}")
-    return count, failures
+            rhs = Bag(l_obs(qa, a1).items + l_obs(qa, a2).items)
+            yield None if lhs == rhs else f"bag homomorphism at {qa}: {a1} u {a2}"
 
 
 def _suite_worked_example(cfg: SuiteConfig, rng, table):
@@ -737,10 +665,10 @@ def _suite_worked_example(cfg: SuiteConfig, rng, table):
     ctx = {"y": one}
     s1 = translation_image(check(cut, ctx, System.CP02), ctx, cfg.bound)
     s2 = translation_image(check(EmptyOut("y"), ctx, System.CP02), ctx, cfg.bound)
-    failures = [] if s1 == s2 else [f"worked example: {tuples_to_json(s1)} vs {tuples_to_json(s2)}"]
-    return 1, failures
+    yield None if s1 == s2 else f"worked example: {tuples_to_json(s1)} vs {tuples_to_json(s2)}"
 
 
+# The suites in report order. run_suite reads SUITE_NAMES when it is called.
 _SUITES = {
     "duality": _suite_duality,
     "adequacy": _suite_adequacy,
@@ -755,3 +683,4 @@ _SUITES = {
     "injectivity": _suite_injectivity,
     "worked_example": _suite_worked_example,
 }
+SUITE_NAMES = tuple(_SUITES)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -491,3 +492,49 @@ def test_cli_unbound_name_message_does_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 3
         errors.add(proc.stderr)
     assert errors == {"type error: UnboundName: name a not in context\n"}
+
+
+_Q = "((1 + 1) + (1 + 1))"
+_QD = "((bot & bot) & (bot & bot))"
+
+
+@pytest.mark.parametrize("source, ctx, numbers", [
+    # caught at the forwarder: |!!!!!1| at K = 2
+    ("fwd x y", "x:!!!!!1, y:?????bot", "2598060 observations"),
+    # the forwarder's 33,153 observations pass; the bang over them does not
+    ("!x(y).fwd y z", f"x:!!(({_Q} * {_Q}) * ({_Q} * {_Q})), z:?(({_QD} % {_QD}) % ({_QD} % {_QD}))",
+     "549610435 multisets of rows"),
+    # a count too long to print in full
+    ("fwd x y", f"x:{'!' * 16}1, y:{'?' * 16}bot", "more than 2^41593 observations"),
+])
+def test_cli_refuses_an_over_large_denotation_up_front(tmp_path, capsys, source, ctx, numbers):
+    f = tmp_path / "p.cp"
+    f.write_text(source)
+    t0 = time.monotonic()
+    assert main(["denote", str(f), "--ctx", ctx]) == 4
+    assert time.monotonic() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: the denotation of ") and out.err.count("\n") == 1
+    assert numbers in out.err and f"limit of {denotations.MAX_ROWS}" in out.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["denote"], 4),  # a missing file
+    (["denote", "p.cp", "-K", "x"], 4),
+    (["frob"], 4),
+    (["--help"], 0),
+])
+def test_cli_usage_errors_exit_4_and_help_exits_0(capsys, argv, code):
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert (out.err if code else out.out).startswith("usage: cpwb")
+
+
+def test_cli_unmapped_exception_is_an_internal_error(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", crash)
+    assert main(["suite"]) == 70
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

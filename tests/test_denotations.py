@@ -493,3 +493,24 @@ def test_join_tuples_composes_on_the_shared_name():
         }
         assert join_tuples(left, right, "x", keep) == want and len(want) == 2
     assert join_tuples(left, set(), "x") == set()
+
+
+def test_a_rule_may_enumerate_exactly_max_rows(monkeypatch):
+    monkeypatch.setattr(denotations, "MAX_ROWS", 16)
+    q = Plus(Plus(one, one), Plus(one, one))
+
+    def fwd(a):
+        return check(Fwd("x", "y"), {"x": a, "y": dual(a)}, System.CP02)
+
+    def server(a):
+        ctx = {"x": OfCourse(OfCourse(a)), "z": WhyNot(dual(a))}
+        return check(Server("x", "y", Fwd("y", "z")), ctx, System.CP02)
+
+    assert len(denote(fwd(Tensor(q, q))).tuples) == 16
+    with pytest.raises(denotations.TooLarge, match="64 observations, more than the limit of 16"):
+        denote(fwd(Tensor(q, Tensor(q, q))))
+    # the forwarder under the server has |!a| = C(|a| + 2, 2) rows, and the
+    # server C(|!a| + 2, 2) multisets of them: 10 at a = 1, 28 at a = 1 + 1
+    assert denote(server(one)).tuples
+    with pytest.raises(denotations.TooLarge, match="28 multisets of rows"):
+        denote(server(Plus(one, one)))

@@ -209,7 +209,7 @@ def test_no_derivation_outlives_its_suite(monkeypatch):
     def watched(suite):
         def run(*args):
             before = alive()
-            out = suite(*args)
+            out = list(suite(*args))  # a suite is a generator: run it to the end
             assert alive() == before
             return out
 
@@ -219,3 +219,14 @@ def test_no_derivation_outlives_its_suite(monkeypatch):
     monkeypatch.setattr(harness, "_SUITES", {n: watched(s) for n, s in harness._SUITES.items()})
     suites = ("adequacy", "mix_permutation", "worked_example") + IMAGE_SUITES
     assert run_suite(SuiteConfig(suites=suites, process_size=4)).ok
+
+
+def test_run_suite_counts_and_collects_the_outcomes_a_suite_yields(monkeypatch):
+    from cpwb import harness
+
+    def suite(cfg, rng, table):
+        yield from [None, "bad", None]
+
+    monkeypatch.setitem(harness._SUITES, "worked_example", suite)
+    (result,) = run_suite(SuiteConfig(suites=("worked_example",))).results
+    assert (result.instances, result.failures) == (3, ("bad",))
