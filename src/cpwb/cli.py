@@ -1,15 +1,11 @@
 """Command-line frontend: the textual grammar and the subcommands.
 
-Types:      1, bot, (A * B), (A % B), (A + B), (A & B), !A, ?A
-Processes:  0, new x:A (P | Q), P | Q, fwd x y, x[y](P | Q), x(y).P,
-            x[], x().P, x<1.P, x<2.P, x>{P ; Q}, !x(y).P, ?x[y].P,
-            weak x:?A.P, ctr x<x1,x2>.P
-Contexts:   x:A, y:B           (empty context is the empty string)
-Configs:    zero, { P @ ctx }, cut x:A (C | C), par (C | C),
-            weak x:?A. C, con x<x1,x2>. C
-
-All binary type connectives are parenthesized; process composition under
-`new`, outputs and prefixes takes a single atom (parenthesize mixes).
+Each process and configuration form is one template, written as it prints,
+in `_PROCESS_SYNTAX` or `_CONFIG_SYNTAX`: the parser reads the form from it
+and the printer writes it. Types are 1, bot, (A * B), (A % B), (A + B),
+(A & B), !A and ?A; every binary connective is parenthesized. A context is
+`x:A, y:B`, and the empty context the empty string. Composition under `new`,
+outputs and prefixes takes a single atom (parenthesize mixes).
 """
 
 from __future__ import annotations
@@ -17,7 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from string import Formatter
 
 from .denotations import TooLarge, check_shared, dumps, denote, tuples_to_json
 from .harness import ConfigError, SuiteConfig, run_suite
@@ -175,6 +172,77 @@ def _nested(parse):
     return nested
 
 
+# --- concrete syntax --------------------------------------------------------------
+
+# Every process and configuration form, written as it prints. A slot
+# `{field}` is read and printed by the type of the class's field so named:
+# a `Name`, a `Formula`, the selection index (`int`), a `Process` (an atom,
+# or a `|` group where marked `:group`) or a `Configuration`. A slot written
+# twice must read the same name twice. The parenthesized group, `{ P @ ctx }`,
+# the `|` chain and the types are read by hand in `_Parser`.
+_PROCESS_SYNTAX = {
+    Inact: "0",
+    Fwd: "fwd {left} {right}",
+    Cut: "new {name}:{annot} ({left} | {right})",
+    Out: "{channel}[{payload}]({left} | {right})",
+    In: "{channel}({payload}).{body}",
+    Server: "!{channel}({payload}).{body}",
+    Client: "?{channel}[{payload}].{body}",
+    Select: "{channel}<{branch}.{body}",
+    Case: "{channel}>{{{left:group} ; {right:group}}}",
+    EmptyOut: "{channel}[]",
+    EmptyIn: "{channel}().{body}",
+    Weak: "weak {name}:{annot}.{body}",
+    Contract: "ctr {name}<{left_name},{right_name}>.{body}",
+}
+
+_CONFIG_SYNTAX = {
+    CZero: "zero",
+    CCut: "cut {name}:{annot} ({left} | {right})",
+    CPar: "par ({left} | {right})",
+    CWeak: "weak {name}:{annot}.{sub}",
+    CCon: "con {left_name}<{left_name},{right_name}>.{sub}",
+}
+
+
+def _pieces(cls, template: str):
+    """(literal, field or None, slot kind: the field's type or `group`) per template piece."""
+    types = {f.name: f.type for f in fields(cls)}
+    for literal, name, spec, _ in Formatter().parse(template):
+        yield literal, name, name and (spec or types[name])
+
+
+class _Branch:
+    """A node of a syntax table's dispatch trie: the templates, token by
+    token and slot by slot, with their common prefixes shared."""
+
+    __slots__ = ("error", "literals", "slot", "form")
+
+    def __init__(self, error: str):
+        self.error = error  # what a token that fits no way on is told
+        self.literals: dict[str, _Branch] = {}  # keyed by token text
+        self.slot = None  # (reader, next branch)
+        self.form = None  # where a template ends: (class, the field of each slot)
+
+
+def _trie(table, noun: str) -> _Branch:
+    root = _Branch(f"expected a {noun}")
+    for cls, template in table.items():
+        node, slots = root, []
+        for literal, name, kind in _pieces(cls, template):
+            for tok in tokenize(literal)[:-1]:
+                branch = _Branch(f"expected a {noun} form after {tok.text}")
+                node = node.literals.setdefault(tok.text, branch)
+            if name is not None:
+                if node.slot is None:
+                    branch = _Branch(f"expected a {noun} form after the {kind.lower()}")
+                    node.slot = _READERS[kind], branch
+                node = node.slot[1]
+                slots.append(name)
+        node.form = cls, slots
+    return root
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
@@ -204,9 +272,36 @@ class _Parser:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
-    def done(self):
-        if not self.at("eof"):
-            self.error("trailing input")
+    def form(self, root: _Branch):
+        """One form of a syntax table, read along its trie: a literal that
+        matches the next token is read; else past the root the slot is read
+        (its reader says what it expected), and at the root the slot only for
+        a name, as a form that starts with a slot starts with a name."""
+        node, values = root, []
+        while node.form is None:
+            t = self.toks[self.pos]
+            nxt = node.literals.get(t.text)
+            if nxt is not None:
+                self.pos += 1
+                node = nxt
+            elif node.slot is not None and (node is not root or t.kind == "name"):
+                read, node = node.slot
+                values.append(read(self))
+            else:
+                lits = [*node.literals]
+                self.error(f"expected {lits[0]}" if len(lits) == 1 else node.error)
+        cls, slots = node.form
+        args = {}
+        for name, value in zip(slots, values):
+            if args.setdefault(name, value) != value:  # only `con` repeats a slot
+                self.error("configuration contraction keeps its first name")
+        return cls(**args)
+
+    def index(self) -> int:
+        n = self.expect("num")
+        if n.text not in ("1", "2"):
+            self.error("selection index must be 1 or 2")
+        return int(n.text)
 
     # types
 
@@ -255,10 +350,7 @@ class _Parser:
                 continue
             return out
 
-    # processes
-
-    def process(self) -> Process:
-        return self.group()
+    # processes and configurations
 
     def group(self) -> Process:
         # a0 | a1 | ... | ak is the left-nested Mix(...Mix(a0, a1)..., ak):
@@ -275,114 +367,15 @@ class _Parser:
 
     @_nested
     def atom(self) -> Process:
-        t = self.peek()
-        if t.kind == "num" and t.text == "0":
-            self.next()
-            return Inact()
         if self.at("sym", "("):
             self.next()
             p = self.group()
             self.expect("sym", ")")
             return p
-        if self.at("kw", "new"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", ":")
-            a = self.type_()
-            self.expect("sym", "(")
-            left = self.atom()
-            self.expect("sym", "|")
-            right = self.atom()
-            self.expect("sym", ")")
-            return Cut(x, a, left, right)
-        if self.at("kw", "fwd"):
-            self.next()
-            x = self.expect("name").text
-            y = self.expect("name").text
-            return Fwd(x, y)
-        if self.at("kw", "weak"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", ":")
-            a = self.type_()
-            self.expect("sym", ".")
-            return Weak(x, a, self.atom())
-        if self.at("kw", "ctr"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", "<")
-            x1 = self.expect("name").text
-            self.expect("sym", ",")
-            x2 = self.expect("name").text
-            self.expect("sym", ">")
-            self.expect("sym", ".")
-            return Contract(x, x1, x2, self.atom())
-        if self.at("sym", "!"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", "(")
-            y = self.expect("name").text
-            self.expect("sym", ")")
-            self.expect("sym", ".")
-            return Server(x, y, self.atom())
-        if self.at("sym", "?"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", "[")
-            y = self.expect("name").text
-            self.expect("sym", "]")
-            self.expect("sym", ".")
-            return Client(x, y, self.atom())
-        if t.kind == "name":
-            x = self.next().text
-            if self.at("sym", "["):
-                self.next()
-                if self.at("sym", "]"):
-                    self.next()
-                    return EmptyOut(x)
-                y = self.expect("name").text
-                self.expect("sym", "]")
-                self.expect("sym", "(")
-                left = self.atom()
-                self.expect("sym", "|")
-                right = self.atom()
-                self.expect("sym", ")")
-                return Out(y, x, left, right)
-            if self.at("sym", "("):
-                self.next()
-                if self.at("sym", ")"):
-                    self.next()
-                    self.expect("sym", ".")
-                    return EmptyIn(x, self.atom())
-                y = self.expect("name").text
-                self.expect("sym", ")")
-                self.expect("sym", ".")
-                return In(x, y, self.atom())
-            if self.at("sym", "<"):
-                self.next()
-                n = self.expect("num")
-                if n.text not in ("1", "2"):
-                    self.error("selection index must be 1 or 2")
-                self.expect("sym", ".")
-                return Select(x, int(n.text), self.atom())
-            if self.at("sym", ">"):
-                self.next()
-                self.expect("sym", "{")
-                left = self.group()
-                self.expect("sym", ";")
-                right = self.group()
-                self.expect("sym", "}")
-                return Case(x, left, right)
-            self.error("expected a process form after the name")
-        self.error("expected a process")
-
-    # configurations
+        return self.form(_PROCESS_TRIE)
 
     @_nested
     def config(self) -> Configuration:
-        if self.at("kw", "zero"):
-            self.next()
-            return CZero()
         if self.at("sym", "{"):
             self.next()
             p = self.group()
@@ -390,120 +383,70 @@ class _Parser:
             ctx = {} if self.at("sym", "}") else self.context()
             self.expect("sym", "}")
             return CProc(check(p, ctx, System.CP02))
-        if self.at("kw", "cut"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", ":")
-            a = self.type_()
-            self.expect("sym", "(")
-            left = self.config()
-            self.expect("sym", "|")
-            right = self.config()
-            self.expect("sym", ")")
-            return CCut(x, a, left, right)
-        if self.at("kw", "par"):
-            self.next()
-            self.expect("sym", "(")
-            left = self.config()
-            self.expect("sym", "|")
-            right = self.config()
-            self.expect("sym", ")")
-            return CPar(left, right)
-        if self.at("kw", "weak"):
-            self.next()
-            x = self.expect("name").text
-            self.expect("sym", ":")
-            a = self.type_()
-            self.expect("sym", ".")
-            return CWeak(x, a, self.config())
-        if self.at("kw", "con"):
-            self.next()
-            x1 = self.expect("name").text
-            self.expect("sym", "<")
-            a1 = self.expect("name").text
-            self.expect("sym", ",")
-            a2 = self.expect("name").text
-            self.expect("sym", ">")
-            self.expect("sym", ".")
-            sub = self.config()
-            if a1 != x1:
-                self.error("configuration contraction keeps its first name")
-            return CCon(a1, a2, sub)
-        self.error("expected a configuration")
+        return self.form(_CONFIG_TRIE)
+
+
+_READERS = {"Name": lambda p: p.expect("name").text, "Formula": _Parser.type_, "int": _Parser.index,
+            "Process": _Parser.atom, "group": _Parser.group, "Configuration": _Parser.config}
+_PROCESS_TRIE = _trie(_PROCESS_SYNTAX, "process")
+_CONFIG_TRIE = _trie(_CONFIG_SYNTAX, "configuration")
+
+
+def _parse(text: str, read):
+    p = _Parser(text)
+    out = read(p)
+    if not p.at("eof"):
+        p.error("trailing input")
+    return out
 
 
 def parse_type(text: str) -> Formula:
-    p = _Parser(text)
-    out = p.type_()
-    p.done()
-    return out
+    return _parse(text, _Parser.type_)
 
 
 def parse_process(text: str) -> Process:
-    p = _Parser(text)
-    out = p.process()
-    p.done()
-    return out
+    return _parse(text, _Parser.group)
 
 
 def parse_context(text: str) -> dict[str, Formula]:
-    p = _Parser(text)
-    out = p.context()
-    p.done()
-    return out
+    return _parse(text, _Parser.context)
 
 
 def parse_config(text: str) -> Configuration:
-    p = _Parser(text)
-    out = p.config()
-    p.done()
-    return out
+    return _parse(text, _Parser.config)
 
 
 # --- printing -------------------------------------------------------------------
 
 
 def format_process(p: Process) -> str:
-    match p:
-        case Inact():
-            return "0"
-        case Mix(l, r):
-            return f"{format_process(l) if isinstance(l, Mix) else _atom(l)} | {_atom(r)}"
-        case _:
-            return _atom(p)
+    if isinstance(p, Mix):
+        return f"{format_process(p.left)} | {_atom(p.right)}"
+    return _atom(p)
 
 
 def _atom(p: Process) -> str:
-    match p:
-        case Inact():
-            return "0"
-        case Mix(_, _):
-            return f"({format_process(p)})"
-        case Fwd(a, b):
-            return f"fwd {a} {b}"
-        case Cut(x, a, l, r):
-            return f"new {x}:{format_formula(a)} ({_atom(l)} | {_atom(r)})"
-        case Out(y, x, l, r):
-            return f"{x}[{y}]({_atom(l)} | {_atom(r)})"
-        case In(x, y, b):
-            return f"{x}({y}).{_atom(b)}"
-        case Server(x, y, b):
-            return f"!{x}({y}).{_atom(b)}"
-        case Client(x, y, b):
-            return f"?{x}[{y}].{_atom(b)}"
-        case Select(x, i, b):
-            return f"{x}<{i}.{_atom(b)}"
-        case Case(x, l, r):
-            return f"{x}>{{{format_process(l)} ; {format_process(r)}}}"
-        case EmptyOut(x):
-            return f"{x}[]"
-        case EmptyIn(x, b):
-            return f"{x}().{_atom(b)}"
-        case Weak(x, a, b):
-            return f"weak {x}:{format_formula(a)}.{_atom(b)}"
-        case Contract(x, x1, x2, b):
-            return f"ctr {x}<{x1},{x2}>.{_atom(b)}"
+    write = _PRINTERS.get(type(p))
+    if write is not None:
+        return write(p)
+    if isinstance(p, Mix):
+        return f"({format_process(p)})"
     raise CpwbError(f"not a process: {p!r}")
+
+
+def _printer(cls, template: str):
+    """``lambda p: f"<template>"``, with each slot written by its kind's writer."""
+    body = ""
+    for literal, field, kind in _pieces(cls, template):
+        body += literal.replace("{", "{{").replace("}", "}}")
+        if field is not None:
+            body += f"{{{_WRITERS[kind]}(p.{field})}}"
+    return eval(f'lambda p: f"{body}"', globals())
+
+
+_WRITERS = {"Name": "", "int": "", "Formula": "format_formula", "Process": "_atom",
+            "group": "format_process"}
+_PRINTERS = {cls: _printer(cls, template) for cls, template in _PROCESS_SYNTAX.items()}
 
 
 def format_context(ctx) -> str:

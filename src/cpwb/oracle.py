@@ -171,6 +171,8 @@ def _check_node(c, *subs):
             return g, t
         case CCon(x1, x2):
             ((g, t),) = subs
+            if x1 == x2:
+                raise CutTypeMismatch(f"configuration contraction of {x1} with itself")
             t1, t2 = g.get(x1), g.get(x2)
             if t1 is None or t1 != t2 or not isinstance(t1, WhyNot):
                 raise CutTypeMismatch(

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cpwb
 
@@ -26,14 +27,22 @@ from cpwb.harness import enumerate_processes
 from cpwb.oracle import CCut, CProc, observe
 from cpwb.syntax import (
     Bottom,
+    Case,
+    Client,
+    Contract,
     Cut,
     EmptyIn,
     EmptyOut,
+    Fwd,
+    In,
     Inact,
+    Mix,
     OfCourse,
+    Out,
     Par,
     Plus,
     Process,
+    Select,
     Server,
     Tensor,
     Unit,
@@ -104,6 +113,67 @@ def test_round_trip_translated_processes():
         assert parse_process(format_process(lp)) == lp
 
 
+_name_st = st.sampled_from(["x", "y", "x'", "a'b", "_u", "v2"])
+_formula_st = st.recursive(
+    st.sampled_from([one, bot]),
+    lambda sub: st.one_of(
+        st.builds(Tensor, sub, sub),
+        st.builds(Par, sub, sub),
+        st.builds(Plus, sub, sub),
+        st.builds(With, sub, sub),
+        st.builds(OfCourse, sub),
+        st.builds(WhyNot, sub),
+    ),
+    max_leaves=4,
+)
+# every process class, names with primes, and random cut and weakening types
+_process_st = st.recursive(
+    st.one_of(st.just(Inact()), st.builds(Fwd, _name_st, _name_st), st.builds(EmptyOut, _name_st)),
+    lambda sub: st.one_of(
+        st.builds(Cut, _name_st, _formula_st, sub, sub),
+        st.builds(Mix, sub, sub),
+        st.builds(Out, _name_st, _name_st, sub, sub),
+        st.builds(In, _name_st, _name_st, sub),
+        st.builds(Server, _name_st, _name_st, sub),
+        st.builds(Client, _name_st, _name_st, sub),
+        st.builds(Select, _name_st, st.sampled_from([1, 2]), sub),
+        st.builds(Case, _name_st, sub, sub),
+        st.builds(EmptyIn, _name_st, sub),
+        st.builds(Weak, _name_st, _formula_st, sub),
+        st.builds(Contract, _name_st, _name_st, _name_st, sub),
+    ),
+    max_leaves=20,
+)
+_mix = Mix(Inact(), EmptyOut("y"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_process_st)
+@example(Cut("x", WhyNot(one), _mix, Mix(_mix, Inact())))
+@example(Out("y", "x", Mix(Inact(), _mix), _mix))
+@example(Case("x", Mix(_mix, _mix), Weak("a'b", bot, _mix)))
+def test_print_then_parse_is_the_identity(p):
+    assert parse_process(format_process(p)) == p
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_process, "5", "1:1: expected a process (found '5')"),
+    (parse_process, "x 5", "1:3: expected a process form after the name (found '5')"),
+    (parse_process, "x[5", "1:3: expected name (found '5')"),
+    (parse_process, "x(5", "1:3: expected name (found '5')"),
+    (parse_process, "x<3.x[]", "1:4: selection index must be 1 or 2 (found '.')"),
+    (parse_process, "0 0", "1:3: trailing input (found '0')"),
+    (parse_process, "!x[y].0", "1:3: expected ( (found '[')"),
+    (parse_config, "con a<b,a>. zero", "1:17: configuration contraction keeps its first name (found '')"),
+    (parse_config, "par (zero zero)", "1:11: expected | (found 'zero')"),
+    (parse_config, "foo", "1:1: expected a configuration (found 'foo')"),
+])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(CPSyntaxError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
 def test_config_round_trip():
     c = parse_config("cut x:1 ({ x[] @ x:1 } | { x().0 @ x:bot })")
     from cpwb.oracle import CCut
@@ -157,6 +227,14 @@ def test_cli_observe(tmp_path, capsys):
     f.write_text("cut x:1 ({ x[] @ x:1 } | { x().0 @ x:bot })")
     assert main(["observe", str(f)]) == 0
     assert capsys.readouterr().out.strip() == '[{"x":"*"}]'
+
+
+def test_cli_observe_rejects_a_name_contracted_with_itself(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("con a<a,a>. { ?a[u].u().0 @ a:?bot }")
+    assert main(["observe", str(f)]) == 3
+    err = "type error: CutTypeMismatch: configuration contraction of a with itself\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def _link_chain(i, j):

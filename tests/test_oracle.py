@@ -73,6 +73,15 @@ def test_check_config_errors():
         observe(proc(EmptyOut("x"), {"x": one}))
 
 
+def test_configuration_contraction_of_a_name_with_itself_is_rejected():
+    # con a<a,a> would drop a from the free context and read as closed
+    c = CCon("a", "a", proc(Client("a", "u", EmptyIn("u", Inact())), {"a": WhyNot(bot)}))
+    with pytest.raises(CutTypeMismatch, match="contraction of a with itself"):
+        check_config(c)
+    with pytest.raises(CutTypeMismatch):
+        adequacy_check(c, 2)
+
+
 def test_negative_bound_is_rejected():
     c = CCut("x", one, proc(EmptyOut("x"), {"x": one}), proc(closed_in("x"), {"x": bot}))
     with pytest.raises(ValueError):
