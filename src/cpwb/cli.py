@@ -435,12 +435,12 @@ def _atom(p: Process) -> str:
 
 
 def _printer(cls, template: str):
-    """``lambda p: f"<template>"``, with each slot written by its kind's writer."""
+    """``lambda p: f"<template>"``, each slot through its kind's writer (a name or index as is)."""
     body = ""
-    for literal, field, kind in _pieces(cls, template):
+    for literal, name, kind in _pieces(cls, template):
         body += literal.replace("{", "{{").replace("}", "}}")
-        if field is not None:
-            body += f"{{{_WRITERS[kind]}(p.{field})}}"
+        if name is not None:
+            body += f"{{{_WRITERS[kind]}(p.{name})}}"
     return eval(f'lambda p: f"{body}"', globals())
 
 
