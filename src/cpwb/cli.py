@@ -221,25 +221,24 @@ class _Branch:
     def __init__(self, error: str):
         self.error = error  # what a token that fits no way on is told
         self.literals: dict[str, _Branch] = {}  # keyed by token text
-        self.slot = None  # (reader, next branch)
-        self.form = None  # where a template ends: (class, the field of each slot)
+        self.slot = None  # (reader, field, next branch)
+        self.form = None  # where a template ends: its class
 
 
 def _trie(table, noun: str) -> _Branch:
     root = _Branch(f"expected a {noun}")
     for cls, template in table.items():
-        node, slots = root, []
+        node = root
         for literal, name, kind in _pieces(cls, template):
             for tok in tokenize(literal)[:-1]:
                 branch = _Branch(f"expected a {noun} form after {tok.text}")
                 node = node.literals.setdefault(tok.text, branch)
             if name is not None:
-                if node.slot is None:
+                if node.slot is None:  # templates that share a slot name its field alike
                     branch = _Branch(f"expected a {noun} form after the {kind.lower()}")
-                    node.slot = _READERS[kind], branch
-                node = node.slot[1]
-                slots.append(name)
-        node.form = cls, slots
+                    node.slot = _READERS[kind], name, branch
+                node = node.slot[2]
+        node.form = cls
     return root
 
 
@@ -276,26 +275,27 @@ class _Parser:
         """One form of a syntax table, read along its trie: a literal that
         matches the next token is read; else past the root the slot is read
         (its reader says what it expected), and at the root the slot only for
-        a name, as a form that starts with a slot starts with a name."""
-        node, values = root, []
+        a name, as a form that starts with a slot starts with a name. A slot
+        read a second time must read its first value; if not, the error is
+        at the second."""
+        node, args = root, {}
         while node.form is None:
-            t = self.toks[self.pos]
+            start = self.pos
+            t = self.toks[start]
             nxt = node.literals.get(t.text)
             if nxt is not None:
                 self.pos += 1
                 node = nxt
             elif node.slot is not None and (node is not root or t.kind == "name"):
-                read, node = node.slot
-                values.append(read(self))
+                read, name, node = node.slot
+                value = read(self)
+                if args.setdefault(name, value) != value:  # only `con` repeats a slot
+                    self.pos = start
+                    self.error("configuration contraction keeps its first name")
             else:
                 lits = [*node.literals]
                 self.error(f"expected {lits[0]}" if len(lits) == 1 else node.error)
-        cls, slots = node.form
-        args = {}
-        for name, value in zip(slots, values):
-            if args.setdefault(name, value) != value:  # only `con` repeats a slot
-                self.error("configuration contraction keeps its first name")
-        return cls(**args)
+        return node.form(**args)
 
     def index(self) -> int:
         n = self.expect("num")

@@ -216,6 +216,30 @@ def space(a: Formula, bound: int) -> tuple:
     raise TypeError(f"not a formula: {a!r}")
 
 
+# The size that stands for every size past 2^64, far above ``MAX_ROWS``.
+_SIZE_CAP = (1 << 64) + 1
+
+
+@lru_cache(maxsize=128)
+def _capped_size(a: Formula, bound: int) -> int:
+    """``min(|space(a, bound)|, 2^64 + 1)``, building no space: the size of a
+    deeply nested ``!A`` has doubly exponentially many digits, which the
+    limit checks need not compute."""
+    match a:
+        case Unit() | Bottom():
+            return 1
+        case Tensor(l, r) | Par(l, r):
+            n = _capped_size(l, bound) * _capped_size(r, bound)
+        case Plus(l, r) | With(l, r):
+            n = _capped_size(l, bound) + _capped_size(r, bound)
+        case OfCourse(b) | WhyNot(b):
+            n = _capped_size(b, bound)
+            n = _SIZE_CAP if n == _SIZE_CAP and bound else comb(n + bound, bound)
+        case _:
+            raise TypeError(f"not a formula: {a!r}")
+    return min(n, _SIZE_CAP)
+
+
 def pair_space(left: tuple, right: tuple) -> tuple:
     return "pair", left[1] * right[1], left, right
 
@@ -595,8 +619,8 @@ def _one(d, p, bound):
 
 def _id(d, p, bound):
     (x, a), (y, _) = d.ctx
+    _within_limit(_capped_size(a, bound), f"fwd {x} {y}", "observations")
     s = space(a, bound)  # the space of dual(a) too
-    _within_limit(s[1], f"fwd {x} {y}", "observations")
     return Relation((x, y), (s, s), frozenset((i, i) for i in range(s[1])))
 
 

@@ -5,6 +5,12 @@ acquires; l_ctx applies it pointwise over a context (on primed names)
 and appends the closing coordinate.  Injectivity of these maps is what
 turns equality of translated denotations back into equality of source
 denotations.
+
+l_obs dispatches on the formula's class through one table, ``_L_OBS``:
+each class has the class of its observations and a walk generated at
+import from its expression in ``_L_OBS_OF``, which recurses through the
+module-level name ``l_obs``. An observation of another class raises
+``SortMismatch``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .syntax import (
     Unit,
     WhyNot,
     With,
+    generated,
 )
 from .typing import CPTypeError, Derivation, System, check
 from .translation import closing_name, prime_map, translate_process, translated_context
@@ -47,24 +54,31 @@ class SortMismatch(CPTypeError):
 
 def l_obs(a: Formula, o: Observation) -> Observation:
     """Transport an observation of ``a`` to one of the translated type."""
-    match a, o:
-        case Bottom(), Star():
-            return STAR
-        case Unit(), Star():
-            return Pair(STAR, STAR)
-        case Par(l, r), Pair(x, y):
-            return Pair(l_obs(l, x), l_obs(r, y))
-        case Tensor(l, r), Pair(x, y):
-            return Pair(Pair(Pair(l_obs(l, x), STAR), Pair(l_obs(r, y), STAR)), STAR)
-        case With(l, r), Tag(i, v):
-            return Tag(i, l_obs(l if i == 1 else r, v))
-        case Plus(l, r), Tag(i, v):
-            return Pair(Tag(i, Pair(l_obs(l if i == 1 else r, v), STAR)), STAR)
-        case OfCourse(b), Bag(items):
-            return Pair(Bag(tuple(Pair(l_obs(b, x), STAR) for x in items)), STAR)
-        case WhyNot(b), Bag(items):
-            return Bag(tuple(Pair(Pair(l_obs(b, x), STAR), STAR) for x in items))
-    raise SortMismatch(f"observation {o} is not sorted at {a}")
+    sort, walk = _L_OBS.get(type(a), (None, None))
+    if type(o) is not sort:
+        raise SortMismatch(f"observation {o} is not sorted at {a}")
+    return walk(a, o)
+
+
+# formula class -> (the class of its observations, l_obs of a formula ``a``
+# of the class at an observation ``o`` of that class)
+_L_OBS_OF = {
+    Bottom: (Star, "STAR"),
+    Unit: (Star, "Pair(STAR, STAR)"),
+    Par: (Pair, "Pair(l_obs(a.left, o.fst), l_obs(a.right, o.snd))"),
+    Tensor: (Pair, "Pair(Pair(Pair(l_obs(a.left, o.fst), STAR),"
+                   " Pair(l_obs(a.right, o.snd), STAR)), STAR)"),
+    With: (Tag, "Tag(o.index, l_obs(a.left if o.index == 1 else a.right, o.value))"),
+    Plus: (Tag, "Pair(Tag(o.index,"
+                " Pair(l_obs(a.left if o.index == 1 else a.right, o.value), STAR)), STAR)"),
+    OfCourse: (Bag, "Pair(Bag(tuple([Pair(l_obs(a.body, x), STAR) for x in o.items])), STAR)"),
+    WhyNot: (Bag, "Bag(tuple([Pair(Pair(l_obs(a.body, x), STAR), STAR) for x in o.items]))"),
+}
+
+_L_OBS = {
+    cls: (sort, generated(cls, "l_obs", "a, o", [f"return {expr}"], globals()))
+    for cls, (sort, expr) in _L_OBS_OF.items()
+}
 
 
 def l_ctx(ctx, theta: ObsTuple, w: Name) -> ObsTuple:

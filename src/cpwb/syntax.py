@@ -13,10 +13,13 @@ slot, so hashing a term built over hashed subterms is O(1). A process
 node likewise keeps its free names once ``free_names`` has computed them.
 Equality stays structural and nodes are not interned.
 
-Each process class declares its binders once (``Process.binds``), and
-every walk over names (free names, substitution, alpha-equivalence, size
-and the set of all names) is one generic function over that declaration.
-``dual`` reads the dual connective of each formula class from one table.
+Each process class declares its binders once (``Process.binds``).
+Substitution, alpha-equivalence, size and the set of all names are one
+generic walk each over that declaration. The two hot walks are generated
+per class at import instead (``generated``): the free names of each
+process class from its declaration, and ``dual`` of each formula class
+from the table of dual connectives. A node then costs one table lookup
+and one call that reads its fields by name.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def _node(cls):
     field through the field's slot descriptor (``_slot_init``). ``_fields``
     gives a node's field values as a tuple. A process class also gets
     ``_shape``, the positions of its fields that its ``binds`` declaration
-    implies (see ``Process``).
+    implies (see ``Process``), and its free-names walk in ``_FREE_NAMES``.
     """
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     ns["__slots__"] = tuple(ns.get("__annotations__", ()))
@@ -77,6 +80,9 @@ def _node(cls):
     binds = getattr(cls, "binds", None)
     if binds is not None:
         cls._shape = _shape(fs, *binds)
+        _FREE_NAMES[cls] = generated(
+            cls, "free_names", "p", [f"return {_free_names_of(names, cls._shape)}"], globals()
+        )
     return cls
 
 
@@ -87,11 +93,24 @@ def _slot_init(cls, names):
     descriptor up by name each time. Assignment after construction still
     raises ``FrozenInstanceError``."""
     setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
-    body = "".join(f"    _set_{n}(self, {n})\n" for n in names) or "    pass\n"
-    exec(f"def __init__(self, {', '.join(names)}):\n{body}", setters)
-    init = setters["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    body = [f"_set_{n}(self, {n})" for n in names] or ["pass"]
+    return generated(cls, "__init__", ", ".join(("self", *names)), body, setters)
+
+
+def generated(cls, walk: str, params: str, body, namespace: dict):
+    """The function ``walk(params)`` of ``cls`` with the statements ``body``.
+
+    It is compiled under the filename ``<generated Cls.walk>``, so that
+    profiles and tracebacks name its class and walk, and ``namespace`` is
+    its globals: a walk generated in its module's globals recurses through
+    the module-level names, which a tracer or a test may rebind.
+    """
+    src = "".join([f"def {walk}({params}):\n", *(f"    {line}\n" for line in body)])
+    local = {}
+    exec(compile(src, f"<generated {cls.__name__}.{walk}>", "exec"), namespace, local)
+    fn = local[walk]
+    fn.__qualname__ = f"{cls.__qualname__}.{walk}"
+    return fn
 
 
 def _shape(fs, binders, scope):
@@ -109,6 +128,32 @@ def _shape(fs, binders, scope):
     )
     data = tuple(i for i, f in enumerate(fs) if f.type not in ("Name", "Process"))
     return free, bound, subs, data
+
+
+def _free_names_of(names, shape) -> str:
+    """The expression for the free names of a process ``p`` of a class with
+    the field ``names`` and that ``_shape``: the free names of the scoped
+    subprocesses less the binders, with those of the other subprocesses and
+    the free name fields added."""
+    free, bound, subs, _ = shape
+    scoped = [f"free_names(p.{names[i]})" for i, sc in subs if sc]
+    terms = [f"{_union(scoped)}.difference({_tuple(names, bound)})"] if scoped else []
+    terms += [f"free_names(p.{names[i]})" for i, sc in subs if not sc]
+    own = [_tuple(names, free)] if free else []
+    return _union(terms + own) if terms else f"frozenset({''.join(own)})"
+
+
+def _tuple(names, positions) -> str:
+    return f"({', '.join(f'p.{names[i]}' for i in positions)},)"
+
+
+def _union(terms) -> str:
+    first, *rest = terms
+    return f"{first}.union({', '.join(rest)})" if rest else first
+
+
+# process class -> its generated free-names walk; see ``_free_names``
+_FREE_NAMES = {}
 
 
 # --- formulas ---------------------------------------------------------------
@@ -189,14 +234,15 @@ def format_formula(a: Formula) -> str:
 def dual(a: Formula) -> Formula:
     """Structural dual; an involution.
 
-    The connective comes from one table, and the subformulas are dualized
-    through this function's module-level name.
+    Each formula class has a generated walk that builds the dual connective
+    of ``_DUAL`` over its subformulas, dualized through this function's
+    module-level name: for ``Tensor`` it is ``Par(dual(a.left), dual(a.right))``.
     """
     try:
-        make = _DUAL[type(a)]
+        walk = _DUALS[type(a)]
     except KeyError:
         raise TypeError(f"not a formula: {a!r}") from None
-    return make(*map(dual, a._fields(a)))
+    return walk(a)
 
 
 _DUAL = {
@@ -208,6 +254,15 @@ _DUAL = {
     With: Plus,
     OfCourse: WhyNot,
     WhyNot: OfCourse,
+}
+
+_DUALS = {
+    cls: generated(
+        cls, "dual", "a",
+        [f"return {co.__name__}({', '.join(f'dual(a.{f.name})' for f in fields(cls))})"],
+        globals(),
+    )
+    for cls, co in _DUAL.items()
 }
 
 
@@ -425,15 +480,14 @@ def free_names(p: Process) -> frozenset[Name]:
 
 
 def _free_names(p: Process) -> frozenset[Name]:
-    free, _, subs, _ = p._shape
-    vals = p._fields(p)
-    names = frozenset([vals[i] for i in free])
-    for i, scoped in subs:
-        inner = free_names(vals[i])
-        if scoped:
-            inner = inner.difference([vals[b] for b in scoped])
-        names |= inner
-    return names
+    """The free names of ``p`` by its class's generated walk, which takes
+    those of the subprocesses from ``free_names``. For ``Out`` it is
+    ``free_names(p.left).difference((p.payload,)).union(free_names(p.right), (p.channel,))``."""
+    try:
+        walk = _FREE_NAMES[type(p)]
+    except KeyError:
+        raise TypeError(f"not a process: {p!r}") from None
+    return walk(p)
 
 
 def all_names(p: Process) -> set[Name]:
