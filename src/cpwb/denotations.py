@@ -561,6 +561,14 @@ def product(left: Relation, right: Relation, name=None, sp=None, fn=None, args=(
     return _build(rows, left.cols + right.cols, left.spaces + right.spaces, name, sp, fn, args, drop)
 
 
+def product_all(rels) -> Relation:
+    """Every choice of one row from each relation, as one row: the product of
+    n relations in one step, planned once over all their columns."""
+    chain = itertools.chain.from_iterable
+    rows = map(tuple, map(chain, itertools.product(*(r.rows for r in rels))))
+    return _build(rows, tuple(chain(r.cols for r in rels)), tuple(chain(r.spaces for r in rels)))
+
+
 def join(left: Relation, right: Relation, name: str, keep: bool = False) -> Relation:
     """Left and right rows that agree on ``name``, merged; the shared column
     is kept once or dropped."""

@@ -54,7 +54,7 @@ from .syntax import (
     process_size,
 )
 from .translation import closing_name, neg_image
-from .typing import CpwbError, System, check, ctx_items
+from .typing import CpwbError, CPTypeError, System, check, ctx_items
 
 
 class ConfigError(CpwbError):
@@ -273,7 +273,10 @@ class Report:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Run the selected suites. A suite yields one outcome per instance it checks,
     None if the instance holds and else its counterexample; run_suite alone
-    counts the outcomes, times them and collects the counterexamples."""
+    counts the outcomes, times them and collects the counterexamples. A type
+    error raised inside a suite, such as an ill-typed image, ends that suite:
+    the instance that raised it fails with the error's type and message as
+    its counterexample."""
     names = SUITE_NAMES if "all" in cfg.suites else cfg.suites
     bad = set(names) - set(SUITE_NAMES)
     if bad:
@@ -292,7 +295,12 @@ def run_suite(cfg: SuiteConfig) -> Report:
     table = _ImageTable(cfg, seed)
     for name in names:
         t0 = time.monotonic()
-        outcomes = list(_SUITES[name](cfg, random.Random(seed), table))
+        outcomes: list = []
+        try:
+            # on a raise, extend keeps the outcomes yielded before it
+            outcomes.extend(_SUITES[name](cfg, random.Random(seed), table))
+        except CPTypeError as e:
+            outcomes.append(f"{type(e).__name__}: {e}")
         millis = int((time.monotonic() - t0) * 1000)
         failures = tuple(o for o in outcomes if o is not None)
         results.append(SuiteResult(name, len(outcomes), failures, millis))

@@ -21,7 +21,14 @@ leaf acts on one name, so two redexes never share a leaf and commute; CP
 reduction is confluent, and under that diamond property every maximal
 sequence has the same length and gives the same observations.  So the
 search is complete although it fires only the first redex of each soup.
-Hidden names come from one counter per ``observe`` call.
+Hidden names are the ints 1, 2, ... of one counter per ``observe`` call;
+parsed names are strings, so the two never meet.
+
+Every walk here picks its case by one table lookup, never by a structural
+``match``: the soup adds a node by the case of its class (``_GROW``) and
+fires a step by the case of its receiving leaf's kind (``_COMM``); the
+configuration check and denotation look up the case of each configuration
+class (``_CHECK``, ``_DENOTE``).  Each case reads its node's fields by name.
 
 Each communication step is recorded as data: the name of the fired edge,
 the function that gives its value, and the hidden names it reads that
@@ -34,9 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
+from operator import attrgetter
 
 from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, _denote, bag, bag_union
-from .denotations import bounded_union, check_bound, empty, extend, join, mk_tuple, product, space
+from .denotations import bounded_union, check_bound, empty, extend, join, mk_tuple, product_all
+from .denotations import space
 from .syntax import (
     Case,
     Client,
@@ -117,96 +126,129 @@ class CCon(Configuration):
     sub: Configuration
 
 
-def _fold(c: Configuration, node):
-    """``node(c, *results of c's subconfigurations)``, bottom-up, left to
-    right, over an explicit stack: a configuration of any depth."""
+def _fold(c: Configuration, cases: dict, *args, spine: bool = False):
+    """``cases[type(c)](c, *args, *results of c's subconfigurations)``,
+    bottom-up, left to right, over an explicit stack: a configuration of any
+    depth. With ``spine``, the subconfigurations of a ``CPar`` are the
+    configurations below its whole ``CPar`` spine that are not ``CPar``, so
+    its case sees them all at once."""
     order, todo = [], [c]
     while todo:
         c = todo.pop()
-        subs = _SUBS.get(type(c), ())
+        subs = _spine(c) if spine and type(c) is CPar else _SUBS.get(type(c), _leaf)(c)
         order.append((c, len(subs)))
-        todo += [getattr(c, f) for f in subs]
+        todo += subs
     results: list = []
     for c, k in reversed(order):
+        case = cases.get(type(c))
+        if case is None:
+            raise CPTypeError(f"not a configuration: {c!r}")
         n = len(results) - k
-        results[n:] = [node(c, *results[n:])]
+        results[n:] = [case(c, *args, *results[n:])]
     return results[0]
 
 
-_SUBS = {CCut: ("left", "right"), CPar: ("left", "right"), CWeak: ("sub",), CCon: ("sub",)}
+def _leaf(c):
+    return ()
+
+
+_SUBS = {CCut: attrgetter("left", "right"), CPar: attrgetter("left", "right"),
+         CWeak: lambda c: (c.sub,), CCon: lambda c: (c.sub,)}
+
+
+def _spine(c: CPar) -> list:
+    """The configurations under the ``CPar`` spine of ``c`` that are not
+    ``CPar``, left to right."""
+    out, todo = [], [c]
+    while todo:
+        c = todo.pop()
+        if type(c) is CPar:
+            todo += c.right, c.left
+        else:
+            out.append(c)
+    return out
 
 
 def check_config(c: Configuration):
     """Return (free context, observable context) for a configuration."""
-    return _fold(c, _check_node)
+    return _fold(c, _CHECK)
 
 
-def _check_node(c, *subs):
-    match c:
-        case CZero():
-            return {}, {}
-        case CProc(d):
-            return dict(d.ctx), {}
-        case CCut(x, annot):
-            (gl, tl), (gr, tr) = subs
-            if gl.get(x) != annot:
-                raise CutTypeMismatch(f"left side must offer {x} at {annot}")
-            if gr.get(x) != dual(annot):
-                raise CutTypeMismatch(f"right side must offer {x} at {dual(annot)}")
-            del gl[x]
-            del gr[x]
-            g, t = _merge(gl, gr, tl, tr, {x: annot})
-            t[x] = annot
-            return g, t
-        case CPar():
-            (gl, tl), (gr, tr) = subs
-            return _merge(gl, gr, tl, tr, {})
-        case CWeak(x, annot):
-            ((g, t),) = subs
-            if not isinstance(annot, WhyNot):
-                raise CutTypeMismatch(f"configuration weakening needs a ?-type, got {annot}")
-            if x in g or x in t:
-                raise CutTypeMismatch(f"weakened name {x} already in use")
-            g[x] = annot
-            return g, t
-        case CCon(x1, x2):
-            ((g, t),) = subs
-            if x1 == x2:
-                raise CutTypeMismatch(f"configuration contraction of {x1} with itself")
-            t1, t2 = g.get(x1), g.get(x2)
-            if t1 is None or t1 != t2 or not isinstance(t1, WhyNot):
-                raise CutTypeMismatch(
-                    f"configuration contraction needs {x1}, {x2} at one ?-type"
-                )
-            del g[x2]
-            return g, t
-    raise CPTypeError(f"not a configuration: {c!r}")
+# One function per configuration class: from the (free, observable)
+# contexts of its subconfigurations, those of the node.
 
 
-def _merge(gl, gr, tl, tr, extra):
-    """The free and observable contexts of two sides, each merged: the
-    smaller side goes into the larger one, and only its names are looked up
-    in the other, so a chain of n ``CPar`` nodes costs O(n log n) and not
-    O(n^2). A side's two contexts are already disjoint."""
-    if len(gl) + len(tl) < len(gr) + len(tr):
-        small, large = (gl, tl), (gr, tr)
+def _check_cut(c, left, right):
+    x, annot = c.name, c.annot
+    if left[0].get(x) != annot:
+        raise CutTypeMismatch(f"left side must offer {x} at {annot}")
+    if right[0].get(x) != dual(annot):
+        raise CutTypeMismatch(f"right side must offer {x} at {dual(annot)}")
+    del left[0][x]
+    del right[0][x]
+    g, t = _merge(left, right, {x: annot})
+    t[x] = annot
+    return g, t
+
+
+def _check_weak(c, sub):
+    x, annot = c.name, c.annot
+    g, t = sub
+    if not isinstance(annot, WhyNot):
+        raise CutTypeMismatch(f"configuration weakening needs a ?-type, got {annot}")
+    if x in g or x in t:
+        raise CutTypeMismatch(f"weakened name {x} already in use")
+    g[x] = annot
+    return g, t
+
+
+def _check_con(c, sub):
+    x1, x2 = c.left_name, c.right_name
+    g, t = sub
+    if x1 == x2:
+        raise CutTypeMismatch(f"configuration contraction of {x1} with itself")
+    t1, t2 = g.get(x1), g.get(x2)
+    if t1 is None or t1 != t2 or not isinstance(t1, WhyNot):
+        raise CutTypeMismatch(f"configuration contraction needs {x1}, {x2} at one ?-type")
+    del g[x2]
+    return g, t
+
+
+_CHECK = {
+    CZero: lambda c: ({}, {}),
+    CProc: lambda c: (dict(c.deriv.ctx), {}),
+    CCut: _check_cut,
+    CPar: lambda c, left, right: _merge(left, right, {}),
+    CWeak: _check_weak,
+    CCon: _check_con,
+}
+
+
+def _merge(left, right, extra):
+    """The free and observable contexts of two sides, each a (free,
+    observable) pair, merged: the smaller side goes into the larger one, and
+    only its names are looked up in the other, so a chain of n ``CPar`` nodes
+    costs O(n log n) and not O(n^2). A side's two contexts are already
+    disjoint."""
+    if len(left[0]) + len(left[1]) < len(right[0]) + len(right[1]):
+        small, large = left, right
     else:
-        small, large = (gr, tr), (gl, tl)
+        small, large = right, left
     for g in (*small, extra):
         for n in g:
             if n in large[0] or n in large[1]:
-                _disjoint(gl, gr, tl, tr, extra)  # raises, naming the names as it always has
+                _disjoint(left, right, extra)  # raises, naming the names as it always has
     for n in extra:
         if n in small[0] or n in small[1]:
-            _disjoint(gl, gr, tl, tr, extra)
+            _disjoint(left, right, extra)
     large[0].update(small[0])
     large[1].update(small[1])
     return large
 
 
-def _disjoint(gl, gr, tl, tr, extra):
+def _disjoint(left, right, extra):
     seen: set[str] = set()
-    for g in (gl, gr, tl, tr, extra):
+    for g in (left[0], right[0], left[1], right[1], extra):
         clash = seen.intersection(g)
         if clash:
             raise CutTypeMismatch(f"names occur twice in a configuration: {sorted(clash)}")
@@ -220,10 +262,12 @@ def _disjoint(gl, gr, tl, tr, extra):
 #         P bound to soup names, and any other name of P is its own soup
 #         name.  Marker names are soup names.
 # Names:  a soup name that a link merged away points, in ``alias``, to the
-#         name it merged into; every lookup goes through ``find``.
+#         name it merged into; every lookup goes through ``find``.  Hidden
+#         names are ints, drawn from the soup's counter; parsed names are
+#         strings, so the two never meet.
 # A step is (fired name, fn, hidden names that fn reads).
 
-# The (sender, receiver) kinds of the communication steps; see _Soup.comm.
+# The (sender, receiver) kinds of the communication steps; see _COMM.
 _STEPS = frozenset({
     (EmptyOut, EmptyIn),
     (Out, In),
@@ -242,14 +286,15 @@ class _Soup:
     communication steps in the order they became enabled.  ``fwds`` holds
     the forwarders by id, and ``size`` counts the leaves.  At bound 0 a
     server never meets a client, so that pair is never enabled.  Hidden
-    names are drawn from one counter per ``observe`` call (``#1``, ``#2``,
-    ...); parsed names never contain ``#``.
+    names are the ints 1, 2, ... of one counter per ``observe`` call.
+    ``grow`` picks the case of each node's class in ``_GROW``, and ``comm``
+    the case of the receiving leaf's kind in ``_COMM``.
     """
 
     def __init__(self, bound: int):
-        self.bound = bound
         self.enabled = _STEPS if bound else _STEPS - {(Server, Client)}
-        self.names = (f"#{i}" for i in count(1))
+        self.hide = partial(next, count(1))
+        self.union = bounded_union(bound)  # the value of every server duplication
         self.alias: dict = {}
         self.acting: dict = {}
         self.ready: dict = {}
@@ -267,7 +312,8 @@ class _Soup:
 
     def act(self, leaf, name: Name) -> None:
         """Let ``leaf`` act on ``name``: with the leaf already there, a redex."""
-        name = self.find(name)
+        if name in self.alias:
+            name = self.find(name)
         other = self.acting.pop(name, None)
         if other is None:
             self.acting[name] = leaf
@@ -283,34 +329,9 @@ class _Soup:
     def grow(self, todo: list) -> None:
         """Add the leaves of configurations and processes, each popped from
         ``todo`` with its environment, and the hidden names of their cuts."""
-        names = self.names
         while todo:
             node, env = todo.pop()
-            match node:
-                case CZero() | Inact():
-                    pass
-                case CProc(d):
-                    todo.append((d.process, env))
-                case CCut(_, _, l, r) | CPar(l, r) | Mix(l, r):
-                    todo += (l, env), (r, env)
-                case Cut(x, _, l, r):
-                    env = {**env, x: next(names)}
-                    todo += (l, env), (r, env)
-                case CWeak(x, _, b) | Weak(x, _, b):
-                    x = env.get(x, x)
-                    self.add(("weak", x), x)
-                    todo.append((b, env))
-                case CCon(x1, x2, b) | Contract(_, x1, x2, b):
-                    x = getattr(node, "name", x1)  # a configuration contraction keeps x1
-                    x, f1, f2 = env.get(x, x), next(names), next(names)
-                    self.add(("con", x, f1, f2), x)
-                    todo.append((b, {**env, x1: f1, x2: f2}))
-                case Fwd():
-                    leaf = Fwd, node, env
-                    self.size += 1
-                    self.fwds[id(leaf)] = leaf
-                case _:
-                    self.add((type(node), node, env), env.get(node.channel, node.channel))
+            _GROW[type(node)](self, node, env, todo)
 
     def link(self, fwd) -> None:
         """[a<->b] composed on both of its names: merge b into a."""
@@ -329,53 +350,165 @@ class _Soup:
         del self.ready[name]
         self.size -= 2
         todo: list = []
-        hide = partial(next, self.names)
         _, p, env = sender
-        match p, receiver:
-            case EmptyOut(), (_, EmptyIn(_, body), renv):
-                todo.append((body, renv))
-                step = name, lambda: STAR, ()
-
-            case Out(y, a, pl, pr), (_, In(b, y2, body), renv):
-                np_, nc = hide(), hide()
-                todo += (pl, {**env, y: np_}), (pr, {**env, a: nc})
-                todo.append((body, {**renv, y2: np_, b: nc}))
-                step = name, Pair, (np_, nc)
-
-            case Select(a, i, body), (_, Case(b, q1, q2), renv):
-                nc = hide()
-                todo += (body, {**env, a: nc}), (q1 if i == 1 else q2, {**renv, b: nc})
-                step = name, partial(Tag, i), (nc,)
-
-            case Server(a, y, body), (_, Client(b, y2, qbody), renv):
-                ns = hide()
-                todo += (body, {**env, y: ns}), (qbody, {**renv, y2: ns})
-                step = name, lambda o: bag((o,)), (ns,)
-
-            case Server(a), ("weak", _):
-                # the dropped server's carried ?-names are weakened as well
-                for n in sorted(free_names(p) - {a}):
-                    n = env.get(n, n)
-                    self.add(("weak", n), n)
-                step = name, bag, ()
-
-            case Server(a), ("con", _, f1, f2):
-                # one server node, two environments; each carried ?-name
-                # splits into one name per copy, re-merged by a contraction
-                env1, env2 = {**env, a: f1}, {**env, a: f2}
-                for n in sorted(free_names(p) - {a}):
-                    env1[n], env2[n] = hide(), hide()
-                    ext = env.get(n, n)
-                    self.add(("con", ext, env1[n], env2[n]), ext)
-                self.add((Server, p, env1), f1)
-                self.add((Server, p, env2), f2)
-                step = name, bounded_union(self.bound), (f1, f2)
-
-            case _:
-                raise AssertionError((sender, receiver))
-
+        fn, hidden = _COMM[receiver[0]](self, p, env, receiver, todo)
         self.grow(todo)
-        return step
+        return name, fn, hidden
+
+
+# One function per node class: add the node's leaf to the soup, or push
+# what it composes onto ``todo`` with its environment.
+
+
+def _nothing(soup, node, env, todo):
+    pass
+
+
+def _proc(soup, c, env, todo):
+    todo.append((c.deriv.process, env))
+
+
+def _both(soup, node, env, todo):
+    todo += (node.left, env), (node.right, env)
+
+
+def _cut(soup, p, env, todo):
+    env = {**env, p.name: soup.hide()}
+    todo += (p.left, env), (p.right, env)
+
+
+def _weak(soup, p, env, todo):
+    x = env.get(p.name, p.name)
+    soup.add(("weak", x), x)
+    todo.append((p.body, env))
+
+
+def _config_weak(soup, c, env, todo):
+    x = env.get(c.name, c.name)
+    soup.add(("weak", x), x)
+    todo.append((c.sub, env))
+
+
+def _config_con(soup, c, env, todo):
+    # a configuration contraction keeps its first name
+    x1, x2 = c.left_name, c.right_name
+    x, f1, f2 = env.get(x1, x1), soup.hide(), soup.hide()
+    soup.add(("con", x, f1, f2), x)
+    todo.append((c.sub, {**env, x1: f1, x2: f2}))
+
+
+def _contract(soup, p, env, todo):
+    x, f1, f2 = env.get(p.name, p.name), soup.hide(), soup.hide()
+    soup.add(("con", x, f1, f2), x)
+    todo.append((p.body, {**env, p.left_name: f1, p.right_name: f2}))
+
+
+def _fwd(soup, p, env, todo):
+    leaf = Fwd, p, env
+    soup.size += 1
+    soup.fwds[id(leaf)] = leaf
+
+
+def _acting(soup, p, env, todo):
+    x = p.channel
+    soup.add((type(p), p, env), env.get(x, x))
+
+
+_GROW = {
+    CZero: _nothing,
+    Inact: _nothing,
+    CProc: _proc,
+    CCut: _both,
+    CPar: _both,
+    Mix: _both,
+    Cut: _cut,
+    CWeak: _config_weak,
+    Weak: _weak,
+    CCon: _config_con,
+    Contract: _contract,
+    Fwd: _fwd,
+    **dict.fromkeys((EmptyOut, EmptyIn, Out, In, Select, Case, Server, Client), _acting),
+}
+
+
+# One function per communication step, by the kind of its receiver (each
+# receiver kind has one sender kind in _STEPS): it pushes the continuations
+# of the sender ``p`` (at ``env``) and of the receiver onto ``todo``, and
+# returns the step's value function and the hidden names that it reads.
+# The value functions are built once, here and in ``_Soup``, not per step.
+
+
+def _star():
+    return STAR
+
+
+def _singleton(o):
+    return bag((o,))
+
+
+_TAG = {1: partial(Tag, 1), 2: partial(Tag, 2)}
+
+
+def _close(soup, p, env, receiver, todo):
+    _, q, renv = receiver
+    todo.append((q.body, renv))
+    return _star, ()
+
+
+def _send(soup, p, env, receiver, todo):
+    _, q, renv = receiver
+    np_, nc = soup.hide(), soup.hide()
+    todo += (p.left, {**env, p.payload: np_}), (p.right, {**env, p.channel: nc})
+    todo.append((q.body, {**renv, q.payload: np_, q.channel: nc}))
+    return Pair, (np_, nc)
+
+
+def _choose(soup, p, env, receiver, todo):
+    _, q, renv = receiver
+    nc = soup.hide()
+    branch = q.left if p.branch == 1 else q.right
+    todo += (p.body, {**env, p.channel: nc}), (branch, {**renv, q.channel: nc})
+    return _TAG[p.branch], (nc,)
+
+
+def _serve(soup, p, env, receiver, todo):
+    _, q, renv = receiver
+    ns = soup.hide()
+    todo += (p.body, {**env, p.payload: ns}), (q.body, {**renv, q.payload: ns})
+    return _singleton, (ns,)
+
+
+def _drop(soup, p, env, receiver, todo):
+    # the dropped server's carried ?-names are weakened as well
+    for n in sorted(free_names(p).difference((p.channel,))):
+        n = env.get(n, n)
+        soup.add(("weak", n), n)
+    return bag, ()
+
+
+def _duplicate(soup, p, env, receiver, todo):
+    # one server node, two environments; each carried ?-name splits into
+    # one name per copy, re-merged by a contraction
+    _, _, f1, f2 = receiver
+    a = p.channel
+    env1, env2 = {**env, a: f1}, {**env, a: f2}
+    for n in sorted(free_names(p).difference((a,))):
+        env1[n], env2[n] = soup.hide(), soup.hide()
+        ext = env.get(n, n)
+        soup.add(("con", ext, env1[n], env2[n]), ext)
+    soup.add((Server, p, env1), f1)
+    soup.add((Server, p, env2), f2)
+    return soup.union, (f1, f2)
+
+
+_COMM = {
+    EmptyIn: _close,
+    In: _send,
+    Case: _choose,
+    Client: _serve,
+    "weak": _drop,
+    "con": _duplicate,
+}
 
 
 def _redexes(soup: _Soup):
@@ -443,28 +576,30 @@ def denote_config(c: Configuration, bound: int = 2) -> DenotationSet:
 
 
 def _config_relation(c: Configuration, bound: int) -> Relation:
-    """The denotation of a configuration that ``check_config`` accepted."""
-    return _fold(c, partial(_denote_node, bound))
+    """The denotation of a configuration that ``check_config`` accepted. A
+    ``CPar`` spine is one product of all the relations below it: a chain of
+    binary products would copy and re-plan an ever wider row per level."""
+    return _fold(c, _DENOTE, bound, spine=True)
 
 
-def _denote_node(bound: int, c, *subs) -> Relation:
-    match c:
-        case CZero():
-            return UNIT
-        case CProc(d):
-            return _denote(d, bound)
-        case CCut(x):
-            return join(*subs, x, keep=True)
-        case CPar():
-            return product(*subs)
-        case CWeak(x, annot):
-            return extend(*subs, x, space(annot, bound), empty)
-        case CCon(x1, x2):
-            (sub,) = subs
-            s = sub.spaces[sub.cols.index(x1)]
-            ends = (x1, x2)
-            return extend(sub, x1, s, bag_union(s), ends, ends)
-    raise CPTypeError(f"not a configuration: {c!r}")
+def _denote_con(c, bound, sub):
+    x1 = c.left_name
+    s = sub.spaces[sub.cols.index(x1)]
+    ends = (x1, c.right_name)
+    return extend(sub, x1, s, bag_union(s), ends, ends)
+
+
+# One function per configuration class: from the relations of its
+# subconfigurations (of every configuration below a ``CPar`` spine), that
+# of the node.
+_DENOTE = {
+    CZero: lambda c, bound: UNIT,
+    CProc: lambda c, bound: _denote(c.deriv, bound),
+    CCut: lambda c, bound, left, right: join(left, right, c.name, keep=True),
+    CPar: lambda c, bound, *rels: product_all(rels),
+    CWeak: lambda c, bound, sub: extend(sub, c.name, space(c.annot, bound), empty),
+    CCon: _denote_con,
+}
 
 
 def adequacy_check(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH) -> bool:

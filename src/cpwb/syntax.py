@@ -61,7 +61,8 @@ def _node(cls):
     The slotted class is built here, once, with a slot per annotated field;
     ``dataclass(slots=True)`` would build a second class and leave the
     first alive in its frozen ``__setattr__``. Its ``__init__`` stores each
-    field through the field's slot descriptor (``_slot_init``). ``_fields``
+    field through the field's slot descriptor (``_slot_init``); a class with
+    no fields keeps ``object.__init__``, which refuses any argument. ``_fields``
     gives a node's field values as a tuple. A process class also gets
     ``_shape``, the positions of its fields that its ``binds`` declaration
     implies (see ``Process``), and its free-names walk in ``_FREE_NAMES``.
@@ -71,7 +72,8 @@ def _node(cls):
     cls = dataclass(frozen=True, init=False)(type(cls)(cls.__name__, cls.__bases__, ns))
     fs = fields(cls)
     names = tuple(f.name for f in fs)
-    cls.__init__ = _slot_init(cls, names)
+    if names:
+        cls.__init__ = _slot_init(cls, names)
     cls._tag = cls.__name__
     key = attrgetter(*names) if names else lambda _: ()
     cls._key = staticmethod(key)  # what the hash covers; one field's value is not a tuple
@@ -93,7 +95,7 @@ def _slot_init(cls, names):
     descriptor up by name each time. Assignment after construction still
     raises ``FrozenInstanceError``."""
     setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
-    body = [f"_set_{n}(self, {n})" for n in names] or ["pass"]
+    body = [f"_set_{n}(self, {n})" for n in names]
     return generated(cls, "__init__", ", ".join(("self", *names)), body, setters)
 
 

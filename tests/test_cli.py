@@ -421,6 +421,45 @@ def test_cli_suite(tmp_path, capsys):
     assert data["synchronizer"]["failures"] == []
 
 
+def test_cli_suite_reports_a_type_error_inside_a_suite_as_its_failure(
+    tmp_path, monkeypatch, capsys
+):
+    # a suite that checks one instance and then builds an ill-typed term: the
+    # run goes on to the next suite and ends with a report and exit 1, not
+    # with exit 3 and no report; a usage error or a refused denotation inside
+    # a suite still exits 4
+    from cpwb import harness
+    from cpwb.typing import RuleMismatch
+
+    def suite_raising(error):
+        def suite(cfg, rng, table):
+            yield None
+            raise error
+
+        return suite
+
+    msg = "empty input needs type bot, got (1 * bot)"
+    monkeypatch.setitem(harness._SUITES, "worked_example", suite_raising(RuleMismatch(msg)))
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"suites": ["worked_example", "synchronizer"]}))
+    assert main(["suite", "--config", str(f), "--json"]) == 1
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert out.err == ""
+    assert report["worked_example"]["instances"] == 2
+    assert report["worked_example"]["failures"] == [f"RuleMismatch: {msg}"]
+    assert report["synchronizer"]["instances"] > 0 and report["synchronizer"]["failures"] == []
+    assert main(["suite", "--config", str(f)]) == 1
+    text = capsys.readouterr().out
+    assert f"      counterexample: RuleMismatch: {msg}\n" in text
+    assert text.endswith("result: FAILURES PRESENT\n")
+    for error in (harness.ConfigError("bad"), denotations.TooLarge("too many")):
+        monkeypatch.setitem(harness._SUITES, "worked_example", suite_raising(error))
+        assert main(["suite", "--config", str(f), "--json"]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {error}\n"
+
+
 def test_cli_json_deterministic(tmp_path, capsys):
     f = tmp_path / "p.cp"
     f.write_text("fwd x y")

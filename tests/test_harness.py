@@ -230,3 +230,18 @@ def test_run_suite_counts_and_collects_the_outcomes_a_suite_yields(monkeypatch):
     monkeypatch.setitem(harness._SUITES, "worked_example", suite)
     (result,) = run_suite(SuiteConfig(suites=("worked_example",))).results
     assert (result.instances, result.failures) == (3, ("bad",))
+
+
+def test_a_type_error_inside_a_suite_fails_the_instance_that_raised_it(monkeypatch):
+    from cpwb import harness
+    from cpwb.typing import RuleMismatch
+
+    def suite(cfg, rng, table):
+        yield None
+        raise RuleMismatch("empty input needs type bot, got (1 * bot)")
+
+    monkeypatch.setitem(harness._SUITES, "worked_example", suite)
+    (result,) = run_suite(SuiteConfig(suites=("worked_example",))).results
+    assert (result.instances, result.failures) == (
+        2, ("RuleMismatch: empty input needs type bot, got (1 * bot)",)
+    )

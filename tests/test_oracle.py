@@ -516,3 +516,72 @@ def test_a_long_configuration_product_stays_linear_in_memory(monkeypatch):
     assert denote_config(c).tuples == {mk_tuple({f"x{i}": STAR for i in range(2000)})}
     with pytest.raises(CutTypeMismatch, match=r"names occur twice in a configuration: \['x7'\]"):
         check_config(CPar(c, pairs[7]))
+
+
+def test_a_par_spine_is_denoted_by_one_product(monkeypatch):
+    # n observable cut pairs under one CPar spine, left-deep, right-deep or
+    # balanced: the spine is one product of n relations, so the columns
+    # planned in all grow linearly in n, not by one ever wider row per level
+    from cpwb import denotations
+
+    planned, products = [], []
+    real_plan, real_product = denotations._plan, oracle.product_all
+
+    def plan(src, *rest):
+        planned.append(len(src))
+        return real_plan(src, *rest)
+
+    def product_all(rels):
+        products.append(len(rels))
+        return real_product(rels)
+
+    monkeypatch.setattr(denotations, "_plan", plan)
+    monkeypatch.setattr(oracle, "product_all", product_all)
+    n = 1000
+    pairs = [
+        CCut(f"x{i}", one, proc(EmptyOut(f"x{i}"), {f"x{i}": one}),
+             proc(closed_in(f"x{i}"), {f"x{i}": bot}))
+        for i in range(n)
+    ]
+
+    def balanced(cs):
+        half = len(cs) // 2
+        return cs[0] if len(cs) == 1 else CPar(balanced(cs[:half]), balanced(cs[half:]))
+
+    want = frozenset({mk_tuple({f"x{i}": STAR for i in range(n)})})
+    right_deep = reduce(lambda r, l: CPar(l, r), reversed(pairs))
+    for c in (reduce(CPar, pairs), right_deep, balanced(pairs)):
+        planned.clear()
+        products.clear()
+        assert adequacy_check(c, depth=n)
+        assert products == [n]
+        assert sum(planned) <= 4 * n
+        assert denote_config(c).tuples == want
+    # a spine ends at any other node: here, at each cut
+    c = CCut("x0", one, CPar(pairs[1], proc(EmptyOut("x0"), {"x0": one})),
+             CPar(proc(closed_in("x0"), {"x0": bot}), pairs[2]))
+    products.clear()
+    assert adequacy_check(c) and products == [2, 2]
+
+
+def test_every_class_has_one_case_in_each_table():
+    # a node class without a case fails here, not in a search that falls
+    # through to the wrong case
+    import ast
+    import inspect
+
+    from cpwb import syntax
+
+    processes = {c for c in vars(syntax).values() if isinstance(c, type)
+                 and issubclass(c, syntax.Process) and c is not syntax.Process}
+    configurations = set(oracle.Configuration.__subclasses__())
+    assert len(processes) == 14 and len(configurations) == 6
+    assert set(oracle._GROW) == processes | configurations
+    assert set(oracle._CHECK) == set(oracle._DENOTE) == configurations
+    # each communication step has exactly one case, that of its receiver
+    receivers = [r for _, r in oracle._STEPS]
+    assert len(set(receivers)) == len(receivers) == len(oracle._COMM)
+    assert set(receivers) == set(oracle._COMM)
+    # and no walk of the oracle chooses its case by a structural match
+    tree = ast.parse(inspect.getsource(oracle))
+    assert not any(isinstance(node, ast.Match) for node in ast.walk(tree))

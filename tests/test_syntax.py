@@ -386,3 +386,23 @@ def test_nodes_copy_and_pickle_through_their_constructor():
     for node in (p, Tensor(one, OfCourse(bot)), Unit()):
         for clone in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
             assert clone == node and hash(clone) == hash(node) and type(clone) is type(node)
+
+
+def test_field_less_nodes_keep_object_init():
+    import copy
+    import pickle
+
+    nodes = [c for c in _concrete(syntax._Node) if dataclasses.is_dataclass(c)]
+    bare = [c for c in nodes if not dataclasses.fields(c)]
+    assert {c.__name__ for c in bare} == {"Unit", "Bottom", "Inact", "IUnit"}
+    for cls in bare:
+        assert cls.__init__ is object.__init__
+        with pytest.raises(TypeError):
+            cls(1)
+        node = cls()
+        assert node == cls() and node is not cls()
+        assert hash(node) == hash((cls.__name__, ()))
+        assert all(node != other() for other in bare if other is not cls)
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone == node and hash(clone) == hash(node) and type(clone) is cls
+        assert copy.deepcopy(node) == node
