@@ -9,8 +9,9 @@ Inside this layer an observation of a formula A at bound K is its index in
 ``obs_space(A, K)``, whose enumeration is in ``obs_key`` order.  A pair at
 ``A * B`` is ``i * |B| + j``, a tag is ``i`` or ``|A| + j``, and a bag is
 ranked among the bags over ``|A|`` elements (``_rank``/``_unrank``).  A
-*space* describes such a set of indices (see ``space``); a formula and its
-dual have one space.
+``Space`` describes such a set of indices; a formula and its dual have one
+space. Its size capped at 2^64 + 1 is known when it is built; its exact size,
+with doubly exponentially many digits at a deeply nested ``!A``, only when read.
 
 A denotation is a ``Relation``: a set of rows, each a plain tuple of
 indices in the order of the sorted context names, with the space of each
@@ -32,7 +33,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import comb
+from math import comb, prod
 from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
@@ -190,17 +191,56 @@ def check_bound(bound: int) -> None:
 
 # --- observation spaces --------------------------------------------------------
 
-# A space is a plain tuple (kind, size, *parts):
-#   ("star", 1)                  the one observation *
-#   ("pair", |L| * |R|, L, R)    pairs; (i, j) is i * |R| + j
-#   ("tag", |L| + |R|, L, R)     tags; tag 1 of i is i, tag 2 of j is |L| + j
-#   ("bag", size, E, K)          bags of at most K observations of E,
-#                                numbered as ``_rank`` numbers them
-STAR_SPACE = ("star", 1)
+# The size that stands for every size past 2^64, far above ``MAX_ROWS``.
+_SIZE_CAP = (1 << 64) + 1
+
+# The size of a space of each kind from the sizes of its parts (None where
+# there is none) and its bound; a bag space holds the bags of at most K items.
+_SIZE_RULES = {
+    "star": lambda left, right, bound: 1,
+    "pair": lambda left, right, bound: left * right,
+    "tag": lambda left, right, bound: left + right,
+    "bag": lambda left, right, bound: comb(left + bound, bound),
+}
+
+
+class Space:
+    """A set of observation indices, equal to another by kind and parts.
+    ``capped``, its size up to ``_SIZE_CAP``, is set when it is built, and so
+    is the exact ``size`` below the cap; past it, ``size`` is computed when read."""
+
+    __slots__ = ("kind", "left", "right", "bound", "capped", "size", "_key")
+
+    def __init__(self, kind: str, left: Space | None = None, right: Space | None = None, bound: int = 0):
+        self.kind, self.left, self.right, self.bound = kind, left, right, bound
+        self._key = kind, bound, left and left._key, right and right._key  # compared and hashed in C
+        # a bag over a space at the cap is at the cap: a large K computes no huge comb
+        at_cap = kind == "bag" and bound and left.capped == _SIZE_CAP
+        n = _SIZE_CAP if at_cap else _SIZE_RULES[kind](left and left.capped, right and right.capped, bound)
+        self.capped = min(n, _SIZE_CAP)
+        if n < _SIZE_CAP:
+            self.size = n
+
+    def __getattr__(self, name):
+        """``size`` past the cap, the one slot then left unset."""
+        if name != "size":
+            raise AttributeError(name)
+        left, right = self.left, self.right
+        self.size = _SIZE_RULES[self.kind](left and left.size, right and right.size, self.bound)
+        return self.size
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Space and self._key == other._key)
+
+
+STAR_SPACE = Space("star")
 
 
 @lru_cache(maxsize=128)
-def space(a: Formula, bound: int) -> tuple:
+def space(a: Formula, bound: int) -> Space:
     """The space of ``a`` at bound ``bound``. A formula's space is built
     once while it is in the cache, so equal spaces are mostly one object and
     compare by identity where they are looked up."""
@@ -208,48 +248,12 @@ def space(a: Formula, bound: int) -> tuple:
         case Unit() | Bottom():
             return STAR_SPACE
         case Tensor(l, r) | Par(l, r):
-            return pair_space(space(l, bound), space(r, bound))
+            return Space("pair", space(l, bound), space(r, bound))
         case Plus(l, r) | With(l, r):
-            return tag_space(space(l, bound), space(r, bound))
+            return Space("tag", space(l, bound), space(r, bound))
         case OfCourse(b) | WhyNot(b):
-            return bag_space(space(b, bound), bound)
+            return Space("bag", space(b, bound), bound=bound)
     raise TypeError(f"not a formula: {a!r}")
-
-
-# The size that stands for every size past 2^64, far above ``MAX_ROWS``.
-_SIZE_CAP = (1 << 64) + 1
-
-
-@lru_cache(maxsize=128)
-def _capped_size(a: Formula, bound: int) -> int:
-    """``min(|space(a, bound)|, 2^64 + 1)``, building no space: the size of a
-    deeply nested ``!A`` has doubly exponentially many digits, which the
-    limit checks need not compute."""
-    match a:
-        case Unit() | Bottom():
-            return 1
-        case Tensor(l, r) | Par(l, r):
-            n = _capped_size(l, bound) * _capped_size(r, bound)
-        case Plus(l, r) | With(l, r):
-            n = _capped_size(l, bound) + _capped_size(r, bound)
-        case OfCourse(b) | WhyNot(b):
-            n = _capped_size(b, bound)
-            n = _SIZE_CAP if n == _SIZE_CAP and bound else comb(n + bound, bound)
-        case _:
-            raise TypeError(f"not a formula: {a!r}")
-    return min(n, _SIZE_CAP)
-
-
-def pair_space(left: tuple, right: tuple) -> tuple:
-    return "pair", left[1] * right[1], left, right
-
-
-def tag_space(left: tuple, right: tuple) -> tuple:
-    return "tag", left[1] + right[1], left, right
-
-
-def bag_space(elem: tuple, bound: int) -> tuple:
-    return "bag", comb(elem[1] + bound, bound), elem, bound
 
 
 def obs_space(a: Formula, bound: int = 2) -> tuple[Observation, ...]:
@@ -257,12 +261,12 @@ def obs_space(a: Formula, bound: int = 2) -> tuple[Observation, ...]:
     in ``obs_key`` order: the observation of index ``i`` is the ``i``-th."""
     check_bound(bound)
     s = space(a, bound)
-    return tuple(map(_decoder(s).__getitem__, range(s[1])))
+    return tuple(map(_decoder(s).__getitem__, range(s.size)))
 
 
 def space_size(a: Formula, bound: int = 2) -> int:
     """``len(obs_space(a, bound))``, building no observation."""
-    return space(a, bound)[1]
+    return space(a, bound).size
 
 
 class _Memo(dict):
@@ -289,25 +293,21 @@ class _Decoder(dict):
     ``_MEMO_SIZE`` keys it decodes an index without keeping it), and
     ``index`` the other way."""
 
-    __slots__ = ("kind", "n", "left", "right", "bound")
+    __slots__ = ("space", "left", "right")
 
-    def __init__(self, s: tuple):
-        self.kind, self.n, self.left, self.right, self.bound = s[0], 0, None, None, 0
-        if self.kind == "pair":  # a pair index splits at |R|
-            self.n, self.left, self.right = s[3][1], _decoder(s[2]), _decoder(s[3])
-        elif self.kind == "tag":  # a tag index splits at |L|
-            self.n, self.left, self.right = s[2][1], _decoder(s[2]), _decoder(s[3])
-        elif self.kind == "bag":
-            self.n, self.left, self.bound = s[2][1], _decoder(s[2]), s[3]
+    def __init__(self, s: Space):
+        self.space, self.left, self.right = s, s.left and _decoder(s.left), s.right and _decoder(s.right)
 
     def __missing__(self, i: int) -> Observation:
-        kind, n = self.kind, self.n
-        if kind == "pair":
+        s = self.space
+        if s.kind == "pair":
+            n = s.right.size
             o = Pair(self.left[i // n], self.right[i % n])
-        elif kind == "tag":
+        elif s.kind == "tag":
+            n = s.left.size
             o = Tag(1, self.left[i]) if i < n else Tag(2, self.right[i - n])
-        elif kind == "bag":
-            o = Bag(tuple(map(self.left.__getitem__, _unrank(n, i))), sort=False)
+        elif s.kind == "bag":  # index 0 is the empty bag whatever the element count
+            o = Bag(tuple(map(self.left.__getitem__, _unrank(s.left.size, i))), sort=False) if i else EMPTY_BAG
         else:
             o = STAR
         if len(self) < _MEMO_SIZE:
@@ -317,24 +317,24 @@ class _Decoder(dict):
     def index(self, o: Observation) -> int | None:
         """The index of ``o``, or None for an observation outside the space,
         as a bag of more than its bound."""
-        kind, n = self.kind, self.n
-        if kind == "pair":
+        s = self.space
+        if s.kind == "pair":
             if type(o) is not Pair:
                 return None
             i, j = self.left.index(o.fst), self.right.index(o.snd)
-            return None if i is None or j is None else i * n + j
-        if kind == "tag":
+            return None if i is None or j is None else i * s.right.size + j
+        if s.kind == "tag":
             if type(o) is not Tag or o.index not in (1, 2):
                 return None
             if o.index == 1:
                 return self.left.index(o.value)
             j = self.right.index(o.value)
-            return None if j is None else n + j
-        if kind == "bag":
-            if type(o) is not Bag or len(o.items) > self.bound:
+            return None if j is None else s.left.size + j
+        if s.kind == "bag":
+            if type(o) is not Bag or len(o.items) > s.bound:
                 return None
             idx = [self.left.index(x) for x in o.items]
-            return None if None in idx else _rank(n, sorted(idx))
+            return None if None in idx else _rank(s.left.size, sorted(idx)) if idx else 0
         return 0 if type(o) is Star else None
 
 
@@ -393,17 +393,16 @@ def _unrank(n: int, i: int) -> tuple[int, ...]:
     return tuple(items)
 
 
-def bag_union(s: tuple):
+def bag_union(s: Space):
     """Multiset union of two indices of the bag space ``s``, or None when
     the union has more items than the space's bound."""
-    n, bound = s[2][1], s[3]
-    items = _Memo(partial(_unrank, n))
+    items = _Memo(lambda i: _unrank(s.left.size, i))
 
     def union(i: int, j: int) -> int | None:
         if not i or not j:  # the empty bag is index 0
             return i or j
         merged = items[i] + items[j]
-        return _rank(n, sorted(merged)) if len(merged) <= bound else None
+        return _rank(s.left.size, sorted(merged)) if len(merged) <= s.bound else None
 
     return union
 
@@ -448,7 +447,7 @@ class Relation(NamedTuple):
     position, and ``spaces`` the space of each column."""
 
     cols: tuple[str, ...]
-    spaces: tuple[tuple, ...]
+    spaces: tuple[Space, ...]
     rows: frozenset[tuple[int, ...]]
 
     def tuples(self) -> frozenset[ObsTuple]:
@@ -465,7 +464,7 @@ class _Column(dict):
 
     __slots__ = ("name", "decoder")
 
-    def __init__(self, name: str, s: tuple):
+    def __init__(self, name: str, s: Space):
         self.name, self.decoder = name, _decoder(s)
 
     def __missing__(self, i: int):
@@ -557,6 +556,7 @@ def extend(rel: Relation, name, sp, fn, args=(), drop=()) -> Relation:
 
 def product(left: Relation, right: Relation, name=None, sp=None, fn=None, args=(), drop=()):
     """Every left row with every right row, extended as by ``extend``."""
+    _within_limit(len(left.rows) * len(right.rows), "a product of relations", "rows")
     rows = (a + b for a in left.rows for b in right.rows)
     return _build(rows, left.cols + right.cols, left.spaces + right.spaces, name, sp, fn, args, drop)
 
@@ -564,6 +564,7 @@ def product(left: Relation, right: Relation, name=None, sp=None, fn=None, args=(
 def product_all(rels) -> Relation:
     """Every choice of one row from each relation, as one row: the product of
     n relations in one step, planned once over all their columns."""
+    _within_limit(prod(len(r.rows) for r in rels), "a product of relations", "rows")
     chain = itertools.chain.from_iterable
     rows = map(tuple, map(chain, itertools.product(*(r.rows for r in rels))))
     return _build(rows, tuple(chain(r.cols for r in rels)), tuple(chain(r.spaces for r in rels)))
@@ -627,9 +628,9 @@ def _one(d, p, bound):
 
 def _id(d, p, bound):
     (x, a), (y, _) = d.ctx
-    _within_limit(_capped_size(a, bound), f"fwd {x} {y}", "observations")
     s = space(a, bound)  # the space of dual(a) too
-    return Relation((x, y), (s, s), frozenset((i, i) for i in range(s[1])))
+    _within_limit(s.capped, f"fwd {x} {y}", "observations")
+    return Relation((x, y), (s, s), frozenset((i, i) for i in range(s.size)))
 
 
 def _bot(d, p, bound):
@@ -639,15 +640,13 @@ def _bot(d, p, bound):
 def _tensor(d, p, bound):
     x, y = p.channel, p.payload
     left, right = (_denote(prem, bound) for prem in d.premises)
-    sy, sx = _space_of(left, y), _space_of(right, x)
-    return product(left, right, x, pair_space(sy, sx), _pair(sx[1]), (y, x), (y, x))
+    return product(left, right, x, *_pair(_space_of(left, y), _space_of(right, x)), (y, x), (y, x))
 
 
 def _par(d, p, bound):
     x, y = p.channel, p.payload
     prem = _denote(d.premises[0], bound)
-    sy, sx = _space_of(prem, y), _space_of(prem, x)
-    return extend(prem, x, pair_space(sy, sx), _pair(sx[1]), (y, x), (y, x))
+    return extend(prem, x, *_pair(_space_of(prem, y), _space_of(prem, x)), (y, x), (y, x))
 
 
 def _plus(d, p, bound):
@@ -655,21 +654,19 @@ def _plus(d, p, bound):
     prem = _denote(d.premises[0], bound)
     a = d.context[x]
     if p.branch == 1:
-        sp, offset = tag_space(_space_of(prem, x), space(a.right, bound)), 0
+        sp = Space("tag", _space_of(prem, x), space(a.right, bound))
     else:
-        left = space(a.left, bound)
-        sp, offset = tag_space(left, _space_of(prem, x)), left[1]
-    return extend(prem, x, sp, partial(add, offset), (x,), (x,))
+        sp = Space("tag", space(a.left, bound), _space_of(prem, x))
+    return extend(prem, x, sp, partial(add, 0 if p.branch == 1 else sp.left.size), (x,), (x,))
 
 
 def _with(d, p, bound):
     x = p.channel
     left, right = (_denote(prem, bound) for prem in d.premises)
-    sl = _space_of(left, x)
-    sp = tag_space(sl, _space_of(right, x))
+    sp = Space("tag", _space_of(left, x), _space_of(right, x))
     return union(
         extend(left, x, sp, partial(add, 0), (x,), (x,)),
-        extend(right, x, sp, partial(add, sl[1]), (x,), (x,)),
+        extend(right, x, sp, partial(add, sp.left.size), (x,), (x,)),
     )
 
 
@@ -681,8 +678,8 @@ def _bang(d, p, bound):
     cols, pick, _ = _plan(tuple(prem.cols[i] for i in others), (p.channel,))
     # each other column is of a bag space: the element count and the items
     # of each of its bags that occurs
-    bags = [(i, n, _Memo(partial(_unrank, n))) for i in others for n in [prem.spaces[i][2][1]]]
-    sp = bag_space(prem.spaces[i_payload], bound)
+    bags = [(i, n, _Memo(partial(_unrank, n))) for i in others for n in [prem.spaces[i].left.size]]
+    sp = Space("bag", prem.spaces[i_payload], bound=bound)
     rows = set()
     for k in range(bound + 1):
         for combo in itertools.combinations_with_replacement(prem.rows, k):
@@ -693,18 +690,18 @@ def _bang(d, p, bound):
                     break
                 row.append(_rank(n, sorted(merged)))
             else:
-                row.append(_rank(sp[2][1], sorted(t[i_payload] for t in combo)))
+                row.append(_rank(sp.left.size, sorted(t[i_payload] for t in combo)))
                 rows.add(pick(tuple(row)))
     return Relation(cols, pick(tuple(prem.spaces[i] for i in others) + (sp,)), frozenset(rows))
 
 
 def _quest(d, p, bound):
     if bound < 1:
-        return Relation(tuple(n for n, _ in d.ctx), tuple(space(a, bound) for _, a in d.ctx), frozenset())
+        return from_tuples(d.ctx, (), bound)  # no bag of one item at K = 0
     x, y = p.channel, p.payload
     prem = _denote(d.premises[0], bound)
     # the empty bag is index 0, and the bag of element j alone is 1 + j
-    return extend(prem, x, bag_space(_space_of(prem, y), bound), partial(add, 1), (y,), (y,))
+    return extend(prem, x, Space("bag", _space_of(prem, y), bound=bound), partial(add, 1), (y,), (y,))
 
 
 def _weak(d, p, bound):
@@ -746,13 +743,14 @@ _RULES = {
 }
 
 
-def _space_of(rel: Relation, name: str) -> tuple:
+def _space_of(rel: Relation, name: str) -> Space:
     return rel.spaces[rel.cols.index(name)]
 
 
-def _pair(n_right: int):
-    """The index of a pair from the indices of its two halves."""
-    return lambda i, j: i * n_right + j
+def _pair(left: Space, right: Space):
+    """The space of pairs of ``left`` and ``right``, and the index of a pair
+    from the indices of its two halves."""
+    return Space("pair", left, right), lambda i, j, n=right.size: i * n + j
 
 
 def join_tuples(left, right, name, keep=False) -> set[ObsTuple]:

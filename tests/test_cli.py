@@ -299,7 +299,7 @@ def _calls_to(fn, *functions):
     return result, calls
 
 
-def test_observe_rebuilds_no_term():
+def test_observe_rebuilds_no_term(monkeypatch):
     # a leaf is a node of the checked process with an environment, and a link
     # merges names in an alias map: observing makes no substitution and
     # builds no process node, over the ?bot clients of
@@ -314,11 +314,23 @@ def test_observe_rebuilds_no_term():
     def run():
         return [observe(c, k) for c in configs for k in (0, 1, 2)] + [observe(chain)]
 
-    inits = [cls.__init__ for cls in Process.__subclasses__() if hasattr(cls.__init__, "__code__")]
-    got, (substituted, *built) = _calls_to(run, syntax.substitute, *inits)
+    # count every construction of a process node, of a field-less class
+    # (which keeps object.__init__) too, through an __init__ hook on each
+    # class. A __new__ hook would not do: deleting it leaves CPython calling
+    # object.__new__ through a slot that refuses the constructor's arguments.
+    built = []
+    for cls in Process.__subclasses__():
+        def init(self, *args, __init__=cls.__init__, **kwargs):
+            built.append(type(self))
+            __init__(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    assert Inact() and built == [Inact]
+    built.clear()
+    got, (substituted,) = _calls_to(run, syntax.substitute)
     assert sum(map(len, got)) > len(configs) and len(got[-1]) == 1
     assert substituted == 0
-    assert sum(built) == 0
+    assert built == []
 
 
 def test_finding_a_redex_does_not_walk_the_soup():
@@ -613,6 +625,9 @@ def test_cli_unbound_name_message_does_not_depend_on_the_hash_seed(tmp_path):
 
 _Q = "((1 + 1) + (1 + 1))"
 _QD = "((bot & bot) & (bot & bot))"
+_T = Plus(one, one)
+for _ in range(8):
+    _T = Tensor(Plus(one, one), _T)  # 512 observations
 
 
 @pytest.mark.parametrize("source, ctx, numbers", [
@@ -625,6 +640,9 @@ _QD = "((bot & bot) & (bot & bot))"
     ("fwd x y", f"x:{'!' * 16}1, y:{'?' * 16}bot", "more than 2^64 observations"),
     # refused before the count, which has about 2^30 digits, is computed
     ("fwd x y", f"x:{'!' * 30}1, y:{'?' * 30}bot", "more than 2^64 observations"),
+    # each forwarder's 512 observations pass; the product of the two does not
+    ("fwd x y | fwd u v", format_context({"x": _T, "y": syntax.dual(_T), "u": _T, "v": syntax.dual(_T)}),
+     "262144 rows"),
 ])
 def test_cli_refuses_an_over_large_denotation_up_front(tmp_path, capsys, source, ctx, numbers):
     f = tmp_path / "p.cp"

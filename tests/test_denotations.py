@@ -222,6 +222,30 @@ def test_json_deterministic():
     assert s1 == s2
 
 
+# The sha256 of the JSON denotations of test_denotation_output_is_pinned.
+DENOTATIONS_SHA256 = "7d09903ec4cd2f6a4c26f420c29b72d1fc742b516af9f4a0ac92b305f13fa063"
+
+
+def test_denotation_output_is_pinned():
+    # the byte-stable JSON of every process of the exponential-free,
+    # exponential and cut families at K = 0, 1, 2, one line each: the suites
+    # compare denotations with each other, this compares them with a fixed output
+    import hashlib
+
+    from cpwb.harness import cut_families, exp_free_families, exponential_families
+
+    cases = [(ctx, p) for ctx, ps in exp_free_families(5) + exponential_families(5) for p in ps]
+    cases += cut_families(4)
+    digest, n = hashlib.sha256(), 0
+    for ctx, p in cases:
+        d = check(p, ctx, System.CP02)
+        for k in (0, 1, 2):
+            digest.update(dumps(tuples_to_json(denote(d, k).tuples)).encode() + b"\n")
+            n += 1
+    assert n == 1287
+    assert digest.hexdigest() == DENOTATIONS_SHA256
+
+
 # --- the nested-tensor chain and the one-denotation-per-node law ---------------
 
 B = Plus(Plus(one, one), Plus(one, one))
@@ -339,7 +363,7 @@ def test_indices_encode_and_decode_over_formula_spaces():
         for k in (0, 1, 2):
             obs = obs_space(a, k)
             assert list(obs) == sorted(obs, key=obs_key)
-            assert len(set(obs)) == len(obs) == space_size(a, k) == space(a, k)[1]
+            assert len(set(obs)) == len(obs) == space_size(a, k) == space(a, k).size
             assert space(dual(a), k) == space(a, k)
             for i, o in enumerate(obs):
                 rel = from_tuples(ctx, [(("x", o),)], k)
@@ -452,9 +476,11 @@ def test_bag_ranks_follow_the_enumeration_of_bags():
         bags = [c for k in range(5) for c in itertools.combinations_with_replacement(range(n), k)]
         assert [denotations._rank(n, c) for c in bags] == list(range(len(bags)))
         assert [denotations._unrank(n, i) for i in range(len(bags))] == bags
-        space = denotations.bag_space(("tag", n), 2)  # only the element count is read
+        elems = denotations.Space("star")
+        elems.capped = elems.size = n  # only the element count is read
+        space = denotations.Space("bag", elems, bound=2)
         union = denotations.bag_union(space)
-        for i, j in itertools.product(range(space[1]), repeat=2):
+        for i, j in itertools.product(range(space.size), repeat=2):
             merged = tuple(sorted(bags[i] + bags[j]))
             assert union(i, j) == (bags.index(merged) if len(merged) <= 2 else None)
 
@@ -514,3 +540,92 @@ def test_a_rule_may_enumerate_exactly_max_rows(monkeypatch):
     assert denote(server(one)).tuples
     with pytest.raises(denotations.TooLarge, match="28 multisets of rows"):
         denote(server(Plus(one, one)))
+
+
+def test_a_product_may_enumerate_exactly_max_rows(monkeypatch):
+    # a product of relations, of two or of a configuration's par spine, is
+    # refused before any of its rows is built when it has more than MAX_ROWS
+    from cpwb.oracle import CPar, CProc, denote_config
+
+    monkeypatch.setattr(denotations, "MAX_ROWS", 16)
+    q = Plus(Plus(one, one), Plus(one, one))
+    fwds = [Fwd(f"x{i}", f"y{i}") for i in range(3)]
+    ctx = {n: a for f in fwds for n, a in ((f.left, q), (f.right, dual(q)))}
+    ds = [check(f, {f.left: q, f.right: dual(q)}, System.CP02) for f in fwds]
+    two = {n: ctx[n] for n in ("x0", "y0", "x1", "y1")}
+    assert len(denote(check(Mix(fwds[0], fwds[1]), two, System.CP02)).tuples) == 16
+    assert len(denote_config(CPar(CProc(ds[0]), CProc(ds[1]))).tuples) == 16
+    with pytest.raises(denotations.TooLarge, match="64 rows, more than the limit of 16"):
+        denote(check(Mix(Mix(fwds[0], fwds[1]), fwds[2]), ctx, System.CP02))
+    with pytest.raises(denotations.TooLarge, match="64 rows, more than the limit of 16"):
+        denote_config(CPar(CProc(ds[0]), CPar(CProc(ds[1]), CProc(ds[2]))))
+    rels = [denotations._denote(d, 2) for d in ds]
+    pair = denotations.product_all(rels[1:])
+    monkeypatch.setattr(denotations, "_build", None)  # building a row would raise TypeError
+    with pytest.raises(denotations.TooLarge, match="64 rows"):
+        denotations.product_all(rels)
+    with pytest.raises(denotations.TooLarge, match="64 rows"):
+        denotations.product(rels[0], pair)
+
+
+def _size(a, k):
+    """The number of observations of ``a`` at bound ``k``: 1 at a unit, the
+    product or the sum of the operands' numbers, and C(n + k, k) multisets
+    of at most k of the n observations under an exponential."""
+    match a:
+        case Unit() | Bottom():
+            return 1
+        case Tensor(l, r) | Par(l, r):
+            return _size(l, k) * _size(r, k)
+        case Plus(l, r) | With(l, r):
+            return _size(l, k) + _size(r, k)
+        case OfCourse(b) | WhyNot(b):
+            return comb(_size(b, k) + k, k)
+
+
+def test_space_sizes_follow_the_closed_forms():
+    from cpwb.harness import enumerate_formulas
+
+    cap = (1 << 64) + 1
+    for a in enumerate_formulas(2):
+        for k in range(4):
+            assert space(a, k).capped == min(_size(a, k), cap)
+            assert space(a, k).size == _size(a, k)
+    # !/? towers run past the cap at depth 6 at K = 2; their exact sizes have
+    # about 2^depth digits
+    for unit, exp in ((one, OfCourse), (bot, WhyNot)):
+        a = unit
+        for depth in range(21):
+            for k in range(3):
+                denotations.space.cache_clear()
+                s = space(a, k)
+                assert s.capped == min(_size(a, k), cap), (depth, k)
+                assert s.size == _size(a, k)
+            a = exp(a)
+
+
+def test_a_deep_exponential_type_is_sized_only_where_an_index_needs_it():
+    # the exact size of 26 nested ? has some 2^26 digits; weakening at it,
+    # in a process and in a configuration, encoding its empty bag and the
+    # empty client at K = 0 each take well under a second
+    import time
+
+    from cpwb.oracle import CWeak, CZero, denote_config
+
+    inner = bot
+    for _ in range(25):
+        inner = WhyNot(inner)
+    a, empty_bag = WhyNot(inner), mk_tuple({"x": bag()})
+    cases = [
+        (lambda: denote(check(Weak("x", a, Inact()), {"x": a}, System.CP02)).tuples, {empty_bag}),
+        (lambda: denote_config(CWeak("x", a, CZero())).tuples, {empty_bag}),
+        (lambda: from_tuples((("x", a),), [empty_bag], 2).rows, {(0,)}),
+        (lambda: denote(check(Client("x", "y", Weak("y", inner, Inact())), {"x": a}, System.CP02), 0).tuples,
+         set()),
+    ]
+    for case, want in cases:
+        denotations.space.cache_clear()
+        denotations._decoder.cache_clear()
+        start = time.perf_counter()
+        assert case() == want
+        assert time.perf_counter() - start < 1.0
