@@ -16,7 +16,7 @@ with doubly exponentially many digits at a deeply nested ``!A``, only when read.
 A denotation is a ``Relation``: a set of rows, each a plain tuple of
 indices in the order of the sorted context names, with the space of each
 column.  Every rule is one operation of a small relational algebra
-(product, join, extend, union), each premise is denoted once, output rows
+(product, join on a name, extend), each premise is denoted once, output rows
 are built by index arithmetic, and the space of a new column is built from
 those of the premises.  Rows are decoded to name-keyed ``ObsTuple``s only at
 the boundary (``Relation.tuples``): in ``denote(...).tuples``,
@@ -194,14 +194,26 @@ def check_bound(bound: int) -> None:
 # The size that stands for every size past 2^64, far above ``MAX_ROWS``.
 _SIZE_CAP = (1 << 64) + 1
 
-# The size of a space of each kind from the sizes of its parts (None where
-# there is none) and its bound; a bag space holds the bags of at most K items.
+# The exact size of a space of each kind from the sizes of its parts (None
+# where there is none) and its bound; a bag holds at most K items.
 _SIZE_RULES = {
     "star": lambda left, right, bound: 1,
     "pair": lambda left, right, bound: left * right,
     "tag": lambda left, right, bound: left + right,
     "bag": lambda left, right, bound: comb(left + bound, bound),
 }
+
+
+def _capped_bags(e: int, k: int) -> int:
+    """``min(comb(e + k, k), _SIZE_CAP)``, built up over ``min(k, e)``
+    factors, each at least 2: past the cap within 65 steps whatever ``k``."""
+    n, k = e + k, min(k, e)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i  # comb(n - k + i, i)
+        if c >= _SIZE_CAP:
+            return _SIZE_CAP
+    return c
 
 
 class Space:
@@ -214,9 +226,10 @@ class Space:
     def __init__(self, kind: str, left: Space | None = None, right: Space | None = None, bound: int = 0):
         self.kind, self.left, self.right, self.bound = kind, left, right, bound
         self._key = kind, bound, left and left._key, right and right._key  # compared and hashed in C
-        # a bag over a space at the cap is at the cap: a large K computes no huge comb
-        at_cap = kind == "bag" and bound and left.capped == _SIZE_CAP
-        n = _SIZE_CAP if at_cap else _SIZE_RULES[kind](left and left.capped, right and right.capped, bound)
+        if kind == "bag":
+            n = _capped_bags(left.capped, bound)
+        else:
+            n = _SIZE_RULES[kind](left and left.capped, right and right.capped, bound)
         self.capped = min(n, _SIZE_CAP)
         if n < _SIZE_CAP:
             self.size = n
@@ -267,20 +280,6 @@ def obs_space(a: Formula, bound: int = 2) -> tuple[Observation, ...]:
 def space_size(a: Formula, bound: int = 2) -> int:
     """``len(obs_space(a, bound))``, building no observation."""
     return space(a, bound).size
-
-
-class _Memo(dict):
-    """A dict that fills in a missing key as ``fn`` of it: the memo of one
-    union or bang."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 # The most entries a decoding table that outlives a call keeps.
@@ -396,13 +395,12 @@ def _unrank(n: int, i: int) -> tuple[int, ...]:
 def bag_union(s: Space):
     """Multiset union of two indices of the bag space ``s``, or None when
     the union has more items than the space's bound."""
-    items = _Memo(lambda i: _unrank(s.left.size, i))
-
     def union(i: int, j: int) -> int | None:
         if not i or not j:  # the empty bag is index 0
             return i or j
-        merged = items[i] + items[j]
-        return _rank(s.left.size, sorted(merged)) if len(merged) <= s.bound else None
+        n = s.left.size
+        merged = _unrank(n, i) + _unrank(n, j)
+        return _rank(n, sorted(merged)) if len(merged) <= s.bound else None
 
     return union
 
@@ -478,7 +476,6 @@ _column = lru_cache(maxsize=32)(_Column)
 
 
 UNIT = Relation((), (), frozenset({()}))
-NOTHING = Relation((), (), frozenset())  # no rows, so no column set to speak of
 
 
 def from_tuples(ctx, tuples, bound: int) -> Relation:
@@ -509,7 +506,7 @@ def _picker(idx):
 _CACHED_WIDTH = 32
 
 
-def _plan(src: tuple[str, ...], new: tuple[str, ...] = (), args=(), drop=()):
+def _plan(src: tuple[str, ...], new: tuple[str, ...], args, drop):
     plan = _cached_plan if len(src) <= _CACHED_WIDTH else _make_plan
     return plan(src, new, args, drop)
 
@@ -533,10 +530,10 @@ _cached_plan = lru_cache(maxsize=4096)(_make_plan)
 def _build(rows, src, spaces, name=None, sp=None, fn=None, args=(), drop=()) -> Relation:
     """Rows over ``src`` (of ``spaces``) without the columns ``drop``, with a
     column ``name`` of space ``sp`` set to ``fn`` of the row's ``args``; a
-    row where ``fn`` gives None goes. Without ``fn``, the rows as they are,
-    in sorted column order."""
+    row where ``fn`` gives None goes. Without ``fn``, no column is added.
+    Every relation the algebra builds is planned and assembled here."""
     if fn is None:
-        cols, pick, _ = _plan(src)
+        cols, pick, _ = _plan(src, (), (), drop)
         return Relation(cols, pick(spaces), frozenset(map(pick, rows)))
     cols, pick, get = _plan(src, (name,), args, drop)
     out = set()
@@ -554,47 +551,40 @@ def extend(rel: Relation, name, sp, fn, args=(), drop=()) -> Relation:
     return _build(rel.rows, rel.cols, rel.spaces, name, sp, fn, args, drop)
 
 
-def product(left: Relation, right: Relation, name=None, sp=None, fn=None, args=(), drop=()):
-    """Every left row with every right row, extended as by ``extend``."""
-    _within_limit(len(left.rows) * len(right.rows), "a product of relations", "rows")
-    rows = (a + b for a in left.rows for b in right.rows)
-    return _build(rows, left.cols + right.cols, left.spaces + right.spaces, name, sp, fn, args, drop)
-
-
-def product_all(rels) -> Relation:
-    """Every choice of one row from each relation, as one row: the product of
-    n relations in one step, planned once over all their columns."""
-    _within_limit(prod(len(r.rows) for r in rels), "a product of relations", "rows")
+def product(rels, name=None, sp=None, fn=None, args=(), drop=()) -> Relation:
+    """Every choice of one row from each of the relations ``rels``, as one
+    row over all their columns, extended as by ``extend``: any number of
+    relations in one step, checked against ``MAX_ROWS`` and planned once."""
+    cols, spaces, rowsets = zip(*rels) if rels else ((), (), ())
+    _within_limit(prod(map(len, rowsets)), "a product of relations", "rows")
     chain = itertools.chain.from_iterable
-    rows = map(tuple, map(chain, itertools.product(*(r.rows for r in rels))))
-    return _build(rows, tuple(chain(r.cols for r in rels)), tuple(chain(r.spaces for r in rels)))
+    rows = itertools.product(*rowsets)
+    # two rows are one concatenation; more are one chain, not a quadratic fold
+    rows = itertools.starmap(add, rows) if len(rowsets) == 2 else map(tuple, map(chain, rows))
+    return _build(rows, tuple(chain(cols)), tuple(chain(spaces)), name, sp, fn, args, drop)
 
 
 def join(left: Relation, right: Relation, name: str, keep: bool = False) -> Relation:
     """Left and right rows that agree on ``name``, merged; the shared column
     is kept once or dropped."""
     li, ri = left.cols.index(name), right.cols.index(name)
-    cols, pick, _ = _plan(left.cols + right.cols, (name,) if keep else (), (), (name,))
     by_val: dict = {}
     for a in left.rows:
         by_val.setdefault(a[li], []).append(a)
-    # the shared value rides at the end of each row; the plan keeps it if ``keep``
-    return Relation(
-        cols,
-        pick(left.spaces + right.spaces + (left.spaces[li],)),
-        frozenset(pick(a + b + (b[ri],)) for b in right.rows for a in by_val.get(b[ri], ())),
-    )
+    rows = (a + b for b in right.rows for a in by_val.get(b[ri], ()))
+    src, spaces = left.cols + right.cols, left.spaces + right.spaces
+    if keep:  # both copies go, and the left one comes back as is
+        return _build(rows, src, spaces, name, left.spaces[li], int, (name,), (name,))
+    return _build(rows, src, spaces, drop=(name,))
 
 
-def union(*rels: Relation) -> Relation:
-    """The rows of relations over one column set; one with no rows fits any,
-    and with no rows at all the first relation (or NOTHING) is the union."""
-    full = [r for r in rels if r.rows]
-    if len(full) < 2:
-        return full[0] if full else rels[0] if rels else NOTHING
-    if any(r.cols != full[0].cols for r in full):
-        raise CpwbError(f"a union over two column sets: {[r.cols for r in full]}")
-    return Relation(full[0].cols, full[0].spaces, frozenset().union(*(r.rows for r in full)))
+def contract(rel: Relation, name: str, left: str, right: str) -> Relation:
+    """The columns ``left`` and ``right``, of one bag space, merged into one
+    column ``name`` that holds their multiset union; a row whose union has
+    more items than the bound goes."""
+    sp = _space_of(rel, left)
+    ends = (left, right)
+    return extend(rel, name, sp, bag_union(sp), ends, ends)
 
 
 # --- the semantics -----------------------------------------------------------
@@ -640,7 +630,7 @@ def _bot(d, p, bound):
 def _tensor(d, p, bound):
     x, y = p.channel, p.payload
     left, right = (_denote(prem, bound) for prem in d.premises)
-    return product(left, right, x, *_pair(_space_of(left, y), _space_of(right, x)), (y, x), (y, x))
+    return product((left, right), x, *_pair(_space_of(left, y), _space_of(right, x)), (y, x), (y, x))
 
 
 def _par(d, p, bound):
@@ -664,35 +654,34 @@ def _with(d, p, bound):
     x = p.channel
     left, right = (_denote(prem, bound) for prem in d.premises)
     sp = Space("tag", _space_of(left, x), _space_of(right, x))
-    return union(
-        extend(left, x, sp, partial(add, 0), (x,), (x,)),
-        extend(right, x, sp, partial(add, sp.left.size), (x,), (x,)),
-    )
+    first = extend(left, x, sp, partial(add, 0), (x,), (x,))
+    second = extend(right, x, sp, partial(add, sp.left.size), (x,), (x,))
+    # both premises have one context, so both have the same columns
+    return first._replace(rows=first.rows | second.rows)
 
 
 def _bang(d, p, bound):
     prem = _denote(d.premises[0], bound)
     _within_limit(comb(len(prem.rows) + bound, bound), f"server {p.channel}", "multisets of rows")
-    i_payload = prem.cols.index(p.payload)
-    others = [i for i in range(len(prem.cols)) if i != i_payload]
-    cols, pick, _ = _plan(tuple(prem.cols[i] for i in others), (p.channel,))
-    # each other column is of a bag space: the element count and the items
-    # of each of its bags that occurs
-    bags = [(i, n, _Memo(partial(_unrank, n))) for i in others for n in [prem.spaces[i].left.size]]
-    sp = Space("bag", prem.spaces[i_payload], bound=bound)
-    rows = set()
-    for k in range(bound + 1):
-        for combo in itertools.combinations_with_replacement(prem.rows, k):
-            row = []
-            for i, n, items in bags:
-                merged = [o for t in combo for o in items[t[i]]]
-                if len(merged) > bound:
-                    break
-                row.append(_rank(n, sorted(merged)))
-            else:
-                row.append(_rank(sp.left.size, sorted(t[i_payload] for t in combo)))
-                rows.add(pick(tuple(row)))
-    return Relation(cols, pick(tuple(prem.spaces[i] for i in others) + (sp,)), frozenset(rows))
+    # a multiset of rows gives one row of bags: the payload column becomes
+    # the bag of its values, and each other column, of a bag space, the
+    # union of its bags
+    i = prem.cols.index(p.payload)
+    cols = (*prem.cols[:i], p.channel, *prem.cols[i + 1:])
+    spaces = (*prem.spaces[:i], Space("bag", prem.spaces[i], bound=bound), *prem.spaces[i + 1:])
+    elems = [s.left for s in spaces]
+    # each row as the items of one bag per column, unranked once; the empty
+    # bag is index 0 whatever the element count, so the exact size of a
+    # space, huge at a deeply nested ? type, is read only for another bag
+    bagged = [[(v,) if j == i else _unrank(e.size, v) if v else ()
+               for j, (e, v) in enumerate(zip(elems, row))] for row in prem.rows]
+    rows = [(0,) * len(cols)]  # no session: every bag is empty
+    for k in range(1, bound + 1):
+        for combo in itertools.combinations_with_replacement(bagged, k):
+            bags = list(map(sorted, map(itertools.chain.from_iterable, zip(*combo))))
+            if max(map(len, bags)) <= bound:
+                rows.append(tuple([_rank(e.size, b) if b else 0 for e, b in zip(elems, bags)]))
+    return _build(rows, cols, spaces)
 
 
 def _quest(d, p, bound):
@@ -709,10 +698,7 @@ def _weak(d, p, bound):
 
 
 def _contract(d, p, bound):
-    prem = _denote(d.premises[0], bound)
-    ends = (p.left_name, p.right_name)
-    sp = _space_of(prem, p.left_name)
-    return extend(prem, p.name, sp, bag_union(sp), ends, ends)
+    return contract(_denote(d.premises[0], bound), p.name, p.left_name, p.right_name)
 
 
 def _cut(d, p, bound):
@@ -721,8 +707,7 @@ def _cut(d, p, bound):
 
 
 def _mix2(d, p, bound):
-    left, right = (_denote(prem, bound) for prem in d.premises)
-    return product(left, right)
+    return product([_denote(prem, bound) for prem in d.premises])
 
 
 _RULES = {

@@ -43,9 +43,8 @@ from functools import partial
 from itertools import count
 from operator import attrgetter
 
-from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, _denote, bag, bag_union
-from .denotations import bounded_union, check_bound, empty, extend, join, mk_tuple, product_all
-from .denotations import space
+from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, _denote, bag, bounded_union
+from .denotations import check_bound, contract, empty, extend, join, mk_tuple, product, space
 from .syntax import (
     Case,
     Client,
@@ -582,13 +581,6 @@ def _config_relation(c: Configuration, bound: int) -> Relation:
     return _fold(c, _DENOTE, bound, spine=True)
 
 
-def _denote_con(c, bound, sub):
-    x1 = c.left_name
-    s = sub.spaces[sub.cols.index(x1)]
-    ends = (x1, c.right_name)
-    return extend(sub, x1, s, bag_union(s), ends, ends)
-
-
 # One function per configuration class: from the relations of its
 # subconfigurations (of every configuration below a ``CPar`` spine), that
 # of the node.
@@ -596,9 +588,10 @@ _DENOTE = {
     CZero: lambda c, bound: UNIT,
     CProc: lambda c, bound: _denote(c.deriv, bound),
     CCut: lambda c, bound, left, right: join(left, right, c.name, keep=True),
-    CPar: lambda c, bound, *rels: product_all(rels),
+    CPar: lambda c, bound, *rels: product(rels),
     CWeak: lambda c, bound, sub: extend(sub, c.name, space(c.annot, bound), empty),
-    CCon: _denote_con,
+    # a configuration contraction keeps its first name
+    CCon: lambda c, bound, sub: contract(sub, c.left_name, c.left_name, c.right_name),
 }
 
 

@@ -149,7 +149,7 @@ def _ctx_den(tree, deriv, xs, bound: int):
             return join(_ctx_den(sub, below, xs, bound), _denote(dq, bound), x)
         case KMix(sub, _, _):
             below, dq = deriv.premises
-            return product(_ctx_den(sub, below, xs, bound), _denote(dq, bound))
+            return product((_ctx_den(sub, below, xs, bound), _denote(dq, bound)))
     raise CpwbError(f"not a context tree: {tree!r}")
 
 

@@ -53,6 +53,7 @@ from .syntax import (
     With,
     all_names,
     dual,
+    fresh_name,
     is_positive,
     substitute,
 )
@@ -150,13 +151,7 @@ def prime_map(ctx) -> dict[Name, Name]:
 
 def closing_name(ctx) -> Name:
     """The closing name used by the translation of a process typed at ctx."""
-    taken = set(dict(ctx)) | set(prime_map(ctx).values())
-    if "w" not in taken:
-        return "w"
-    n = 0
-    while f"w{n}" in taken:
-        n += 1
-    return f"w{n}"
+    return fresh_name("w", set(dict(ctx)) | set(prime_map(ctx).values()))
 
 
 def translated_context(ctx) -> dict[Name, Formula]:

@@ -656,6 +656,26 @@ def test_cli_refuses_an_over_large_denotation_up_front(tmp_path, capsys, source,
     assert numbers in out.err and f"limit of {denotations.MAX_ROWS}" in out.err
 
 
+def test_cli_sizes_a_bag_space_at_a_large_bound_in_few_steps(tmp_path, capsys):
+    # |??bot| at K = 10^6 is C(2K + 1, K), of some 2 million bits: its
+    # capped size stops at the cap, so the weakening prints its one row
+    # and the forwarder is refused, each well under a second
+    f = tmp_path / "p.cp"
+    for source, ctx, k, code, out in (
+        ("weak x:??bot.0", "x:??bot", 10**6, 0, '[{"x":["bag",[]]}]\n'),
+        ("fwd x y", "x:??bot, y:!!1", 3 * 10**5, 4, ""),
+    ):
+        f.write_text(source)
+        denotations.space.cache_clear()
+        t0 = time.monotonic()
+        assert main(["denote", str(f), "--ctx", ctx, "-K", str(k)]) == code
+        assert time.monotonic() - t0 < 1.0
+        got = capsys.readouterr()
+        assert got.out == out
+        assert got.err == ("" if code == 0 else "error: the denotation of fwd x y needs more than 2^64 "
+                           f"observations, more than the limit of {denotations.MAX_ROWS}\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["denote"], 4),  # a missing file
     (["denote", "p.cp", "-K", "x"], 4),

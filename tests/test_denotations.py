@@ -521,6 +521,64 @@ def test_join_tuples_composes_on_the_shared_name():
     assert join_tuples(left, set(), "x") == set()
 
 
+def test_join_agrees_with_join_tuples_on_every_cut():
+    # both premises of every cut of the cut families, at K = 0, 1, 2
+    from cpwb.denotations import join, join_tuples
+    from cpwb.harness import cut_families
+
+    for ctx, p in cut_families(4):
+        d = check(p, ctx, System.CP02)
+        for k in (0, 1, 2):
+            left, right = (denotations._denote(q, k) for q in d.premises)
+            for keep in (False, True):
+                want = join_tuples(left.tuples(), right.tuples(), p.name, keep)
+                assert join(left, right, p.name, keep).tuples() == want, (p, k, keep)
+
+
+def test_product_agrees_with_nested_loops():
+    # the product of 0 to 3 relations, one of them without rows, alone and
+    # fused with an extend that drops its argument and some rows
+    import itertools
+
+    from cpwb.denotations import product
+
+    t2 = Plus(one, one)
+    ctxs = [(("a", t2),), (("b", OfCourse(one)), ("c", t2)), (("d", With(one, bot)),), (("e", one),)]
+    rels = []
+    for ctx in ctxs:
+        names = [n for n, _ in ctx]
+        every = itertools.product(*(obs_space(a, 2) for _, a in ctx))
+        rels.append(from_tuples(ctx, [mk_tuple(zip(names, obs)) for obs in every], 2))
+    rels[3] = rels[3]._replace(rows=frozenset())
+
+    def fn(i):
+        return None if i % 2 else i // 2
+
+    def reference(rs, arg):
+        cols, rows = set(), set()
+        for choice in itertools.product(*(r.rows for r in rs)):
+            row = {n: v for r, t in zip(rs, choice) for n, v in zip(r.cols, t)}
+            if arg is not None:
+                v = fn(row.pop(arg))
+                if v is None:
+                    continue
+                row["z"] = v
+            rows.add(tuple(row[n] for n in sorted(row)))
+        return rows
+
+    for n in range(4):
+        for rs in itertools.combinations(rels, n):
+            names = sorted(c for r in rs for c in r.cols)
+            got = product(rs)
+            assert got.cols == tuple(names) and got.rows == reference(rs, None)
+            if rs:
+                arg, sp = rs[0].cols[0], rs[0].spaces[0]
+                got = product(rs, "z", sp, fn, (arg,), (arg,))
+                assert got.cols == tuple(sorted({*names, "z"} - {arg}))
+                assert got.rows == reference(rs, arg)
+                assert got.spaces[got.cols.index("z")] is sp
+
+
 def test_a_rule_may_enumerate_exactly_max_rows(monkeypatch):
     monkeypatch.setattr(denotations, "MAX_ROWS", 16)
     q = Plus(Plus(one, one), Plus(one, one))
@@ -560,12 +618,12 @@ def test_a_product_may_enumerate_exactly_max_rows(monkeypatch):
     with pytest.raises(denotations.TooLarge, match="64 rows, more than the limit of 16"):
         denote_config(CPar(CProc(ds[0]), CPar(CProc(ds[1]), CProc(ds[2]))))
     rels = [denotations._denote(d, 2) for d in ds]
-    pair = denotations.product_all(rels[1:])
+    pair = denotations.product(rels[1:])
     monkeypatch.setattr(denotations, "_build", None)  # building a row would raise TypeError
     with pytest.raises(denotations.TooLarge, match="64 rows"):
-        denotations.product_all(rels)
+        denotations.product(rels)
     with pytest.raises(denotations.TooLarge, match="64 rows"):
-        denotations.product(rels[0], pair)
+        denotations.product((rels[0], pair))
 
 
 def _size(a, k):
@@ -584,6 +642,9 @@ def _size(a, k):
 
 
 def test_space_sizes_follow_the_closed_forms():
+    import random
+    import time
+
     from cpwb.harness import enumerate_formulas
 
     cap = (1 << 64) + 1
@@ -602,12 +663,27 @@ def test_space_sizes_follow_the_closed_forms():
                 assert s.capped == min(_size(a, k), cap), (depth, k)
                 assert s.size == _size(a, k)
             a = exp(a)
+    # the capped bag count at a large K, and near the cap, is the capped
+    # binomial; it is reached in a few steps, whatever K
+    rng = random.Random(5)
+    pairs = [(e, k) for e in (0, 1, 2, 3, 64, 1 << 32, cap - 1, cap) for k in (0, 1, 2, 3, 64, 1000)]
+    pairs += [(rng.randrange(1 << rng.randrange(1, 70)), rng.randrange(1 << rng.randrange(1, 12)))
+              for _ in range(2000)]
+    for e, k in pairs:
+        assert denotations._capped_bags(e, k) == min(comb(e + k, k), cap), (e, k)
+    for k in (10**5, 3 * 10**5, 10**6, 10**7):
+        denotations.space.cache_clear()
+        start = time.perf_counter()
+        assert space(WhyNot(bot), k).size == k + 1
+        assert space(WhyNot(WhyNot(bot)), k).capped == cap
+        assert space(Plus(one, OfCourse(one)), k).capped == k + 2
+        assert time.perf_counter() - start < 1.0
 
 
 def test_a_deep_exponential_type_is_sized_only_where_an_index_needs_it():
     # the exact size of 26 nested ? has some 2^26 digits; weakening at it,
-    # in a process and in a configuration, encoding its empty bag and the
-    # empty client at K = 0 each take well under a second
+    # in a process, in a configuration and under a server, encoding its
+    # empty bag and the empty client at K = 0 each take well under a second
     import time
 
     from cpwb.oracle import CWeak, CZero, denote_config
@@ -622,6 +698,9 @@ def test_a_deep_exponential_type_is_sized_only_where_an_index_needs_it():
         (lambda: from_tuples((("x", a),), [empty_bag], 2).rows, {(0,)}),
         (lambda: denote(check(Client("x", "y", Weak("y", inner, Inact())), {"x": a}, System.CP02), 0).tuples,
          set()),
+        (lambda: denote(check(Server("x", "y", Weak("z", a, EmptyOut("y"))), {"x": OfCourse(one), "z": a},
+                              System.CP02)).tuples,
+         {mk_tuple({"x": bag([STAR] * n), "z": bag()}) for n in range(3)}),
     ]
     for case, want in cases:
         denotations.space.cache_clear()

@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import pytest
@@ -472,6 +473,47 @@ def test_adequacy_of_configuration_weak_and_con():
             assert observe(c, k) == frozenset({mk_tuple({"x": bag()})})
 
 
+def par_spines():
+    """``CPar`` spines of 3 and 4 parts, left-deep and right-deep: part i
+    is an observable cut on ``x<i>`` or an open forwarder on ``u<i>, v<i>``."""
+    t2 = Plus(one, one)
+    parts = []
+    for i, a in enumerate((one, t2, Tensor(one, bot), OfCourse(one))):
+        x, u, v = f"x{i}", f"u{i}", f"v{i}"
+        lefts = enumerate_processes({x: a}, 5, System.CP02, markers=False)[:2]
+        rights = enumerate_processes({x: dual(a)}, 5, System.CP02, markers=False)[:2]
+        parts.append([CCut(x, a, proc(p, {x: a}), proc(q, {x: dual(a)})) for p in lefts for q in rights])
+        parts[-1].append(proc(Fwd(u, v), {u: t2, v: dual(t2)}))
+    out = []
+    for n in (3, 4):
+        for cs in itertools.product(*parts[:n]):
+            out += [reduce(CPar, cs), reduce(lambda r, l: CPar(l, r), reversed(cs))]
+    return out
+
+
+# The sha256 of the JSON configuration denotations of
+# test_configuration_denotation_output_is_pinned.
+CONFIG_DENOTATIONS_SHA256 = "d7405c468a8a810609a007f27aab75482944a2586c38fe7165cae51a72abb11f"
+
+
+def test_configuration_denotation_output_is_pinned():
+    # the byte-stable JSON of the configuration denotations of the
+    # weakening/contraction sweep and of par spines at K = 0, 1, 2, one line
+    # each: the kept cut column, the spine product, CCon and CWeak
+    import hashlib
+
+    from cpwb.denotations import dumps, tuples_to_json
+
+    configs = con_weak_sweep() + par_spines()
+    digest, n = hashlib.sha256(), 0
+    for c in configs:
+        for k in (0, 1, 2):
+            digest.update(dumps(tuples_to_json(denote_config(c, k).tuples)).encode() + b"\n")
+            n += 1
+    assert n == 3 * (953 + 108)
+    assert digest.hexdigest() == CONFIG_DENOTATIONS_SHA256
+
+
 def test_adequacy_check_checks_the_configuration_once(monkeypatch):
     calls = []
     real = oracle.check_config
@@ -525,18 +567,18 @@ def test_a_par_spine_is_denoted_by_one_product(monkeypatch):
     from cpwb import denotations
 
     planned, products = [], []
-    real_plan, real_product = denotations._plan, oracle.product_all
+    real_plan, real_product = denotations._plan, oracle.product
 
     def plan(src, *rest):
         planned.append(len(src))
         return real_plan(src, *rest)
 
-    def product_all(rels):
+    def product(rels):
         products.append(len(rels))
         return real_product(rels)
 
     monkeypatch.setattr(denotations, "_plan", plan)
-    monkeypatch.setattr(oracle, "product_all", product_all)
+    monkeypatch.setattr(oracle, "product", product)
     n = 1000
     pairs = [
         CCut(f"x{i}", one, proc(EmptyOut(f"x{i}"), {f"x{i}": one}),
