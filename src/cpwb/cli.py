@@ -59,7 +59,7 @@ from .syntax import (
 )
 from .transformers import transformer_context
 from .translation import translate_process, translated_context
-from .typing import CpwbError, CPTypeError, Derivation, System, TypeMismatch, check, fill
+from .typing import CpwbError, CPTypeError, Derivation, System, TooDeep, TypeMismatch, check, fill
 
 KEYWORDS = {"new", "fwd", "weak", "ctr", "bot", "zero", "cut", "par", "con"}
 
@@ -551,7 +551,7 @@ def main(argv=None) -> int:
         # goes to the null device, so the flush at exit does not fail again.
         sys.stdout = open(os.devnull, "w")
         return EXIT_PIPE
-    except (ConfigError, OSError, TooLarge) as e:
+    except (ConfigError, OSError, TooLarge, TooDeep) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

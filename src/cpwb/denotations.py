@@ -25,6 +25,16 @@ the boundary (``Relation.tuples``): in ``denote(...).tuples``,
 ``_Decoder`` per space serves ``obs_space``, this decoding and the encoding.
 Either way only the indices and observations that occur are translated, so
 the cost is in the rows, never in the size of a space.
+
+A ``typing.Root`` (the derivation ``check`` returns, or that of a given
+process of a typed context) keeps its relation: its first denotation at a
+bound only marks it, the second keeps the relation it computes, and later
+ones return that relation, until a denotation at another bound marks it
+anew. A server cut against many clients, or a transformer context filled
+with many processes, is so denoted twice, not once per use, and a root
+denoted once keeps no relation. What a root keeps lives on the root and
+goes with it: there is no table of derivations here, and inner nodes keep
+nothing. Relations are immutable, so a kept one is shared safely.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
 from .syntax import Bottom, Formula, OfCourse, Par, Plus, Tensor, Unit, WhyNot, With
-from .typing import CpwbError, CPTypeError, Derivation, System, check
+from .typing import CpwbError, CPTypeError, Derivation, Root, System, check, too_deep
 
 
 class TypingMismatch(CPTypeError):
@@ -572,10 +582,11 @@ def join(left: Relation, right: Relation, name: str, keep: bool = False) -> Rela
     for a in left.rows:
         by_val.setdefault(a[li], []).append(a)
     rows = (a + b for b in right.rows for a in by_val.get(b[ri], ()))
-    src, spaces = left.cols + right.cols, left.spaces + right.spaces
-    if keep:  # both copies go, and the left one comes back as is
-        return _build(rows, src, spaces, name, left.spaces[li], int, (name,), (name,))
-    return _build(rows, src, spaces, drop=(name,))
+    if keep:  # only the right copy goes: None, no column's name, stands for it
+        src, drop = left.cols + right.cols[:ri] + (None,) + right.cols[ri + 1:], (None,)
+    else:
+        src, drop = left.cols + right.cols, (name,)
+    return _build(rows, src, left.spaces + right.spaces, drop=drop)
 
 
 def contract(rel: Relation, name: str, left: str, right: str) -> Relation:
@@ -593,7 +604,10 @@ def contract(rel: Relation, name: str, left: str, right: str) -> Relation:
 def denote(d: Derivation, bound: int = 2) -> DenotationSet:
     """Denotation of a typing derivation at replication bound ``bound``."""
     check_bound(bound)
-    return DenotationSet(_denote(d, bound).tuples(), d.ctx, bound)
+    try:
+        return DenotationSet(_denote(d, bound).tuples(), d.ctx, bound)
+    except RecursionError:
+        raise too_deep("the derivation") from None
 
 
 def _denote(d: Derivation, bound: int) -> Relation:
@@ -601,7 +615,21 @@ def _denote(d: Derivation, bound: int) -> Relation:
         rule = _RULES[d.rule]
     except KeyError:
         raise CpwbError(f"unknown rule {d.rule!r}") from None
+    if type(d) is Root:
+        return _denote_root(d, rule, bound)
     return rule(d, d.process, bound)
+
+
+def _denote_root(d: Root, rule, bound: int) -> Relation:
+    """The relation of a root, which the root keeps from its second
+    denotation at ``bound`` on: the first only marks it with the bound, so
+    a root denoted once keeps no relation, and another bound marks it anew."""
+    if d.__dict__.get("_bound") != bound:
+        d._bound, d._relation = bound, None
+        return rule(d, d.process, bound)
+    if d._relation is None:
+        d._relation = rule(d, d.process, bound)
+    return d._relation
 
 
 # One function per rule: it denotes the premises through ``_denote`` and

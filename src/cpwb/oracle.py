@@ -66,7 +66,7 @@ from .syntax import (
     dual,
     free_names,
 )
-from .typing import CPTypeError, Derivation, ctx_items
+from .typing import CPTypeError, Derivation, ctx_items, too_deep
 
 
 class CutTypeMismatch(CPTypeError):
@@ -578,7 +578,10 @@ def _config_relation(c: Configuration, bound: int) -> Relation:
     """The denotation of a configuration that ``check_config`` accepted. A
     ``CPar`` spine is one product of all the relations below it: a chain of
     binary products would copy and re-plan an ever wider row per level."""
-    return _fold(c, _DENOTE, bound, spine=True)
+    try:
+        return _fold(c, _DENOTE, bound, spine=True)
+    except RecursionError:
+        raise too_deep("a process of the configuration") from None
 
 
 # One function per configuration class: from the relations of its

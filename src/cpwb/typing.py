@@ -3,12 +3,23 @@
 Every well-typed term has exactly one derivation: cuts are annotated,
 weakening/contraction are explicit markers, and multiplicative context
 splits are resolved by the free names of the subterms.
+
+The derivation of a whole term is a ``Root``: the one ``check`` returns,
+and the derivation of each given process of a typed context's tree. A
+root is the only derivation that several denotations may share (one
+server cut against many clients, one typed context filled with many
+processes), so it is the only one with room to keep a relation:
+``denotations`` marks a root at its first denotation at a bound and keeps
+its relation at that bound from the second on. What a root keeps dies
+with the root; inner nodes are plain records and keep nothing. A root
+compares, hashes and prints as the plain ``Derivation`` it is.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from sys import getrecursionlimit
 from typing import NamedTuple
 
 from .syntax import (
@@ -78,6 +89,10 @@ class TypeMismatch(CPTypeError):
     pass
 
 
+class TooDeep(CpwbError):
+    """A term nested past what the recursive checker or denotation can walk."""
+
+
 class System(enum.Enum):
     CP = "cp"
     CP0 = "cp0"
@@ -111,9 +126,30 @@ class Derivation(NamedTuple):
         return dict(self.ctx)
 
 
-def check(p: Process, ctx, system: System = System.CP) -> Derivation:
+class Root(Derivation):
+    """The derivation of a whole term. A tuple subtype can have no slots,
+    so what ``denotations`` keeps on a root lives in the root's instance
+    dict, which is made when it is first written."""
+
+    def __repr__(self):
+        return repr(Derivation._make(self))
+
+
+def too_deep(what: str) -> TooDeep:
+    return TooDeep(f"{what} is nested too deeply: the walk passed the "
+                   f"interpreter's recursion limit of {getrecursionlimit()}")
+
+
+def check(p: Process, ctx, system: System = System.CP) -> Root:
     """Return the unique derivation of ``p`` at ``ctx``, or raise."""
-    return _check(p, dict(ctx), system)
+    return _root(p, dict(ctx), system)
+
+
+def _root(p: Process, ctx: TypingContext, sys: System) -> Root:
+    try:
+        return Root._make(_check(p, ctx, sys))
+    except RecursionError:
+        raise too_deep("the process") from None
 
 
 def _lookup(ctx: TypingContext, x: Name) -> Formula:
@@ -413,7 +449,7 @@ def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation
             rctx = dict(right_ctx)
             if rctx.get(x) != dual(annot):
                 raise HoleTypeMismatch(f"right side of cut must use {x} at {dual(annot)}")
-            dq = _check(right, rctx, sys)
+            dq = _root(right, rctx, sys)
             del gamma[x]
             for n, f in right_ctx:
                 if n == x:
@@ -426,7 +462,7 @@ def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation
             if not sys.allows_mix2:
                 raise SystemViolation("context mix needs Mix2")
             below = _check_tree(sub, hole, sys)
-            dq = _check(right, dict(right_ctx), sys)
+            dq = _root(right, dict(right_ctx), sys)
             gamma = dict(below.result_ctx)
             for n, f in right_ctx:
                 if n in gamma:

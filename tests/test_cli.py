@@ -472,6 +472,27 @@ def test_cli_suite_reports_a_type_error_inside_a_suite_as_its_failure(
         assert out.out == "" and out.err == f"error: {error}\n"
 
 
+def test_cli_maps_an_over_deep_term_to_exit_4(tmp_path, monkeypatch, capsys):
+    # the parser refuses deep nesting, so the term comes from a suite that
+    # builds a 5,000-deep mix chain through the API
+    from cpwb import harness
+    from cpwb.typing import System, check
+
+    def suite(cfg, rng, table):
+        p, ctx = EmptyOut("x0"), {"x0": Unit()}
+        for i in range(1, 5000):
+            p, ctx[f"x{i}"] = Mix(p, EmptyOut(f"x{i}")), Unit()
+        yield None if check(p, ctx, System.CP02) else "no derivation"
+
+    monkeypatch.setitem(harness._SUITES, "worked_example", suite)
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"suites": ["worked_example"]}))
+    assert main(["suite", "--config", str(f), "--json"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: the process is nested too deeply")
+    assert out.err.count("\n") == 1
+
+
 def test_cli_json_deterministic(tmp_path, capsys):
     f = tmp_path / "p.cp"
     f.write_text("fwd x y")

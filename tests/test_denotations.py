@@ -50,7 +50,7 @@ from cpwb.syntax import (
     With,
     dual,
 )
-from cpwb.typing import System, check
+from cpwb.typing import Derivation, System, TooDeep, check
 
 one, bot = Unit(), Bottom()
 
@@ -320,6 +320,55 @@ def test_each_process_node_gets_its_free_names_once(monkeypatch):
     # the checker splits every Out below the root, so it needs the free names
     # of every node but the root
     assert len(entered) == len({id(p) for p in entered}) == _nodes(d) - 1 == 10
+
+
+def _applied_rules(monkeypatch):
+    """The derivations the rules are applied to from now on, in order."""
+    applied = []
+    for name, rule in denotations._RULES.items():
+        def counted(d, p, bound, rule=rule):
+            applied.append(d)
+            return rule(d, p, bound)
+
+        monkeypatch.setitem(denotations._RULES, name, counted)
+    return applied
+
+
+def test_a_root_keeps_its_relation_from_its_second_denotation_on(monkeypatch):
+    d = check(Server("x", "y", EmptyOut("y")), {"x": OfCourse(one)}, System.CP02)
+    applied = _applied_rules(monkeypatch)
+    first = denote(d)
+    # denoted once, the root keeps only its mark, not a relation
+    assert [id(n) for n in applied] == [id(d), id(d.premises[0])]
+    assert vars(d) == {"_bound": 2, "_relation": None}
+    assert denote(d) == first and len(applied) == 4
+    assert isinstance(d._relation, denotations.Relation)
+    assert denote(d) == first and len(applied) == 4  # the kept relation, no rule
+    # inner nodes keep nothing
+    assert type(d.premises[0]) is Derivation and not hasattr(d.premises[0], "__dict__")
+
+
+def test_a_root_denoted_at_another_bound_gives_that_bounds_relation():
+    proc, ctx = Server("x", "y", EmptyOut("y")), {"x": OfCourse(one)}
+    fresh = {k: denote(check(proc, ctx, System.CP02), k) for k in (1, 2)}
+    assert fresh[1].tuples != fresh[2].tuples
+    d = check(proc, ctx, System.CP02)
+    for k in (1, 1, 2, 2, 1, 1):
+        assert denote(d, k) == fresh[k]
+
+
+def test_an_over_deep_derivation_is_refused_with_a_typed_error():
+    from cpwb.oracle import CProc, adequacy_check, denote_config
+
+    # the derivation of a 5,000-deep chain (... | 0) | 0, built by hand: the
+    # checker itself refuses a term this deep
+    leaf = Derivation("mix0", Inact(), ())
+    d = leaf
+    for _ in range(5000):
+        d = Derivation("mix2", Mix(d.process, Inact()), (), (d, leaf))
+    for denoting in (denote, denote_config, adequacy_check):
+        with pytest.raises(TooDeep, match="nested too deeply"):
+            denoting(d if denoting is denote else CProc(d))
 
 
 def _product(left, right):

@@ -514,6 +514,30 @@ def test_configuration_denotation_output_is_pinned():
     assert digest.hexdigest() == CONFIG_DENOTATIONS_SHA256
 
 
+def test_one_server_cut_against_many_clients_is_served_from_its_kept_relation(monkeypatch):
+    from cpwb import denotations
+
+    bang, whynot = OfCourse(one), WhyNot(bot)
+    server = check(Server("x", "y", EmptyOut("y")), {"x": bang}, System.CP02)
+    clients = enumerate_processes({"x": whynot}, 6, System.CP02)
+    served = []
+    real = denotations._RULES["bang"]
+
+    def counting(d, p, bound):
+        served.append(d is server)
+        return real(d, p, bound)
+
+    monkeypatch.setitem(denotations._RULES, "bang", counting)
+    runs = []
+    for q in clients:
+        before = served.count(True)
+        assert adequacy_check(CCut("x", bang, CProc(server), proc(q, {"x": whynot})))
+        runs.append(served.count(True) - before)
+    # the first call marks the server, the second keeps its relation, and
+    # the bang rule runs once across the other calls: not at all
+    assert len(clients) == 32 and runs == [1, 1] + [0] * 30
+
+
 def test_adequacy_check_checks_the_configuration_once(monkeypatch):
     calls = []
     real = oracle.check_config

@@ -191,6 +191,40 @@ def test_fill_grafts_the_checked_derivation():
             assert filled == check(filled.process, k.result_context, k.system)
 
 
+def test_a_transformer_context_applies_its_derivations_rules_for_two_fills(monkeypatch):
+    from cpwb import denotations
+    from cpwb.transformers import transformer_image
+
+    ctx = {"x": Plus(one, one), "y": bot}
+    k = transformer_context(ctx)
+    roots, deriv = [], k.deriv  # the derivation of each given process of the tree
+    while deriv.premises:
+        deriv, dq = deriv.premises
+        roots.append(dq)
+    nodes, todo = set(), list(roots)
+    while todo:
+        d = todo.pop()
+        nodes.add(id(d))
+        todo += d.premises
+    applied = []
+    for name, rule in denotations._RULES.items():
+        def counted(d, p, bound, rule=rule):
+            applied.append(id(d) in nodes)
+            return rule(d, p, bound)
+
+        monkeypatch.setitem(denotations._RULES, name, counted)
+    procs = enumerate_processes(ctx, 4, System.CP02)[:6]
+    per_fill = []
+    for p in procs:
+        applied.clear()
+        assert transformer_image(k, p) == denote(fill(transformer_context(ctx), p)).tuples
+        per_fill.append(applied.count(True))
+    # the first fill marks each transformer derivation and the second keeps
+    # its relation; every later fill applies none of their rules
+    assert len(roots) == 3 and len(procs) == 6
+    assert per_fill == [len(nodes)] * 2 + [0] * 4
+
+
 def test_context_denotation_sort_mismatch():
     k = transformer_context({"x": one})
     with pytest.raises(SortMismatch):

@@ -25,6 +25,7 @@ from cpwb.syntax import (
     dual,
 )
 from cpwb.typing import (
+    CpwbError,
     CPTypeError,
     Derivation,
     Hole,
@@ -33,9 +34,11 @@ from cpwb.typing import (
     KMix,
     LinearityViolation,
     NonBangContext,
+    Root,
     RuleMismatch,
     System,
     SystemViolation,
+    TooDeep,
     TypeMismatch,
     UnboundName,
     check,
@@ -221,6 +224,40 @@ def test_derivations_are_records_that_stay_frozen():
     for field in ("rule", "process", "ctx", "premises"):
         with pytest.raises(AttributeError):
             setattr(d, field, None)
+
+
+def test_a_root_compares_hashes_and_prints_as_a_plain_derivation():
+    from cpwb.denotations import denote
+
+    d = check(Cut("x", one, EmptyOut("x"), EmptyIn("x", Inact())), {}, System.CP0)
+    plain = Derivation(*d)
+    assert type(d) is Root and type(plain) is Derivation
+    assert all(type(p) is Derivation for p in d.premises)  # inner nodes keep nothing
+    for _ in range(3):  # unmarked, then marked, then keeping its relation
+        assert d == plain and plain == d and hash(d) == hash(plain)
+        assert {plain: "found"}[d] == "found"
+        assert repr(d) == str(d) == repr(plain)
+        denote(d)
+    for field in ("rule", "process", "ctx", "premises"):
+        with pytest.raises(AttributeError):
+            setattr(d, field, None)
+
+
+def _mix_chain(n):
+    p = EmptyOut("x0")
+    for i in range(1, n):
+        p = Mix(p, EmptyOut(f"x{i}"))
+    return p, {f"x{i}": one for i in range(n)}
+
+
+def test_an_over_deep_term_is_refused_with_a_typed_error():
+    p, ctx = _mix_chain(5000)
+    with pytest.raises(TooDeep, match="nested too deeply") as e:
+        check(p, ctx, System.CP02)
+    assert isinstance(e.value, CpwbError) and not isinstance(e.value, CPTypeError)
+    with pytest.raises(TooDeep):
+        make_context(KMix(Hole(), p, ctx_items(ctx)), {}, System.CP02)
+    assert check(*_mix_chain(100), System.CP02).rule == "mix2"
 
 
 def test_split_reports_the_first_missing_name_in_sorted_order():
