@@ -59,7 +59,7 @@ from .syntax import (
 )
 from .transformers import transformer_context
 from .translation import translate_process, translated_context
-from .typing import CpwbError, CPTypeError, Derivation, System, TooDeep, TypeMismatch, check, fill
+from .typing import CpwbError, CPTypeError, Derivation, System, TooDeep, check, graft, too_deep
 
 KEYWORDS = {"new", "fwd", "weak", "ctr", "bot", "zero", "cut", "par", "con"}
 
@@ -420,8 +420,15 @@ def parse_config(text: str) -> Configuration:
 
 
 def format_process(p: Process) -> str:
+    try:
+        return _group(p)
+    except RecursionError:
+        raise too_deep("the process") from None
+
+
+def _group(p: Process) -> str:
     if isinstance(p, Mix):
-        return f"{format_process(p.left)} | {_atom(p.right)}"
+        return f"{_group(p.left)} | {_atom(p.right)}"
     return _atom(p)
 
 
@@ -430,7 +437,7 @@ def _atom(p: Process) -> str:
     if write is not None:
         return write(p)
     if isinstance(p, Mix):
-        return f"({format_process(p)})"
+        return f"({_group(p)})"
     raise CpwbError(f"not a process: {p!r}")
 
 
@@ -445,7 +452,7 @@ def _printer(cls, template: str):
 
 
 _WRITERS = {"Name": "", "int": "", "Formula": "format_formula", "Process": "_atom",
-            "group": "format_process"}
+            "group": "_group"}
 _PRINTERS = {cls: _printer(cls, template) for cls, template in _PROCESS_SYNTAX.items()}
 
 
@@ -587,11 +594,8 @@ def _dispatch(args) -> int:
         case "transform":
             ctx = parse_context(args.ctx)
             p = parse_process(_read(args.file))
-            try:
-                d = fill(transformer_context(ctx), p)
-            except TypeMismatch as e:
-                raise e.__cause__ from None  # the checker's own error, as from `check`
-            print(format_process(d.process))
+            d = check(p, ctx, System.CP02)  # at the hole typing, before the context is built
+            print(format_process(graft(transformer_context(ctx), d).process))
             return 0
         case "equiv":
             ctx = parse_context(args.ctx)

@@ -52,6 +52,7 @@ from .typing import (
     ctx_items,
     fill,
     make_context,
+    tree_spine,
 )
 
 
@@ -141,16 +142,10 @@ def context_denotation(k: TypedContext, tuples, bound: int = 2):
 
 
 def _ctx_den(tree, deriv, xs, bound: int):
-    match tree:
-        case Hole():
-            return xs
-        case KCut(x, _, sub, _, _):
-            below, dq = deriv.premises
-            return join(_ctx_den(sub, below, xs, bound), _denote(dq, bound), x)
-        case KMix(sub, _, _):
-            below, dq = deriv.premises
-            return product((_ctx_den(sub, below, xs, bound), _denote(dq, bound)))
-    raise CpwbError(f"not a context tree: {tree!r}")
+    for node, kd in reversed([*tree_spine(tree, deriv)]):
+        right = _denote(kd.premises[1], bound)
+        xs = join(xs, right, node.name) if isinstance(node, KCut) else product((xs, right))
+    return xs
 
 
 def transformer_graph(a: Formula, bound: int = 2) -> Verdict:

@@ -5,14 +5,17 @@ process-level machinery fixes R = 1.  Translated processes rename each
 free name x to x' (carrying the dualized translated type) and expose one
 fresh closing name of type 1.
 
-Forwarders are translated by eta-expanding them first: the printed
-one-step image only type-checks at the translated types for base
-formulas, while the expansion is correct at every type and has the same
-denotation.  Synchronizers are built by recursion on the type; the
-normative contract is denotational (the paired graph of the observation
-transforms), and the constructions for branching under tensor/plus lean
-on the mix rules, so translated terms are checked in the mix-extended
-system.
+``translate_process`` is one walk over the derivation. It carries a map
+from source names to output names, so no substitution runs after it: a
+binder keeps its name unless a primed free name of its scope would be
+captured by it. A forwarder is translated by walking its eta-expansion,
+which needs no types and so no derivation: the printed one-step image
+only type-checks at the translated types for base formulas, while the
+expansion is correct at every type and has the same denotation.
+Synchronizers are built by recursion on the type; the normative contract
+is denotational (the paired graph of the observation transforms), and
+the constructions for branching under tensor/plus lean on the mix rules,
+so translated terms are checked in the mix-extended system.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ from .syntax import (
     With,
     all_names,
     dual,
+    free_names,
     fresh_name,
     is_positive,
-    substitute,
 )
-from .typing import CpwbError, Derivation, check
+from .typing import CpwbError, Derivation, too_deep
 
 
 def translate_formula_ill(a: Formula, residual: IllFormula = IUnit()) -> IllFormula:
@@ -263,101 +266,97 @@ def _core(a: Formula, m: Name, w: Name, supply: NameSupply) -> Process:
 
 def translate_process(d: Derivation) -> Process:
     """Translate a typing derivation; free names come out primed."""
-    ctx = d.context
-    pm = prime_map(ctx)
-    w = closing_name(ctx)
-    supply = NameSupply(set(ctx) | set(pm.values()) | {w} | all_names(d.process))
-    body = _translate(d, w, supply)
-    for old, new in sorted(pm.items()):
-        body = substitute(body, new, old)
-    return body
+    pm, w = prime_map(d.ctx), closing_name(d.ctx)
+    try:
+        supply = NameSupply({*pm, *pm.values(), w, *all_names(d.process)})
+        return _translate(d.process, d, w, _Names(pm), supply)
+    except RecursionError:
+        raise too_deep("the process") from None
 
 
-def _translate(d: Derivation, w: Name, supply: NameSupply) -> Process:
-    p = d.process
-    ctx = d.context
-    match d.rule:
-        case "mix0":
+class _Names(dict):
+    """A map from source names to output names; a name it does not hold maps to itself."""
+
+    def __missing__(self, n: Name) -> Name:
+        return n
+
+
+def _scope(env: _Names, scope: Process, w: Name, *binders: Name) -> _Names:
+    """The name map in ``scope`` under ``binders``, where ``w`` is its
+    closing name. A binder maps to itself, unless another free name of the
+    scope comes out under its name: then it is renamed to the first
+    ``fresh_name`` outside the scope's output names, ``w`` and the binders,
+    as capture-avoiding substitution renames it."""
+    inner = _Names({n: out for n, out in env.items() if n not in binders})
+    if any(b in env.values() for b in binders):  # only then can a binder capture
+        outs = {env[n] for n in free_names(scope) if n not in binders}
+        avoid = outs | {w, *binders}
+        for b in binders:
+            if b in outs:
+                inner[b] = fresh_name(b, avoid)
+                avoid.add(inner[b])
+    return inner
+
+
+def _translate(p: Process, d: Derivation | None, w: Name, env: _Names, supply: NameSupply):
+    """The translation of ``p`` at closing name ``w`` under the name map ``env``, one
+    frame per level; ``d`` is p's derivation, or None inside an eta-expansion."""
+    ds = d.premises if d is not None else (None, None)
+    match p:
+        case Inact():
             return EmptyOut(w)
-
-        case "one":
+        case EmptyOut(x):
             u = supply.fresh("u")
-            return Out(u, p.channel, EmptyOut(u), Fwd(p.channel, w))
-
-        case "bot":
-            return EmptyIn(p.channel, _translate(d.premises[0], w, supply))
-
-        case "id":
-            a = ctx[p.left]
-            expansion = eta_fwd(a, p.left, p.right, supply)
-            d2 = check(expansion, ctx)
-            return _translate(d2, w, supply)
-
-        case "par":
-            return In(p.channel, p.payload, _translate(d.premises[0], w, supply))
-
-        case "tensor":
+            return Out(u, env[x], EmptyOut(u), Fwd(env[x], w))
+        case EmptyIn(x, body):
+            return EmptyIn(env[x], _translate(body, ds[0], w, env, supply))
+        case Fwd(x, y):  # its eta-expansion has no forwarder, so it needs no types
+            return _translate(eta_fwd(dict(d.ctx)[x], x, y, supply), None, w, env, supply)
+        case In(x, y, body):
+            inner = _scope(env, body, w, y)
+            return In(env[x], inner[y], _translate(body, ds[0], w, inner, supply))
+        case Out(y, x, left, right):
             z1, z2 = supply.fresh("z"), supply.fresh("z")
-            lp = _translate(d.premises[0], z1, supply)
-            rp = _translate(d.premises[1], z2, supply)
-            paired = Out(z1, z2, In(z1, p.payload, lp), In(z2, p.channel, rp))
-            return Out(z2, p.channel, paired, Fwd(p.channel, w))
-
-        case "plus":
+            lenv, renv = _scope(env, left, z1, y), _scope(env, right, z2, x)
+            lp = In(z1, lenv[y], _translate(left, ds[0], z1, lenv, supply))
+            rp = In(z2, renv[x], _translate(right, ds[1], z2, renv, supply))
+            return Out(z2, env[x], Out(z1, z2, lp, rp), Fwd(env[x], w))
+        case Select(x, i, body):
             zh = supply.fresh("z")
-            body = _translate(d.premises[0], zh, supply)
-            inner = Select(zh, p.branch, In(zh, p.channel, body))
-            return Out(zh, p.channel, inner, Fwd(p.channel, w))
-
-        case "with":
-            return Case(
-                p.channel,
-                _translate(d.premises[0], w, supply),
-                _translate(d.premises[1], w, supply),
-            )
-
-        case "bang":
-            vb = supply.fresh("v")
-            xh = supply.fresh("x")
-            body = In(vb, p.payload, _translate(d.premises[0], vb, supply))
-            return Out(xh, p.channel, Server(xh, vb, body), Fwd(p.channel, w))
-
-        case "quest":
-            vb = supply.fresh("v")
-            mh = supply.fresh("m")
-            body = In(vb, p.payload, _translate(d.premises[0], vb, supply))
-            return Client(p.channel, mh, Out(vb, mh, body, Fwd(mh, w)))
-
-        case "weak":
-            return Weak(
-                p.name, translate_formula_dual(ctx[p.name]), _translate(d.premises[0], w, supply)
-            )
-
-        case "contract":
-            return Contract(
-                p.name, p.left_name, p.right_name, _translate(d.premises[0], w, supply)
-            )
-
-        case "cut":
-            a = p.annot
+            inner = _scope(env, body, zh, x)
+            body = In(zh, inner[x], _translate(body, ds[0], zh, inner, supply))
+            return Out(zh, env[x], Select(zh, i, body), Fwd(env[x], w))
+        case Case(x, left, right):
+            lp = _translate(left, ds[0], w, env, supply)
+            return Case(env[x], lp, _translate(right, ds[1], w, env, supply))
+        case Server(x, y, body):
+            vb, xh = supply.fresh("v"), supply.fresh("x")
+            inner = _scope(env, body, vb, y)
+            body = In(vb, inner[y], _translate(body, ds[0], vb, inner, supply))
+            return Out(xh, env[x], Server(xh, vb, body), Fwd(env[x], w))
+        case Client(x, y, body):
+            vb, mh = supply.fresh("v"), supply.fresh("m")
+            inner = _scope(env, body, vb, y)
+            body = In(vb, inner[y], _translate(body, ds[0], vb, inner, supply))
+            return Client(env[x], mh, Out(vb, mh, body, Fwd(mh, w)))
+        case Weak(x, a, body):
+            return Weak(env[x], translate_formula_dual(a), _translate(body, ds[0], w, env, supply))
+        case Contract(x, x1, x2, body):
+            inner = _scope(env, body, w, x1, x2)
+            return Contract(env[x], inner[x1], inner[x2], _translate(body, ds[0], w, inner, supply))
+        case Cut(x, a, left, right):
             zn, wn = supply.fresh("z"), supply.fresh("w")
-            lp = _translate(d.premises[0], zn, supply)  # offers x at the image of a
-            rp = _translate(d.premises[1], wn, supply)
+            # the binder becomes one input per side, and each side renames it on its own
+            lenv, renv = _scope(env, left, zn, x), _scope(env, right, wn, x)
+            lp = In(zn, lenv[x], _translate(left, ds[0], zn, lenv, supply))
+            rp = In(wn, renv[x], _translate(right, ds[1], wn, renv, supply))
             sync = synchronizer(a, zn, wn, w, supply)
-            left_prefixed = In(zn, p.name, lp)
-            right_prefixed = In(wn, p.name, rp)
-            inner_annot = Par(translate_formula_dual(a), Unit())
-            inner = Cut(zn, inner_annot, left_prefixed, sync)
-            outer_annot = Tensor(neg_image(dual(a)), Bottom())
-            return Cut(wn, outer_annot, inner, right_prefixed)
-
-        case "mix2":
+            inner = Cut(zn, Par(translate_formula_dual(a), Unit()), lp, sync)
+            return Cut(wn, Tensor(neg_image(dual(a)), Bottom()), inner, rp)
+        case Mix(left, right):
             y0, x0 = supply.fresh("y"), supply.fresh("x")
-            lp = _translate(d.premises[0], y0, supply)
-            rp = _translate(d.premises[1], x0, supply)
-            bridge = Out(y0, x0, lp, rp)
+            lp = _translate(left, ds[0], y0, env, supply)
+            bridge = Out(y0, x0, lp, _translate(right, ds[1], x0, env, supply))
             yb = supply.fresh("y")
-            closer = In(x0, yb, EmptyIn(yb, Fwd(x0, w)))
-            return Cut(x0, Tensor(Unit(), Unit()), bridge, closer)
-
-    raise CpwbError(f"unknown rule {d.rule!r}")
+            return Cut(x0, Tensor(Unit(), Unit()), bridge, In(x0, yb, EmptyIn(yb, Fwd(x0, w))))
+    raise CpwbError(f"not a process: {p!r}")

@@ -434,42 +434,41 @@ def make_context(tree: CtxTree, hole_ctx, system: System) -> TypedContext:
 
 
 def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation:
-    match tree:
-        case Hole():
-            return ContextDerivation("khole", hole, hole)
-        case KCut(x, annot, sub, right, right_ctx):
-            below = _check_tree(sub, hole, sys)
-            gamma = dict(below.result_ctx)
+    """The derivation of ``tree``, checked from the hole up once its system allows it."""
+    nodes = [node for node, _ in tree_spine(tree)]
+    if not sys.allows_mix2 and any(isinstance(node, KMix) for node in nodes):
+        raise SystemViolation("context mix needs Mix2")
+    deriv = ContextDerivation("khole", hole, hole)
+    for node in reversed(nodes):
+        gamma, rctx = dict(deriv.result_ctx), dict(node.right_ctx)
+        x = node.name if isinstance(node, KCut) else None
+        if x is not None:
             if x not in gamma:
                 raise HoleTypeMismatch(f"cut name {x} is not offered below the hole")
-            if gamma[x] != annot:
-                raise HoleTypeMismatch(
-                    f"cut annotation {annot} disagrees with {gamma[x]} below the hole"
-                )
-            rctx = dict(right_ctx)
-            if rctx.get(x) != dual(annot):
-                raise HoleTypeMismatch(f"right side of cut must use {x} at {dual(annot)}")
-            dq = _root(right, rctx, sys)
-            del gamma[x]
-            for n, f in right_ctx:
-                if n == x:
-                    continue
-                if n in gamma:
-                    raise LinearityViolation(f"name {n} occurs on both sides of a context cut")
-                gamma[n] = f
-            return ContextDerivation("kcut", hole, ctx_items(gamma), (below, dq))
-        case KMix(sub, right, right_ctx):
-            if not sys.allows_mix2:
-                raise SystemViolation("context mix needs Mix2")
-            below = _check_tree(sub, hole, sys)
-            dq = _root(right, dict(right_ctx), sys)
-            gamma = dict(below.result_ctx)
-            for n, f in right_ctx:
-                if n in gamma:
-                    raise LinearityViolation(f"name {n} occurs on both sides of a context mix")
-                gamma[n] = f
-            return ContextDerivation("kmix", hole, ctx_items(gamma), (below, dq))
-    raise CPTypeError(f"not a context tree: {tree!r}")
+            if gamma[x] != node.annot:
+                raise HoleTypeMismatch(f"cut annotation {node.annot} disagrees with "
+                                       f"{gamma[x]} below the hole")
+            if rctx.get(x) != dual(node.annot):
+                raise HoleTypeMismatch(f"right side of cut must use {x} at {dual(node.annot)}")
+        dq = _root(node.right, rctx, sys)
+        kind = "mix" if x is None else "cut"
+        for n, f in node.right_ctx:
+            if n in gamma and n != x:
+                raise LinearityViolation(f"name {n} occurs on both sides of a context {kind}")
+            gamma[n] = f
+        gamma.pop(x, None)
+        deriv = ContextDerivation("k" + kind, hole, ctx_items(gamma), (deriv, dq))
+    return deriv
+
+
+def tree_spine(tree: CtxTree, deriv: ContextDerivation | None = None):
+    """The nodes of a context tree from the top down to the hole, each with its
+    derivation when ``deriv`` is given: the hole is always below ``sub``."""
+    while not isinstance(tree, Hole):
+        if not isinstance(tree, (KCut, KMix)):
+            raise CPTypeError(f"not a context tree: {tree!r}")
+        yield tree, deriv
+        tree, deriv = tree.sub, deriv and deriv.premises[0]
 
 
 def check_context(k: TypedContext, hole_ctx, result_ctx, system: System) -> ContextDerivation:
@@ -491,15 +490,17 @@ def fill(k: TypedContext, p: Process) -> Derivation:
         d = check(p, k.hole_context, k.system)
     except CPTypeError as e:
         raise TypeMismatch(f"process does not fit the hole typing: {e}") from e
-    return _graft(k.tree, k.deriv, d)
+    return graft(k, d)
 
 
-def _graft(tree: CtxTree, deriv: ContextDerivation, d: Derivation) -> Derivation:
-    if isinstance(tree, Hole):
-        return d
-    below, dq = deriv.premises
-    dl = _graft(tree.sub, below, d)
-    if isinstance(tree, KCut):
-        p = Cut(tree.name, tree.annot, dl.process, tree.right)
-        return Derivation("cut", p, deriv.result_ctx, (dl, dq))
-    return Derivation("mix2", Mix(dl.process, tree.right), deriv.result_ctx, (dl, dq))
+def graft(k: TypedContext, d: Derivation) -> Derivation:
+    """k's own derivation grafted around ``d``, a derivation at its hole typing."""
+    if d.ctx != k.deriv.hole_ctx:
+        raise HoleTypeMismatch(f"context expects hole typing {k.hole_context}, got {d.context}")
+    for node, kd in reversed([*tree_spine(k.tree, k.deriv)]):
+        if isinstance(node, KCut):
+            rule, p = "cut", Cut(node.name, node.annot, d.process, node.right)
+        else:
+            rule, p = "mix2", Mix(d.process, node.right)
+        d = Derivation(rule, p, kd.result_ctx, (d, kd.premises[1]))
+    return d

@@ -394,8 +394,8 @@ def test_cli_transform(tmp_path, capsys):
 
 
 def test_cli_transform_checks_once(tmp_path, capsys, monkeypatch):
-    # every input is checked once, by fill at the hole typing; an ill-typed
-    # process gets the checker's own error, as from `check`
+    # every input is checked once, at the hole typing before the context is
+    # built; an ill-typed process gets the checker's own error, as from `check`
     calls = []
     real = cli.check
 
@@ -420,6 +420,35 @@ def test_cli_transform_checks_once(tmp_path, capsys, monkeypatch):
     assert main(["transform", str(f), "--ctx", "x:1"]) == 0
     assert "new x:1" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_cli_transform_at_a_wide_context_gives_the_type_error(tmp_path, capsys):
+    # the context nests one cut per name; the type error of a process that
+    # leaves names unused does not depend on how many there are
+    f = tmp_path / "p.cp"
+    f.write_text("x0[]")
+    for n in (300, 1000, 5000):
+        ctx = ", ".join(f"x{i}:1" for i in range(n))
+        assert main(["transform", str(f), "--ctx", ctx]) == 3
+        out = capsys.readouterr()
+        unused = sorted(f"x{i}" for i in range(1, n))
+        assert out == ("", f"type error: LinearityViolation: unused assignments: {unused}\n")
+
+
+def _balanced_outputs(names):
+    if len(names) == 1:
+        return f"{names[0]}[]"
+    half = len(names) // 2
+    return f"({_balanced_outputs(names[:half])} | {_balanced_outputs(names[half:])})"
+
+
+def test_cli_transform_refuses_a_filled_process_too_deep_to_print(tmp_path, capsys):
+    names = [f"x{i}" for i in range(1000)]
+    f = tmp_path / "p.cp"
+    f.write_text(_balanced_outputs(names))
+    assert main(["transform", str(f), "--ctx", ", ".join(f"{x}:1" for x in names)]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: the process is nested too deeply")
 
 
 def test_cli_suite(tmp_path, capsys):

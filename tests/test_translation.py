@@ -238,3 +238,116 @@ def test_worked_example_cut_reduces_to_translation():
 def test_translation_deterministic():
     d = check(Cut("x", one, EmptyOut("x"), EmptyIn("x", EmptyOut("y"))), {"y": one})
     assert translate_process(d) == translate_process(d)
+
+
+# --- the one-walk translation: pinned output, captures, no re-check, depth ----
+
+# The sha256 of the printed translations of test_translation_output_is_pinned.
+TRANSLATIONS_SHA256 = "1c651543c337e6a171e57ba2eb1a4bde62448ae6325b952ce23c4417ac81f808"
+
+
+def test_translation_output_is_pinned():
+    # one printed translation per line, over the exponential-free, cut and
+    # exponential families: the suites compare denotations of translations,
+    # this compares the terms themselves, fresh names included
+    import hashlib
+
+    from cpwb.cli import format_process
+    from cpwb.harness import cut_families, exp_free_families, exponential_families
+
+    cases = [(ctx, p) for ctx, ps in exp_free_families(5) for p in ps] + cut_families(4)
+    cases += [(ctx, p) for ctx, ps in exponential_families(7) for p in ps]
+    lines = [format_process(translate_process(check(p, ctx, System.CP02))) for ctx, p in cases]
+    assert len(lines) == 2486
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRANSLATIONS_SHA256
+
+
+@pytest.mark.parametrize(
+    "source, ctx, image",
+    [
+        # the binder x' would capture x's image: it becomes x'0
+        ("x(x').x'().x().0", "x:(bot % bot)", "x'(x'0).x'0().x'().w[]"),
+        # each side of a cut renames the binder on its own: only the right one sees x
+        (
+            "new x':1 (x'[] | x'().x().0)",
+            "x:bot",
+            "new w0:(1 * bot) (new z:((1 * bot) % 1) (z(x').x'[u](u[] | fwd x' z) | "
+            "z[m](m(v).w0[u0](fwd u0 v | fwd w0 m) | fwd z w)) | w0(x'0).x'0().x'().w0[])",
+        ),
+        # an output re-binds its channel x' in its continuation, where it stays unprimed
+        (
+            "x'[y](y[] | x'().x().0)",
+            "x:bot, x':(1 * bot)",
+            "x'''[z0](z0[z](z(y).y[u](u[] | fwd y z) | z0(x').x'().x''().z0[]) | fwd x''' w)",
+        ),
+        # x is not free under the contraction, so its binder x' keeps its name
+        (
+            "ctr x<x',y>.weak x':?bot.weak y:?bot.0",
+            "x:?bot",
+            "ctr x'<x',y>.weak x':?((bot % 1) * bot).weak y:?((bot % 1) * bot).w[]",
+        ),
+    ],
+)
+def test_translation_renames_a_binder_only_where_it_would_capture(source, ctx, image):
+    from cpwb.cli import format_process, parse_context, parse_process
+
+    ctx = parse_context(ctx)
+    lp = translate_process(check(parse_process(source), ctx, System.CP02))
+    assert format_process(lp) == image
+    check(lp, translated_context(ctx), System.CP02)
+
+
+def test_translating_a_forwarder_runs_no_type_check(monkeypatch):
+    from cpwb import typing as cptyping
+
+    cases = [
+        (Fwd("x", "y"), {"x": Tensor(one, bot), "y": Par(bot, one)}),
+        (Fwd("x", "y"), {"x": OfCourse(one), "y": WhyNot(bot)}),
+        (Fwd("y", "x"), {"x": OfCourse(Plus(one, one)), "y": WhyNot(With(bot, bot))}),
+        (In("x", "y", Fwd("y", "x")), {"x": Par(WhyNot(bot), OfCourse(one))}),
+    ]
+    derivations = [(check(p, ctx, System.CP02), ctx) for p, ctx in cases]
+    calls = []
+    real = cptyping._check
+    monkeypatch.setattr(cptyping, "_check", lambda *args: calls.append(args) or real(*args))
+    images = [(translate_process(d), ctx) for d, ctx in derivations]
+    assert calls == []
+    monkeypatch.undo()
+    for lp, ctx in images:
+        check(lp, translated_context(ctx), System.CP02)
+
+
+def _deepest_checked(build, start=330):
+    """The derivation of ``build(n)`` for the largest n <= start that check accepts here."""
+    from cpwb.typing import TooDeep
+
+    for n in range(start, 0, -1):
+        try:
+            return n, check(*build(n), System.CP02)
+        except TooDeep:
+            pass
+
+
+def _mix_chain(n):
+    from cpwb.syntax import Mix
+
+    p, ctx = EmptyOut("x0"), {"x0": one}
+    for i in range(1, n):
+        p, ctx[f"x{i}"] = Mix(p, EmptyOut(f"x{i}")), one
+    return p, ctx
+
+
+def _forwarder_at_a_deep_tensor(n):
+    a, da = one, bot  # da is dual(a), built alongside it
+    for _ in range(n):
+        a, da = Tensor(one, a), Par(bot, da)
+    return Fwd("x", "y"), {"x": a, "y": da}
+
+
+@pytest.mark.parametrize("build", [_mix_chain, _forwarder_at_a_deep_tensor])
+def test_a_term_that_checks_translates_within_the_stack(build):
+    # the walk takes one frame per process level, and an eta-expansion walks
+    # no deeper than check's dual of the forwarder's type
+    n, d = _deepest_checked(build)
+    assert n >= 250
+    assert isinstance(translate_process(d), (Cut, In))

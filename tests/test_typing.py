@@ -264,3 +264,55 @@ def test_split_reports_the_first_missing_name_in_sorted_order():
     p = Mix(Mix(EmptyOut("c"), EmptyOut("b")), EmptyOut("a"))
     with pytest.raises(UnboundName, match="name a not in context"):
         check(p, {"c": one}, System.CP02)
+
+
+# --- typed contexts are walked along their spine, in loops --------------------
+
+
+def _ctx_error(tree, hole, system=System.CP02):
+    with pytest.raises(CPTypeError) as e:
+        make_context(tree, hole, system)
+    return type(e.value), str(e.value)
+
+
+def test_every_context_tree_error_keeps_its_message():
+    x1 = {"x": one}
+    cut = lambda name, annot, right, rctx: KCut(name, annot, Hole(), right, ctx_items(rctx))
+    assert _ctx_error(cut("z", one, EmptyIn("z", Inact()), {"z": bot}), x1) == (
+        HoleTypeMismatch, "cut name z is not offered below the hole")
+    assert _ctx_error(cut("x", bot, EmptyOut("x"), {"x": one}), x1) == (
+        HoleTypeMismatch, "cut annotation bot disagrees with 1 below the hole")
+    assert _ctx_error(cut("x", one, EmptyOut("y"), {"y": one}), x1) == (
+        HoleTypeMismatch, "right side of cut must use x at bot")
+    right = EmptyIn("x", EmptyOut("y"))
+    assert _ctx_error(cut("x", one, right, {"x": bot, "y": one}), {"x": one, "y": one}) == (
+        LinearityViolation, "name y occurs on both sides of a context cut")
+    mix = KMix(Hole(), EmptyOut("x"), ctx_items(x1))
+    assert _ctx_error(mix, x1) == (
+        LinearityViolation, "name x occurs on both sides of a context mix")
+    assert _ctx_error(KMix(Hole(), EmptyOut("y"), ctx_items({"y": one})), x1, System.CP) == (
+        SystemViolation, "context mix needs Mix2")
+    assert _ctx_error(KCut("x", one, "junk", EmptyIn("x", Inact()), ()), x1) == (
+        CPTypeError, "not a context tree: 'junk'")
+    # a mix above a broken cut is refused for the mix first, as the tree is read top down
+    broken = KMix(cut("x", bot, EmptyOut("x"), {"x": one}), EmptyOut("y"), ctx_items({"y": one}))
+    assert _ctx_error(broken, x1, System.CP) == (SystemViolation, "context mix needs Mix2")
+    # the right process is checked after the cut's own conditions, before the names merge
+    assert _ctx_error(cut("x", one, EmptyOut("x"), {"x": bot}), x1)[0] is RuleMismatch
+
+
+def test_a_5000_deep_context_is_built_filled_and_denoted_in_loops():
+    from cpwb.denotations import STAR, mk_tuple
+    from cpwb.transformers import context_denotation
+
+    tree = Hole()
+    for _ in range(5000):
+        tree = KMix(tree, Inact(), ())
+    k = make_context(tree, {"x": one}, System.CP02)
+    d = fill(k, EmptyOut("x"))
+    assert d.rule == "mix2" and d.ctx == ctx_items({"x": one})
+    g = cp_typing.graft(k, check(EmptyOut("x"), {"x": one}))
+    assert g.ctx == d.ctx and g.premises[1] is d.premises[1]  # the context's own derivations
+    with pytest.raises(HoleTypeMismatch, match="context expects hole typing"):
+        cp_typing.graft(k, check(EmptyOut("y"), {"y": one}))
+    assert context_denotation(k, {mk_tuple({"x": STAR})}) == {mk_tuple({"x": STAR})}
