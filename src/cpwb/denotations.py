@@ -20,18 +20,18 @@ column.  Every rule is one operation of a small relational algebra
 are built by index arithmetic, and the space of a new column is built from
 those of the premises.  Rows are decoded to name-keyed ``ObsTuple``s only at
 the boundary (``Relation.tuples``): in ``denote(...).tuples``,
-``oracle.denote_config``, ``oracle.adequacy_check`` and
-``transformers.context_denotation``; ``from_tuples`` encodes. One
+``oracle.denote_config``, ``oracle.adequacy_check`` and the two
+transformer-context denotations; ``from_tuples`` encodes. One
 ``_Decoder`` per space serves ``obs_space``, this decoding and the encoding.
 Either way only the indices and observations that occur are translated, so
 the cost is in the rows, never in the size of a space.
 
-A ``typing.Root`` (the derivation ``check`` returns, or that of a given
-process of a typed context) keeps its relation: its first denotation at a
-bound only marks it, the second keeps the relation it computes, and later
-ones return that relation, until a denotation at another bound marks it
-anew. A server cut against many clients, or a transformer context filled
-with many processes, is so denoted twice, not once per use, and a root
+A ``typing.Root`` (the derivation ``check`` returns, or that of a level
+of a typed context) keeps its relation: its first denotation at a bound
+only marks it, the second keeps the relation it computes, and later ones
+return that relation, until a denotation at another bound marks it anew.
+A server cut against many clients, or a transformer context filled with
+many processes, is so denoted twice, not once per use, and a root
 denoted once keeps no relation. What a root keeps lives on the root and
 goes with it: there is no table of derivations here, and inner nodes keep
 nothing. Relations are immutable, so a kept one is shared safely.

@@ -529,20 +529,20 @@ class _ImageTable:
         return out + exp[: max(50, len(exp) // 4)]
 
     def images(self, instances, *kinds):
-        """Yield each (ctx, p) with its sets of ``kinds``; p is checked once for both
-        of its own images, and one transformer context serves a run of equal contexts."""
+        """Yield each (ctx, p) with its sets of ``kinds``; p is checked once for all
+        of its images, and one transformer context serves a run of equal contexts."""
         bound, kctx = self.cfg.bound, None
         for ctx, p in instances:
             d, row = None, self.sets.setdefault((p, ctx_items(ctx)), {})
             for kind in kinds:
                 if kind in row:
                     continue
+                d = d or check(p, ctx, System.CP02)
                 if kind == TRANSFORMER:
                     if kctx != ctx:
                         kctx, k = ctx, transformers.transformer_context(ctx)
-                    s = transformers.transformer_image(k, p, bound)
+                    s = transformers.transformer_image(k, d, bound)
                 else:
-                    d = d or check(p, ctx, System.CP02)
                     s = denote(d, bound).tuples if kind == SOURCE else translation_image(d, ctx, bound)
                 row[kind] = self.distinct.setdefault(s, s)
             yield ctx, p, [row[kind] for kind in kinds]

@@ -43,16 +43,17 @@ from .syntax import (
 from .translation import closing_name, prime_map, translate_formula_dual
 from .typing import (
     CpwbError,
+    Derivation,
     Hole,
     KCut,
     KMix,
     System,
     TypedContext,
     check,
+    check_hole,
     ctx_items,
-    fill,
     make_context,
-    tree_spine,
+    too_deep,
 )
 
 
@@ -138,12 +139,12 @@ def context_denotation(k: TypedContext, tuples, bound: int = 2):
         return xs
     # a tuple with a bag of more than ``bound`` items has no row, so it is
     # left out: at a cut it would meet no observation of the other side
-    return _ctx_den(k.tree, k.deriv, from_tuples(k.deriv.hole_ctx, xs, bound), bound).tuples()
+    return _ctx_den(k, from_tuples(k.hole_ctx, xs, bound), bound).tuples()
 
 
-def _ctx_den(tree, deriv, xs, bound: int):
-    for node, kd in reversed([*tree_spine(tree, deriv)]):
-        right = _denote(kd.premises[1], bound)
+def _ctx_den(k: TypedContext, xs, bound: int):
+    for node, root in k.levels:
+        right = _denote(root, bound)
         xs = join(xs, right, node.name) if isinstance(node, KCut) else product((xs, right))
     return xs
 
@@ -165,9 +166,15 @@ def check_transformer_theorem(ctx, tuples, bound: int = 2) -> Verdict:
     return _set_verdict(want, got, "transformer context denotation")
 
 
-def transformer_image(k: TypedContext, p: Process, bound: int = 2) -> frozenset:
-    """The denotation of ``p`` filled into the transformer context ``k``."""
-    return denote(fill(k, p), bound).tuples
+def transformer_image(k: TypedContext, d: Derivation, bound: int = 2) -> frozenset:
+    """The denotation of the process of ``d``, a derivation at k's hole
+    typing, filled into ``k``: ``d`` is denoted and carried up k's levels."""
+    check_hole(k, d)
+    check_bound(bound)
+    try:
+        return _ctx_den(k, _denote(d, bound), bound).tuples()
+    except RecursionError:
+        raise too_deep("the derivation") from None
 
 
 def check_transformer_correct(p: Process, ctx, bound: int = 2) -> Verdict:
@@ -176,8 +183,9 @@ def check_transformer_correct(p: Process, ctx, bound: int = 2) -> Verdict:
     Both sides use the same primed names and the same closing name, so the
     comparison is plain set equality.
     """
-    left = translation_image(check(p, ctx, System.CP02), ctx, bound)
-    right = transformer_image(transformer_context(ctx), p, bound)
+    d = check(p, ctx, System.CP02)
+    left = translation_image(d, ctx, bound)
+    right = transformer_image(transformer_context(ctx), d, bound)
     return _set_verdict(left, right, "transformer correctness")
 
 
@@ -186,5 +194,5 @@ def full_abstraction_II(p: Process, q: Process, ctx, bound: int = 2) -> Abstract
     dp, dq = check_shared(p, q, ctx, System.CP02)
     src = denote(dp, bound).tuples == denote(dq, bound).tuples
     k = transformer_context(ctx)
-    img = transformer_image(k, p, bound) == transformer_image(k, q, bound)
+    img = transformer_image(k, dp, bound) == transformer_image(k, dq, bound)
     return AbstractionVerdict(src == img, src, img, "full abstraction (transformers)")

@@ -7,15 +7,15 @@ fresh closing name of type 1.
 
 ``translate_process`` is one walk over the derivation. It carries a map
 from source names to output names, so no substitution runs after it: a
-binder keeps its name unless a primed free name of its scope would be
-captured by it. A forwarder is translated by walking its eta-expansion,
-which needs no types and so no derivation: the printed one-step image
-only type-checks at the translated types for base formulas, while the
-expansion is correct at every type and has the same denotation.
+binder keeps its name unless it would capture an output name of its scope,
+its closing name included. A forwarder is translated by walking its
+eta-expansion, which needs no types and so no derivation: the printed
+one-step image only type-checks at the translated types for base formulas,
+while the expansion is correct at every type and has the same denotation.
 Synchronizers are built by recursion on the type; the normative contract
-is denotational (the paired graph of the observation transforms), and
-the constructions for branching under tensor/plus lean on the mix rules,
-so translated terms are checked in the mix-extended system.
+is denotational (the paired graph of the observation transforms), and the
+constructions for branching under tensor/plus lean on the mix rules, so
+translated terms are checked in the mix-extended system.
 """
 
 from __future__ import annotations
@@ -281,20 +281,18 @@ class _Names(dict):
         return n
 
 
-def _scope(env: _Names, scope: Process, w: Name, *binders: Name) -> _Names:
+def _scope(env: _Names, scope: Process, w: Name, supply: NameSupply, *binders: Name) -> _Names:
     """The name map in ``scope`` under ``binders``, where ``w`` is its
-    closing name. A binder maps to itself, unless another free name of the
-    scope comes out under its name: then it is renamed to the first
-    ``fresh_name`` outside the scope's output names, ``w`` and the binders,
-    as capture-avoiding substitution renames it."""
+    closing name. A binder maps to itself, unless it is another output
+    name of the scope (the image of another free name, or ``w``): then it
+    is renamed to ``supply.fresh(b)``, which differs from every source name
+    and from every name the walk draws before or after it."""
     inner = _Names({n: out for n, out in env.items() if n not in binders})
-    if any(b in env.values() for b in binders):  # only then can a binder capture
-        outs = {env[n] for n in free_names(scope) if n not in binders}
-        avoid = outs | {w, *binders}
+    if any(b == w or b in env.values() for b in binders):  # only then can a binder capture
+        outs = {env[n] for n in free_names(scope) if n not in binders} | {w}
         for b in binders:
             if b in outs:
-                inner[b] = fresh_name(b, avoid)
-                avoid.add(inner[b])
+                inner[b] = supply.fresh(b)
     return inner
 
 
@@ -313,17 +311,17 @@ def _translate(p: Process, d: Derivation | None, w: Name, env: _Names, supply: N
         case Fwd(x, y):  # its eta-expansion has no forwarder, so it needs no types
             return _translate(eta_fwd(dict(d.ctx)[x], x, y, supply), None, w, env, supply)
         case In(x, y, body):
-            inner = _scope(env, body, w, y)
+            inner = _scope(env, body, w, supply, y)
             return In(env[x], inner[y], _translate(body, ds[0], w, inner, supply))
         case Out(y, x, left, right):
             z1, z2 = supply.fresh("z"), supply.fresh("z")
-            lenv, renv = _scope(env, left, z1, y), _scope(env, right, z2, x)
+            lenv, renv = _scope(env, left, z1, supply, y), _scope(env, right, z2, supply, x)
             lp = In(z1, lenv[y], _translate(left, ds[0], z1, lenv, supply))
             rp = In(z2, renv[x], _translate(right, ds[1], z2, renv, supply))
             return Out(z2, env[x], Out(z1, z2, lp, rp), Fwd(env[x], w))
         case Select(x, i, body):
             zh = supply.fresh("z")
-            inner = _scope(env, body, zh, x)
+            inner = _scope(env, body, zh, supply, x)
             body = In(zh, inner[x], _translate(body, ds[0], zh, inner, supply))
             return Out(zh, env[x], Select(zh, i, body), Fwd(env[x], w))
         case Case(x, left, right):
@@ -331,23 +329,23 @@ def _translate(p: Process, d: Derivation | None, w: Name, env: _Names, supply: N
             return Case(env[x], lp, _translate(right, ds[1], w, env, supply))
         case Server(x, y, body):
             vb, xh = supply.fresh("v"), supply.fresh("x")
-            inner = _scope(env, body, vb, y)
+            inner = _scope(env, body, vb, supply, y)
             body = In(vb, inner[y], _translate(body, ds[0], vb, inner, supply))
             return Out(xh, env[x], Server(xh, vb, body), Fwd(env[x], w))
         case Client(x, y, body):
             vb, mh = supply.fresh("v"), supply.fresh("m")
-            inner = _scope(env, body, vb, y)
+            inner = _scope(env, body, vb, supply, y)
             body = In(vb, inner[y], _translate(body, ds[0], vb, inner, supply))
             return Client(env[x], mh, Out(vb, mh, body, Fwd(mh, w)))
         case Weak(x, a, body):
             return Weak(env[x], translate_formula_dual(a), _translate(body, ds[0], w, env, supply))
         case Contract(x, x1, x2, body):
-            inner = _scope(env, body, w, x1, x2)
+            inner = _scope(env, body, w, supply, x1, x2)
             return Contract(env[x], inner[x1], inner[x2], _translate(body, ds[0], w, inner, supply))
         case Cut(x, a, left, right):
             zn, wn = supply.fresh("z"), supply.fresh("w")
             # the binder becomes one input per side, and each side renames it on its own
-            lenv, renv = _scope(env, left, zn, x), _scope(env, right, wn, x)
+            lenv, renv = _scope(env, left, zn, supply, x), _scope(env, right, wn, supply, x)
             lp = In(zn, lenv[x], _translate(left, ds[0], zn, lenv, supply))
             rp = In(wn, renv[x], _translate(right, ds[1], wn, renv, supply))
             sync = synchronizer(a, zn, wn, w, supply)

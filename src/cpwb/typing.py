@@ -5,10 +5,11 @@ weakening/contraction are explicit markers, and multiplicative context
 splits are resolved by the free names of the subterms.
 
 The derivation of a whole term is a ``Root``: the one ``check`` returns,
-and the derivation of each given process of a typed context's tree. A
-root is the only derivation that several denotations may share (one
-server cut against many clients, one typed context filled with many
-processes), so it is the only one with room to keep a relation:
+and that of each given process of a typed context, kept beside its node
+in the context's ``levels``; a typed context keeps a typing only at its
+hole and result. A root is the only derivation that several denotations
+may share (one server cut against many clients, one typed context filled
+with many processes), so it is the only one with room to keep a relation:
 ``denotations`` marks a root at its first denotation at a bound and keeps
 its relation at that bound from the second on. What a root keeps dies
 with the root; inner nodes are plain records and keep nothing. A root
@@ -403,44 +404,37 @@ class KMix(CtxTree):
 
 @dataclass(frozen=True)
 class TypedContext:
+    """A context tree checked from the hole up. ``levels`` pairs each node of
+    the tree, from the hole up, with the derivation of its given process."""
+
     tree: CtxTree
-    deriv: ContextDerivation
+    hole_ctx: CtxItems
+    result_ctx: CtxItems
+    levels: tuple[tuple[KCut | KMix, Root], ...]
     system: System
 
     @property
-    def result_ctx(self) -> CtxItems:
-        return self.deriv.result_ctx
-
-    @property
     def hole_context(self) -> TypingContext:
-        return dict(self.deriv.hole_ctx)
+        return dict(self.hole_ctx)
 
     @property
     def result_context(self) -> TypingContext:
         return dict(self.result_ctx)
 
 
-@dataclass(frozen=True)
-class ContextDerivation:
-    rule: str
-    hole_ctx: CtxItems
-    result_ctx: CtxItems
-    premises: tuple = ()
-
-
 def make_context(tree: CtxTree, hole_ctx, system: System) -> TypedContext:
-    """Build a TypedContext, computing its result typing from the tree."""
-    return TypedContext(tree, _check_tree(tree, ctx_items(hole_ctx), system), system)
-
-
-def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation:
-    """The derivation of ``tree``, checked from the hole up once its system allows it."""
-    nodes = [node for node, _ in tree_spine(tree)]
-    if not sys.allows_mix2 and any(isinstance(node, KMix) for node in nodes):
+    """Check ``tree`` at hole typing ``hole_ctx`` from the hole up, with one running typing."""
+    nodes, node = [], tree
+    while not isinstance(node, Hole):
+        if not isinstance(node, (KCut, KMix)):
+            raise CPTypeError(f"not a context tree: {node!r}")
+        nodes.append(node)
+        node = node.sub
+    if not system.allows_mix2 and any(isinstance(node, KMix) for node in nodes):
         raise SystemViolation("context mix needs Mix2")
-    deriv = ContextDerivation("khole", hole, hole)
+    gamma, levels = dict(hole_ctx), []
     for node in reversed(nodes):
-        gamma, rctx = dict(deriv.result_ctx), dict(node.right_ctx)
+        rctx = dict(node.right_ctx)
         x = node.name if isinstance(node, KCut) else None
         if x is not None:
             if x not in gamma:
@@ -450,42 +444,37 @@ def _check_tree(tree: CtxTree, hole: CtxItems, sys: System) -> ContextDerivation
                                        f"{gamma[x]} below the hole")
             if rctx.get(x) != dual(node.annot):
                 raise HoleTypeMismatch(f"right side of cut must use {x} at {dual(node.annot)}")
-        dq = _root(node.right, rctx, sys)
+        levels.append((node, _root(node.right, rctx, system)))
         kind = "mix" if x is None else "cut"
         for n, f in node.right_ctx:
             if n in gamma and n != x:
                 raise LinearityViolation(f"name {n} occurs on both sides of a context {kind}")
             gamma[n] = f
         gamma.pop(x, None)
-        deriv = ContextDerivation("k" + kind, hole, ctx_items(gamma), (deriv, dq))
-    return deriv
+    return TypedContext(tree, ctx_items(hole_ctx), ctx_items(gamma), tuple(levels), system)
 
 
-def tree_spine(tree: CtxTree, deriv: ContextDerivation | None = None):
-    """The nodes of a context tree from the top down to the hole, each with its
-    derivation when ``deriv`` is given: the hole is always below ``sub``."""
-    while not isinstance(tree, Hole):
-        if not isinstance(tree, (KCut, KMix)):
-            raise CPTypeError(f"not a context tree: {tree!r}")
-        yield tree, deriv
-        tree, deriv = tree.sub, deriv and deriv.premises[0]
-
-
-def check_context(k: TypedContext, hole_ctx, result_ctx, system: System) -> ContextDerivation:
-    """Verify that ``k`` maps hole typing ``hole_ctx`` to result ``result_ctx``."""
-    if ctx_items(dict(hole_ctx)) != k.deriv.hole_ctx:
+def check_context(k: TypedContext, hole_ctx, result_ctx, system: System) -> TypedContext:
+    """``k`` re-checked in ``system``, if it maps hole typing ``hole_ctx`` to
+    result ``result_ctx``."""
+    if ctx_items(hole_ctx) != k.hole_ctx:
         raise HoleTypeMismatch(f"context expects hole typing {k.hole_context}, got {dict(hole_ctx)}")
-    deriv = _check_tree(k.tree, k.deriv.hole_ctx, system)
-    if deriv.result_ctx != ctx_items(dict(result_ctx)):
-        raise HoleTypeMismatch(
-            f"context produces {dict(deriv.result_ctx)}, expected {dict(result_ctx)}"
-        )
-    return deriv
+    checked = make_context(k.tree, k.hole_ctx, system)
+    if checked.result_ctx != ctx_items(result_ctx):
+        raise HoleTypeMismatch(f"context produces {checked.result_context}, "
+                               f"expected {dict(result_ctx)}")
+    return checked
+
+
+def check_hole(k: TypedContext, d: Derivation) -> None:
+    """Refuse ``d`` unless it is a derivation at k's hole typing."""
+    if d.ctx != k.hole_ctx:
+        raise HoleTypeMismatch(f"context expects hole typing {k.hole_context}, got {d.context}")
 
 
 def fill(k: TypedContext, p: Process) -> Derivation:
     """The derivation of ``p`` in the hole of ``k``: ``p`` is checked at the
-    hole typing, and k's own derivation is grafted around it."""
+    hole typing, and k's levels are grafted around it."""
     try:
         d = check(p, k.hole_context, k.system)
     except CPTypeError as e:
@@ -494,13 +483,16 @@ def fill(k: TypedContext, p: Process) -> Derivation:
 
 
 def graft(k: TypedContext, d: Derivation) -> Derivation:
-    """k's own derivation grafted around ``d``, a derivation at its hole typing."""
-    if d.ctx != k.deriv.hole_ctx:
-        raise HoleTypeMismatch(f"context expects hole typing {k.hole_context}, got {d.context}")
-    for node, kd in reversed([*tree_spine(k.tree, k.deriv)]):
+    """k's levels grafted around ``d``, a derivation at its hole typing: each
+    level adds one cut or mix node, typed by one running typing."""
+    check_hole(k, d)
+    gamma = dict(d.ctx)
+    for node, root in k.levels:
+        gamma.update(root.ctx)
         if isinstance(node, KCut):
+            del gamma[node.name]
             rule, p = "cut", Cut(node.name, node.annot, d.process, node.right)
         else:
             rule, p = "mix2", Mix(d.process, node.right)
-        d = Derivation(rule, p, kd.result_ctx, (d, kd.premises[1]))
+        d = Derivation(rule, p, ctx_items(gamma), (d, root))
     return d

@@ -501,8 +501,8 @@ def test_relation_rows_hold_only_indices():
             assert _rows_hold_ints(_config_relation(c, k))
     plus = Plus(one, one)
     k = transformer_context({"x": plus, "y": WhyNot(bot)})
-    xs = denotations.from_tuples(k.deriv.hole_ctx, [mk_tuple({"x": Tag(1, STAR), "y": bag([STAR])})], 2)
-    rel = _ctx_den(k.tree, k.deriv, xs, 2)
+    xs = denotations.from_tuples(k.hole_ctx, [mk_tuple({"x": Tag(1, STAR), "y": bag([STAR])})], 2)
+    rel = _ctx_den(k, xs, 2)
     assert rel.rows and _rows_hold_ints(rel) and _rows_hold_ints(xs)
 
 
@@ -515,7 +515,7 @@ def test_a_hole_tuple_past_the_bound_passes_a_bare_hole_and_no_cut():
     assert context_denotation(k, {big, small}, 2) == {big, small}
     k = transformer_context({"x": WhyNot(bot)})
     assert context_denotation(k, {big, small}, 2) == context_denotation(k, {small}, 2) != set()
-    assert from_tuples(k.deriv.hole_ctx, {big, small}, 2).rows == {(1,)}
+    assert from_tuples(k.hole_ctx, {big, small}, 2).rows == {(1,)}
 
 
 def test_bag_ranks_follow_the_enumeration_of_bags():

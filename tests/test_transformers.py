@@ -124,9 +124,11 @@ def test_context_derivation_of_a_transformer_cut():
     t = transformer(a, "x", "x'")
     tree = KCut("x", a, Hole(), t, ctx_items(transformer_typing(a, "x", "x'")))
     k = make_context(tree, {"x": a}, System.CP02)
-    deriv = check_context(k, {"x": a}, {"x'": k.result_context["x'"]}, System.CP02)
-    assert deriv.rule == "kcut"
-    assert deriv.premises[0].rule == "khole"
+    checked = check_context(k, {"x": a}, {"x'": k.result_context["x'"]}, System.CP02)
+    assert checked == k
+    [(node, root)] = checked.levels
+    assert node is tree and root == check(t, transformer_typing(a, "x", "x'"), System.CP02)
+    assert checked.hole_ctx == ctx_items({"x": a})
 
 
 def test_transformer_context_shapes():
@@ -135,6 +137,23 @@ def test_transformer_context_shapes():
     assert k0.result_context == {closing_name({}): one}
     k1 = transformer_context({"x": one})
     assert k1.result_context == {"x'": Tensor(one, bot), "w": one}
+
+
+def test_a_wide_transformer_context_keeps_one_node_and_root_per_level():
+    import time
+    from dataclasses import fields
+
+    from cpwb.typing import Root
+
+    start = time.perf_counter()
+    k = transformer_context({f"x{i}": one for i in range(5000)})
+    assert time.perf_counter() - start < 2
+    assert len(k.levels) == 5001
+    # a level is its node and the root of its given process; only the
+    # context itself holds a typing, at the hole and at the result
+    assert all(len(level) == 2 and type(level[1]) is Root for level in k.levels)
+    assert [f.name for f in fields(k)] == ["tree", "hole_ctx", "result_ctx", "levels", "system"]
+    assert len(k.result_ctx) == 5001
 
 
 def test_transformer_context_cut_order_is_irrelevant():
@@ -197,10 +216,7 @@ def test_a_transformer_context_applies_its_derivations_rules_for_two_fills(monke
 
     ctx = {"x": Plus(one, one), "y": bot}
     k = transformer_context(ctx)
-    roots, deriv = [], k.deriv  # the derivation of each given process of the tree
-    while deriv.premises:
-        deriv, dq = deriv.premises
-        roots.append(dq)
+    roots = [root for _, root in k.levels]  # the derivation of each given process of the tree
     nodes, todo = set(), list(roots)
     while todo:
         d = todo.pop()
@@ -217,7 +233,8 @@ def test_a_transformer_context_applies_its_derivations_rules_for_two_fills(monke
     per_fill = []
     for p in procs:
         applied.clear()
-        assert transformer_image(k, p) == denote(fill(transformer_context(ctx), p)).tuples
+        d = check(p, ctx, System.CP02)
+        assert transformer_image(k, d) == denote(fill(transformer_context(ctx), p)).tuples
         per_fill.append(applied.count(True))
     # the first fill marks each transformer derivation and the second keeps
     # its relation; every later fill applies none of their rules

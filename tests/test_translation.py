@@ -286,6 +286,16 @@ def test_translation_output_is_pinned():
             "x:?bot",
             "ctr x'<x',y>.weak x':?((bot % 1) * bot).weak y:?((bot % 1) * bot).w[]",
         ),
+        # the binder w would capture the closing name w: it becomes w0
+        ("x(w).w().x().0", "x:(bot % bot)", "x'(w0).w0().x'().w[]"),
+        # a renamed binder is drawn from the walk's supply, so the cut's
+        # fresh names drawn after it avoid it: w0 stays free in w1's scope
+        (
+            "x(w).new y:1 (y[] | y().w().x().0)",
+            "x:(bot % bot)",
+            "x'(w0).new w1:(1 * bot) (new z:((1 * bot) % 1) (z(y).y[u](u[] | fwd y z) | "
+            "z[m](m(v).w1[u0](fwd u0 v | fwd w1 m) | fwd z w)) | w1(y).y().w0().x'().w1[])",
+        ),
     ],
 )
 def test_translation_renames_a_binder_only_where_it_would_capture(source, ctx, image):
@@ -295,6 +305,46 @@ def test_translation_renames_a_binder_only_where_it_would_capture(source, ctx, i
     lp = translate_process(check(parse_process(source), ctx, System.CP02))
     assert format_process(lp) == image
     check(lp, translated_context(ctx), System.CP02)
+
+
+def _one_binder_renamed(p, to):
+    """Each process that renames one binder of ``p`` to ``to``, in its scope too."""
+    from dataclasses import fields, replace
+
+    from cpwb.syntax import Process, substitute
+
+    binders, scope = type(p).binds
+    for b in binders:
+        old = getattr(p, b)
+        if old != to:
+            yield replace(p, **{b: to}, **{s: substitute(getattr(p, s), to, old) for s in scope})
+    for f in fields(p):
+        sub = getattr(p, f.name)
+        if isinstance(sub, Process):
+            for q in _one_binder_renamed(sub, to):
+                yield replace(p, **{f.name: q})
+
+
+def test_a_binder_named_like_the_closing_name_does_not_capture_it():
+    # every binder of the families renamed, one at a time, to the closing name w
+    from cpwb.harness import cut_families, exp_free_families, exponential_families
+    from cpwb.obs_transform import translation_image, translation_verdict
+    from cpwb.typing import CPTypeError
+
+    cases = [(ctx, p) for ctx, ps in exp_free_families(5) for p in ps] + cut_families(4)
+    cases += [(ctx, p) for ctx, ps in exponential_families(5) for p in ps]
+    typed = 0
+    for ctx, p in cases:
+        assert closing_name(ctx) == "w"
+        for q in _one_binder_renamed(p, "w"):
+            try:
+                d = check(q, ctx, System.CP02)
+            except CPTypeError:
+                continue
+            typed += 1
+            image = translation_image(d, ctx)  # checks the translation at its typing
+            assert translation_verdict(ctx, denote(d).tuples, image).holds, (q, ctx)
+    assert typed == 484
 
 
 def test_translating_a_forwarder_runs_no_type_check(monkeypatch):
