@@ -59,7 +59,7 @@ from .syntax import (
 )
 from .transformers import transformer_context
 from .translation import translate_process, translated_context
-from .typing import CpwbError, CPTypeError, Derivation, System, TooDeep, check, graft, too_deep
+from .typing import CpwbError, CPTypeError, Derivation, KCut, System, TooDeep, check, check_hole, too_deep
 
 KEYWORDS = {"new", "fwd", "weak", "ctr", "bot", "zero", "cut", "par", "con"}
 
@@ -593,9 +593,13 @@ def _dispatch(args) -> int:
             return 0
         case "transform":
             ctx = parse_context(args.ctx)
-            p = parse_process(_read(args.file))
-            d = check(p, ctx, System.CP02)  # at the hole typing, before the context is built
-            print(format_process(graft(transformer_context(ctx), d).process))
+            d = check(parse_process(_read(args.file)), ctx, System.CP02)  # before the context is built
+            k = transformer_context(ctx)
+            check_hole(k, d)
+            p = d.process  # only the filled process is printed, so no derivation is grafted
+            for node, _ in k.levels:
+                p = Cut(node.name, node.annot, p, node.right) if isinstance(node, KCut) else Mix(p, node.right)
+            print(format_process(p))
             return 0
         case "equiv":
             ctx = parse_context(args.ctx)

@@ -35,6 +35,9 @@ many processes, is so denoted twice, not once per use, and a root
 denoted once keeps no relation. What a root keeps lives on the root and
 goes with it: there is no table of derivations here, and inner nodes keep
 nothing. Relations are immutable, so a kept one is shared safely.
+``root_keeping`` makes a root that keeps a relation computed elsewhere, as
+``transformers.transformer_graphs`` does for a sub-transformer whose formula
+it has denoted before, with that relation's columns renamed (``rename``).
 """
 
 from __future__ import annotations
@@ -589,6 +592,12 @@ def join(left: Relation, right: Relation, name: str, keep: bool = False) -> Rela
     return _build(rows, src, left.spaces + right.spaces, drop=drop)
 
 
+def rename(rel: Relation, names) -> Relation:
+    """``rel`` with each column ``c`` named ``names.get(c, c)``, its columns
+    sorted again; the new names must be distinct."""
+    return _build(rel.rows, tuple(names.get(c, c) for c in rel.cols), rel.spaces)
+
+
 def contract(rel: Relation, name: str, left: str, right: str) -> Relation:
     """The columns ``left`` and ``right``, of one bag space, merged into one
     column ``name`` that holds their multiset union; a row whose union has
@@ -630,6 +639,14 @@ def _denote_root(d: Root, rule, bound: int) -> Relation:
     if d._relation is None:
         d._relation = rule(d, d.process, bound)
     return d._relation
+
+
+def root_keeping(d: Derivation, rel: Relation, bound: int) -> Root:
+    """A root of ``d`` that keeps ``rel``, the relation of ``d`` at ``bound``,
+    as if it had been denoted twice at ``bound``."""
+    root = Root._make(d)
+    root._bound, root._relation = bound, rel
+    return root
 
 
 # One function per rule: it denotes the premises through ``_denote`` and

@@ -451,6 +451,19 @@ def test_cli_transform_refuses_a_filled_process_too_deep_to_print(tmp_path, caps
     assert out.out == "" and out.err.startswith("error: the process is nested too deeply")
 
 
+def test_cli_transform_builds_a_wide_filled_process_without_a_derivation(tmp_path, capsys):
+    # only the filled process is printed, so its cuts are built from the
+    # context's levels, each without a typing: linear in the names
+    names = [f"x{i}" for i in range(5000)]
+    f = tmp_path / "p.cp"
+    f.write_text(_balanced_outputs(names))
+    start = time.perf_counter()
+    assert main(["transform", str(f), "--ctx", ", ".join(f"{x}:1" for x in names)]) == 4
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: the process is nested too deeply")
+
+
 def test_cli_suite(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({"suites": ["synchronizer", "worked_example"]}))

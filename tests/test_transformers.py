@@ -1,7 +1,10 @@
 import itertools
+from functools import partial
+from operator import add
 
 import pytest
 
+from cpwb import denotations as den
 from cpwb.denotations import (
     STAR,
     Pair,
@@ -94,6 +97,125 @@ def test_transformer_sum_denotation():
 )
 def test_transformer_graph_lemma(a):
     assert transformer_graph(a, 2).holds
+
+
+def _whole_relation(a, bound=2):
+    """The relation of the transformer at ``a``, denoted as one derivation."""
+    return den._denote(check(transformer(a, "x", "x'"), transformer_typing(a, "x", "x'"), System.CP02), bound)
+
+
+def _pool(**cfg):
+    from cpwb.harness import SuiteConfig, _ImageTable
+
+    return _ImageTable(SuiteConfig(**cfg), 0).small_formulas
+
+
+def test_transformer_graphs_denote_each_transformer_as_its_whole_derivation():
+    # built from its parts' kept relations, each transformer of the default
+    # pool has the relation of its whole derivation
+    from cpwb.transformers import _graph_relations
+
+    pool = _pool()
+    assert len(pool) == 1982
+    got = list(_graph_relations(pool, 2))
+    assert [a for a, _ in got] == pool
+    assert all(rel == _whole_relation(a) for a, rel in got)
+
+
+def test_transformer_graphs_apply_no_rule_of_a_part_denoted_before(monkeypatch):
+    from cpwb.transformers import _graph_relations
+
+    applied = []
+    for name, rule in den._RULES.items():
+        def counted(d, p, bound, rule=rule):
+            applied.append(d.rule)
+            return rule(d, p, bound)
+
+        monkeypatch.setitem(den._RULES, name, counted)
+
+    def rules(formulas):
+        applied.clear()
+        list(_graph_relations(formulas, 2))
+        return len(applied)
+
+    a = Plus(one, one)
+    for compound in (OfCourse(a), Tensor(a, a), With(a, one)):
+        gen = _graph_relations([a, one, compound], 2)
+        next(gen), next(gen)
+        applied.clear()
+        [(_, rel)] = gen
+        step = len(applied)
+        parts = sum(rules([b]) for b in compound._fields(compound))
+        assert step == rules([compound]) - parts > 0
+        assert rel == _whole_relation(compound)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {},
+        {"bound": 1},
+        {"bound": 3},
+        {"formula_depth": 1},
+        {"process_size": 7},
+        {"connectives": ("one", "bot", "tensor", "ofcourse")},
+    ],
+)
+def test_the_formula_pool_lists_each_immediate_part_before_its_compound(cfg):
+    # so transformer_graphs denotes every part of a pool formula by its kept relation
+    seen = set()
+    for a in _pool(**cfg):
+        assert set(a._fields(a)) <= seen, a
+        seen.add(a)
+
+
+# Three one-line mutants of denotation rules, each written out whole.
+
+
+def _quest_tagged_at_zero(d, p, bound):
+    # the bag of element j alone at index j, where the rule has 1 + j
+    prem = den._denote(d.premises[0], bound)
+    sp = den.Space("bag", den._space_of(prem, p.payload), bound=bound)
+    return den.extend(prem, p.channel, sp, partial(add, 0), (p.payload,), (p.payload,))
+
+
+def _with_second_branch_at_zero(d, p, bound):
+    # the second branch's value j at index j, where the rule has |A| + j
+    x = p.channel
+    left, right = (den._denote(prem, bound) for prem in d.premises)
+    sp = den.Space("tag", den._space_of(left, x), den._space_of(right, x))
+    first = den.extend(left, x, sp, partial(add, 0), (x,), (x,))
+    second = den.extend(right, x, sp, partial(add, 0), (x,), (x,))
+    return first._replace(rows=first.rows | second.rows)
+
+
+def _tensor_pair_swapped(d, p, bound):
+    # the pair as (rest, payload), where the rule has (payload, rest)
+    x, y = p.channel, p.payload
+    left, right = (den._denote(prem, bound) for prem in d.premises)
+    sp, fn = den._pair(den._space_of(right, x), den._space_of(left, y))
+    return den.product((left, right), x, sp, fn, (x, y), (y, x))
+
+
+@pytest.mark.parametrize(
+    "rule, mutant",
+    [("quest", _quest_tagged_at_zero), ("with", _with_second_branch_at_zero), ("tensor", _tensor_pair_swapped)],
+)
+def test_a_rule_mutant_fails_the_same_formulas_by_parts_and_whole(monkeypatch, rule, mutant):
+    from cpwb.syntax import formula_depth
+    from cpwb.transformers import transformer_graphs
+
+    def graph(a):
+        return {mk_tuple({"x": o, "x'": l_obs(a, o)}) for o in obs_space(a, 2)}
+
+    # every formula of depth <= 1, so every part is kept, and a tenth of depth 2
+    pool = _pool()
+    pool = [a for a in pool if formula_depth(a) <= 1] + [a for a in pool if formula_depth(a) == 2][::10]
+    monkeypatch.setitem(den._RULES, rule, mutant)
+    by_parts = {a for a, v in zip(pool, transformer_graphs(pool, 2)) if not v.holds}
+    whole = {a for a in pool if _whole_relation(a).tuples() != graph(a)}
+    assert by_parts == whole
+    assert any(formula_depth(a) == 2 for a in whole)
 
 
 def test_client_transformer_lemma():

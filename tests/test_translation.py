@@ -401,3 +401,90 @@ def test_a_term_that_checks_translates_within_the_stack(build):
     n, d = _deepest_checked(build)
     assert n >= 250
     assert isinstance(translate_process(d), (Cut, In))
+
+
+# Names that the translation itself makes: the closing name, its fresh
+# variants and primed names.
+HOSTILE_NAMES = ("w", "w0", "x'", "x''", "y'")
+
+
+def _renamed_free(p, names):
+    from cpwb.syntax import substitute
+
+    for old, new in names.items():  # no new name is free in p, so one at a time is simultaneous
+        p = substitute(p, new, old)
+    return p
+
+
+def _binders_redrawn(p, rng):
+    """An alpha-variant of ``p``: each binder renamed to a name of
+    ``HOSTILE_NAMES`` drawn by ``rng`` that is free neither in its node nor
+    in its scope, nor is another binder of its node (past the pool, a fresh
+    ``w`` name)."""
+    from dataclasses import fields, replace
+
+    from cpwb.syntax import Process, free_names, fresh_name, substitute
+
+    binders, scope = type(p).binds
+    olds = [getattr(p, b) for b in binders]
+    avoid = set(free_names(p)).union(olds, *(free_names(getattr(p, s)) for s in scope))
+    news = []
+    for _ in olds:
+        names = [n for n in HOSTILE_NAMES if n not in avoid]
+        news.append(rng.choice(names) if names else fresh_name("w", avoid))
+        avoid.add(news[-1])
+    changes = dict(zip(binders, news))
+    for s in scope:
+        q = getattr(p, s)
+        for old, new in zip(olds, news):
+            q = substitute(q, new, old)
+        changes[s] = q
+    p = replace(p, **changes)
+    subs = {f.name: getattr(p, f.name) for f in fields(p)}
+    return replace(p, **{f: _binders_redrawn(q, rng) for f, q in subs.items() if isinstance(q, Process)})
+
+
+def _classes(values):
+    """The partition of ``values`` by equality, as the first index of each one's class."""
+    first = {}
+    return tuple(first.setdefault(v, i) for i, v in enumerate(values))
+
+
+def test_names_drawn_from_a_hostile_pool_change_no_denotation_image_or_verdict():
+    # every instance of the translation families, its context names and its
+    # binders redrawn from names the translation itself makes
+    import random
+
+    from cpwb.harness import cut_families, exp_free_families, exponential_families
+    from cpwb.obs_transform import translation_image, translation_verdict
+    from cpwb.syntax import alpha_eq
+    from cpwb.transformers import transformer_context, transformer_image
+
+    rng = random.Random(22)
+    groups = [(ctx, ps, True) for ctx, ps in exp_free_families(5)]
+    groups += [(ctx, [p], False) for ctx, p in cut_families(4)]
+    groups += [(ctx, ps, False) for ctx, ps in exponential_families(5)]
+    variants = 0
+    for ctx, procs, fa in groups:
+        names = dict(zip(sorted(ctx), rng.sample(HOSTILE_NAMES, len(ctx))))
+        sides = [(ctx, []), ({names[n]: a for n, a in ctx.items()}, [])]
+        ks = [transformer_context(c) for c, _ in sides] if fa else [None, None]
+        for p in procs:
+            renamed = _renamed_free(p, names)
+            q = _binders_redrawn(renamed, rng)
+            assert alpha_eq(q, renamed)
+            variants += 1
+            for (c, images), proc, k in zip(sides, (p, q), ks):
+                d = check(proc, c, System.CP02)
+                source, image = denote(d).tuples, translation_image(d, c)  # checks the image
+                assert translation_verdict(c, source, image).holds, (proc, c)
+                # the source, translation and transformer images of each process
+                images.append((source, image, transformer_image(k, d)) if fa else (source,))
+        (_, original), (_, variant) = sides
+        assert [{mk_tuple({names[n]: o for n, o in t}) for t in s[0]} for s in original] == [
+            s[0] for s in variant
+        ]
+        # the same partitions by source, translation and transformer image: the same FA verdicts
+        for i in range(len(original[0])):
+            assert _classes([s[i] for s in original]) == _classes([s[i] for s in variant])
+    assert variants == 429
