@@ -339,6 +339,74 @@ def test_last_redex_first_observes_the_same(monkeypatch):
     assert any(reordered)
 
 
+def _fwd_chain(k):
+    # x0[] linked through k forwarders to xk().0, as nested cuts at type 1
+    p = closed_in(f"x{k}")
+    for i in reversed(range(k)):
+        p = Cut(f"x{i + 1}", one, Fwd(f"x{i}", f"x{i + 1}"), p)
+    return Cut("x0", one, EmptyOut("x0"), p)
+
+
+# The sha256, at each bound, of the JSON observations of the corpus of
+# test_pinned_observations_and_step_counts, one line per configuration.
+PINNED_OBSERVATIONS = {
+    0: "1c07a696846e919b7b0d98681b5559f50e3fca068a64bb46885993169f0a5f0a",
+    1: "4e6b930a5edcc966973e3f5ccbe3275792a4801697c9ced5a8f6efbbde6f4477",
+    2: "5f87d24982de76a918ae82b4fe26a8329b7394515636f07551cfbc80aed1dd03",
+}
+# The reduction steps of each closed cut of cut_families(4), then of each
+# ?bot client cut against !x(y).y[], one digit per configuration.
+PINNED_CUT_STEPS = "11223332233344444444444421442144"
+PINNED_CLIENT_STEPS = (
+    "215546666665466436665666566666666656665666666666566656666666665666"
+    "555466666654664366656665666666666566656666666665666566666666656665"
+)
+CHAIN_LINKS = (1, 2, 5, 20, 50)
+
+
+def test_pinned_observations_and_step_counts(monkeypatch):
+    # the observations and the step counts of 169 closed configurations,
+    # pinned: the closed cuts of cut_families(4) (half of them link
+    # forwarders), the !1 server against every ?bot client of size <= 7,
+    # and chains of forwarders. Each takes exactly its pinned number of
+    # steps, and firing the last enabled redex first observes the same
+    import hashlib
+
+    from cpwb.denotations import dumps, tuples_to_json
+    from cpwb.harness import cut_families
+
+    bang, whynot = OfCourse(one), WhyNot(bot)
+    srv = proc(Server("x", "y", EmptyOut("y")), {"x": bang})
+    corpus = [proc(p, {}) for ctx, p in cut_families(4) if not ctx]
+    corpus += [CCut("x", bang, srv, proc(q, {"x": whynot}))
+               for q in enumerate_processes({"x": whynot}, 7, System.CP02)]
+    corpus += [proc(_fwd_chain(k), {}) for k in CHAIN_LINKS]
+    steps = [*map(int, PINNED_CUT_STEPS + PINNED_CLIENT_STEPS)] + [k + 1 for k in CHAIN_LINKS]
+    assert len(corpus) == len(steps) == 169
+
+    def digest(k):
+        lines = "\n".join(dumps(tuples_to_json(observe(c, k))) for c in corpus)
+        return hashlib.sha256(lines.encode()).hexdigest()
+
+    assert {k: digest(k) for k in PINNED_OBSERVATIONS} == PINNED_OBSERVATIONS
+    for c, n in zip(corpus, steps):
+        observe(c, depth=n)
+        with pytest.raises(DepthExceeded):
+            observe(c, depth=n - 1)
+
+    reordered = []
+    real = oracle._redexes
+
+    def last_first(soup):
+        found = list(real(soup))
+        reordered.append(len(found) > 1)
+        return reversed(found)
+
+    monkeypatch.setattr(oracle, "_redexes", last_first)
+    assert {k: digest(k) for k in PINNED_OBSERVATIONS} == PINNED_OBSERVATIONS
+    assert any(reordered)
+
+
 def test_adequacy_over_exponentials():
     # replication, weakening and contraction of one server against every
     # small client, at every bound up to the default
