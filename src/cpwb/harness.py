@@ -98,6 +98,30 @@ def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
     return seen
 
 
+# The most formulas a run may enumerate for the formula pool of
+# transformer_graph and injectivity. The largest pool under it, 81,610
+# formulas (one, bot, tensor and par to depth 3), takes transformer_graph
+# about 33 s; the counts grow by squares, so the next pools are in the
+# millions (15,717,262 for every connective at depth 3).
+MAX_FORMULAS = 100_000
+
+
+def formula_count(depth: int, connectives=CONNECTIVES, limit: int = MAX_FORMULAS) -> int:
+    """``len(enumerate_formulas(depth, connectives))`` without building a
+    formula: with u unit, b binary and n unary connectives in the set,
+    f(0) = u and f(d + 1) = u + b f(d)^2 + n f(d). Once a level's count
+    passes ``limit``, that count is returned, a lower bound, so a deep
+    ``depth`` costs no huge number."""
+    u, b, n = (sum(c in connectives for c in group)
+               for group in (("one", "bot"), ("tensor", "par", "plus", "with"), ("ofcourse", "whynot")))
+    f = u
+    for _ in range(depth):
+        if f > limit:
+            break
+        f = u + b * f * f + n * f
+    return f
+
+
 def enumerate_processes(ctx, size: int, system: System = System.CP02, cut_formulas=(),
                         markers: bool = True) -> list[Process]:
     """All well-typed processes of at most ``size`` constructors at ``ctx``."""
@@ -286,6 +310,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
     has_exp = "ofcourse" in cfg.connectives or "whynot" in cfg.connectives
     if has_exp and cfg.bound > 2:
         raise ConfigError("exhaustive suites need an exponential-free connective set or bound <= 2")
+    if {"transformer_graph", "injectivity"} & set(names):
+        n = formula_count(cfg.formula_depth, cfg.connectives)
+        if n > MAX_FORMULAS:
+            raise ConfigError(f"formula_depth {cfg.formula_depth} enumerates at least {n:,} formulas"
+                              f" over these connectives; the limit is {MAX_FORMULAS:,}")
     seed = os.environ.get("CPWB_SEED", cfg.seed)
     try:
         seed = int(seed)
@@ -543,7 +572,7 @@ class _ImageTable:
                         kctx, k = ctx, transformers.transformer_context(ctx)
                     s = transformers.transformer_image(k, d, bound)
                 else:
-                    s = denote(d, bound).tuples if kind == SOURCE else translation_image(d, ctx, bound)
+                    s = denote(d, bound).tuples if kind == SOURCE else translation_image(d, bound)
                 row[kind] = self.distinct.setdefault(s, s)
             yield ctx, p, [row[kind] for kind in kinds]
 
@@ -672,8 +701,8 @@ def _suite_worked_example(cfg: SuiteConfig, rng, table):
     one = Unit()
     cut = Cut("x", one, EmptyOut("x"), EmptyIn("x", EmptyOut("y")))
     ctx = {"y": one}
-    s1 = translation_image(check(cut, ctx, System.CP02), ctx, cfg.bound)
-    s2 = translation_image(check(EmptyOut("y"), ctx, System.CP02), ctx, cfg.bound)
+    s1 = translation_image(check(cut, ctx, System.CP02), cfg.bound)
+    s2 = translation_image(check(EmptyOut("y"), ctx, System.CP02), cfg.bound)
     yield None if s1 == s2 else f"worked example: {tuples_to_json(s1)} vs {tuples_to_json(s2)}"
 
 

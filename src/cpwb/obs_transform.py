@@ -114,9 +114,9 @@ def _set_verdict(expected, actual, label: str) -> Verdict:
     )
 
 
-def translation_image(d: Derivation, ctx, bound: int = 2) -> frozenset:
-    """The denotation of the translation of ``d`` at the translated context."""
-    return denote(check(translate_process(d), translated_context(ctx), System.CP02), bound).tuples
+def translation_image(d: Derivation, bound: int = 2) -> frozenset:
+    """The denotation of the translation of ``d`` at the translation of its typing."""
+    return denote(check(translate_process(d), translated_context(d.ctx), System.CP02), bound).tuples
 
 
 def translation_verdict(ctx, source, image) -> Verdict:
@@ -130,7 +130,7 @@ def check_translation_theorem(
 ) -> Verdict:
     """l_ctx image of the source denotation vs the translated denotation."""
     d = check(p, ctx, system)
-    return translation_verdict(ctx, denote(d, bound).tuples, translation_image(d, ctx, bound))
+    return translation_verdict(ctx, denote(d, bound).tuples, translation_image(d, bound))
 
 
 @dataclass(frozen=True)
@@ -147,5 +147,5 @@ def full_abstraction_I(
     """Source equivalence iff equivalence of the translations."""
     dp, dq = check_shared(p, q, ctx, system)
     src = denote(dp, bound).tuples == denote(dq, bound).tuples
-    img = translation_image(dp, ctx, bound) == translation_image(dq, ctx, bound)
+    img = translation_image(dp, bound) == translation_image(dq, bound)
     return AbstractionVerdict(src == img, src, img, "full abstraction (translation)")

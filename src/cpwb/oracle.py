@@ -13,20 +13,23 @@ original checked process and an environment: a dict from the names that
 the node's binders, and the contractions above it, bound to soup names.
 A cut, a contraction or a communication step extends the environment of
 the continuation it unfolds; a forwarder merges its two names in one
-alias map; and an index of the names that leaves act on, kept across
-steps, finds each enabled redex as its second leaf arrives.
+alias map as it joins the soup; and an index of the names that leaves act
+on, kept across steps, finds each enabled communication step as its
+second leaf arrives.
 
 The search follows one reduction sequence.  Names are linear and each
 leaf acts on one name, so two redexes never share a leaf and commute; CP
 reduction is confluent, and under that diamond property every maximal
 sequence has the same length and gives the same observations.  So the
-search is complete although it fires only the first redex of each soup.
-Hidden names are the ints 1, 2, ... of one counter per ``observe`` call;
-parsed names are strings, so the two never meet.
+search is complete although it links each forwarder as it arrives and
+then fires only the first communication step of each soup; a link still
+counts as one step of the sequence.  Hidden names are the ints 1, 2, ...
+of one counter per ``observe`` call; parsed names are strings, so the two
+never meet.
 
 Every walk here picks its case by one table lookup, never by a structural
 ``match``: the soup adds a node by the case of its class (``_GROW``) and
-fires a step by the case of its receiving leaf's kind (``_COMM``); the
+fires a step by the case of its (sender, receiver) kinds (``_COMM``); the
 configuration check and denotation look up the case of each configuration
 class (``_CHECK``, ``_DENOTE``).  Each case reads its node's fields by name.
 
@@ -257,24 +260,15 @@ def _disjoint(left, right, extra):
 # --- the observation search ---------------------------------------------------
 
 # Leaves: (type(P), P, env) | ("weak", name) | ("con", ext, f1, f2).  P is a
-#         node of a checked process; env maps the names that binders above
-#         P bound to soup names, and any other name of P is its own soup
-#         name.  Marker names are soup names.
-# Names:  a soup name that a link merged away points, in ``alias``, to the
+#         node of a checked process other than a forwarder; env maps the
+#         names that binders above P bound to soup names, and any other name
+#         of P is its own soup name.  Marker names are soup names.
+# Names:  a forwarder is no leaf: as it joins the soup it merges one of its
+#         names into the other, which then points, in ``alias``, to the
 #         name it merged into; every lookup goes through ``find``.  Hidden
 #         names are ints, drawn from the soup's counter; parsed names are
 #         strings, so the two never meet.
 # A step is (fired name, fn, hidden names that fn reads).
-
-# The (sender, receiver) kinds of the communication steps; see _COMM.
-_STEPS = frozenset({
-    (EmptyOut, EmptyIn),
-    (Out, In),
-    (Select, Case),
-    (Server, Client),
-    (Server, "weak"),
-    (Server, "con"),
-})
 
 
 class _Soup:
@@ -282,23 +276,23 @@ class _Soup:
 
     ``acting`` maps a name to the one leaf that acts on it until the leaf
     at its other end arrives; the pair then moves to ``ready``, the enabled
-    communication steps in the order they became enabled.  ``fwds`` holds
-    the forwarders by id, and ``size`` counts the leaves.  At bound 0 a
+    communication steps in the order they became enabled.  ``size`` counts
+    the leaves and ``links`` the forwarders linked so far.  At bound 0 a
     server never meets a client, so that pair is never enabled.  Hidden
     names are the ints 1, 2, ... of one counter per ``observe`` call.
     ``grow`` picks the case of each node's class in ``_GROW``, and ``comm``
-    the case of the receiving leaf's kind in ``_COMM``.
+    the case of the step's (sender, receiver) kinds in ``_COMM``.
     """
 
     def __init__(self, bound: int):
-        self.enabled = _STEPS if bound else _STEPS - {(Server, Client)}
+        self.enabled = _COMM.keys() if bound else _COMM.keys() - {(Server, Client)}
         self.hide = partial(next, count(1))
         self.union = bounded_union(bound)  # the value of every server duplication
         self.alias: dict = {}
         self.acting: dict = {}
         self.ready: dict = {}
-        self.fwds: dict = {}
         self.size = 0
+        self.links = 0
 
     def find(self, n: Name) -> Name:
         """The name that ``n`` was merged into, compressing the path to it."""
@@ -332,17 +326,6 @@ class _Soup:
             node, env = todo.pop()
             _GROW[type(node)](self, node, env, todo)
 
-    def link(self, fwd) -> None:
-        """[a<->b] composed on both of its names: merge b into a."""
-        _, p, env = fwd
-        del self.fwds[id(fwd)]
-        self.size -= 1
-        a, b = (self.find(env.get(n, n)) for n in (p.left, p.right))
-        self.alias[b] = a
-        leaf = self.acting.pop(b, None)
-        if leaf is not None:
-            self.act(leaf, a)
-
     def comm(self, name: Name, sender, receiver):
         """Fire the enabled redex on ``name``: drop its two leaves, add what
         the step unfolds, and return the step."""
@@ -350,7 +333,7 @@ class _Soup:
         self.size -= 2
         todo: list = []
         _, p, env = sender
-        fn, hidden = _COMM[receiver[0]](self, p, env, receiver, todo)
+        fn, hidden = _COMM[sender[0], receiver[0]](self, p, env, receiver, todo)
         self.grow(todo)
         return name, fn, hidden
 
@@ -402,10 +385,15 @@ def _contract(soup, p, env, todo):
     todo.append((p.body, {**env, p.left_name: f1, p.right_name: f2}))
 
 
-def _fwd(soup, p, env, todo):
-    leaf = Fwd, p, env
-    soup.size += 1
-    soup.fwds[id(leaf)] = leaf
+def _link(soup, p, env, todo):
+    # [a<->b] links as it joins the soup: b merges into a, and a leaf
+    # already waiting on b acts on a
+    a, b = (soup.find(env.get(n, n)) for n in (p.left, p.right))
+    soup.alias[b] = a
+    soup.links += 1
+    leaf = soup.acting.pop(b, None)
+    if leaf is not None:
+        soup.act(leaf, a)
 
 
 def _acting(soup, p, env, todo):
@@ -425,15 +413,15 @@ _GROW = {
     Weak: _weak,
     CCon: _config_con,
     Contract: _contract,
-    Fwd: _fwd,
+    Fwd: _link,
     **dict.fromkeys((EmptyOut, EmptyIn, Out, In, Select, Case, Server, Client), _acting),
 }
 
 
-# One function per communication step, by the kind of its receiver (each
-# receiver kind has one sender kind in _STEPS): it pushes the continuations
-# of the sender ``p`` (at ``env``) and of the receiver onto ``todo``, and
-# returns the step's value function and the hidden names that it reads.
+# One function per communication step, by its (sender, receiver) kinds: it
+# pushes the continuations of the sender ``p`` (at ``env``) and of the
+# receiver onto ``todo``, and returns the step's value function and the
+# hidden names that it reads.
 # The value functions are built once, here and in ``_Soup``, not per step.
 
 
@@ -501,21 +489,18 @@ def _duplicate(soup, p, env, receiver, todo):
 
 
 _COMM = {
-    EmptyIn: _close,
-    In: _send,
-    Case: _choose,
-    Client: _serve,
-    "weak": _drop,
-    "con": _duplicate,
+    (EmptyOut, EmptyIn): _close,
+    (Out, In): _send,
+    (Select, Case): _choose,
+    (Server, Client): _serve,
+    (Server, "weak"): _drop,
+    (Server, "con"): _duplicate,
 }
 
 
 def _redexes(soup: _Soup):
-    """The enabled redexes of a soup, in soup order, read from its index:
-    each forwarder ``(None, leaf, None)``, then each communication step
+    """The enabled communication steps of a soup, read from its index: each
     ``(name, sender, receiver)`` in the order it became enabled."""
-    for fwd in soup.fwds.values():
-        yield None, fwd, None
     for name, (u, v) in soup.ready.items():
         yield name, u, v
 
@@ -527,11 +512,13 @@ def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
     """All observation tuples of a closed configuration, at bound ``bound``.
 
     Reduction is confluent, so one maximal reduction sequence gives every
-    observation: fire the first redex of each soup until the soup is empty
-    (one observation) or stuck (none), then read the one observation back
-    from the steps, last step first: each step reads its hidden names and
-    gives its fired name ``fn`` of them.  A name a link merged away reads
-    the value of the name it merged into.
+    observation: link each forwarder as it joins the soup and fire the
+    first communication step of each soup until the soup is empty (one
+    observation) or stuck (none), then read the one observation back from
+    the steps, last step first: each step reads its hidden names and gives
+    its fired name ``fn`` of them.  A name a link merged away reads the
+    value of the name it merged into.  Links and communication steps both
+    count toward ``depth``.
     """
     check_bound(bound)
     gamma, theta = check_config(c)
@@ -541,19 +528,16 @@ def observe(c: Configuration, bound: int = 2, depth: int = DEFAULT_DEPTH):
     soup.grow([(c, {})])
 
     steps = []
-    taken = 0
-    while soup.size:
+    while len(steps) + soup.links <= depth:
+        if not soup.size:
+            break
         for name, u, v in _redexes(soup):
-            if name is None:
-                soup.link(u)
-            else:
-                steps.append(soup.comm(name, u, v))
+            steps.append(soup.comm(name, u, v))
             break
         else:
             return frozenset()  # a stuck soup
-        if taken == depth:
-            raise DepthExceeded(f"more than {depth} steps")
-        taken += 1
+    else:
+        raise DepthExceeded(f"more than {depth} steps")
 
     seen: dict = {}
     find = soup.find

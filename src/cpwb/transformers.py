@@ -251,7 +251,7 @@ def check_transformer_correct(p: Process, ctx, bound: int = 2) -> Verdict:
     comparison is plain set equality.
     """
     d = check(p, ctx, System.CP02)
-    left = translation_image(d, ctx, bound)
+    left = translation_image(d, bound)
     right = transformer_image(transformer_context(ctx), d, bound)
     return _set_verdict(left, right, "transformer correctness")
 

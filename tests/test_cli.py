@@ -475,6 +475,26 @@ def test_cli_suite(tmp_path, capsys):
     assert data["synchronizer"]["failures"] == []
 
 
+def test_cli_refuses_a_formula_pool_past_the_limit_up_front(tmp_path, capsys):
+    # every connective to depth 3 is 15,717,262 formulas: refused before any
+    # suite runs. The same depth passes over three connectives (1,446
+    # formulas), and a suite that reads no formula pool ignores it
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"formula_depth": 3}))
+    start = time.perf_counter()
+    assert main(["suite", "--config", str(f)]) == 4
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == "" and "15,717,262 formulas" in out.err and "100,000" in out.err
+    f.write_text(json.dumps({"formula_depth": 3, "connectives": ["one", "bot", "tensor"],
+                             "suites": ["transformer_graph", "injectivity"]}))
+    assert main(["suite", "--config", str(f), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["transformer_graph"]["instances"] == 1446
+    f.write_text(json.dumps({"suites": ["duality"], "formula_depth": 3}))
+    assert main(["suite", "--config", str(f), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["duality"]["failures"] == []
+
+
 def test_cli_suite_reports_a_type_error_inside_a_suite_as_its_failure(
     tmp_path, monkeypatch, capsys
 ):

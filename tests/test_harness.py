@@ -12,6 +12,7 @@ from cpwb.harness import (
     enumerate_processes,
     exp_free_families,
     exponential_families,
+    formula_count,
     formula_pool,
     run_suite,
 )
@@ -92,6 +93,23 @@ def test_formula_pool_depth():
     from cpwb.syntax import formula_depth
 
     assert max(formula_depth(a) for a in pool) >= 4
+
+
+def test_formula_count_is_the_length_of_the_enumeration():
+    # the closed form against the enumeration, for every connective set that
+    # has a unit, at every depth up to the default
+    import itertools
+
+    sets = [cs for k in range(1, len(CONNECTIVES) + 1)
+            for cs in itertools.combinations(CONNECTIVES, k) if {"one", "bot"} & set(cs)]
+    assert len(sets) == 192
+    for cs in sets:
+        for d in (0, 1, 2):
+            assert formula_count(d, cs) == len(enumerate_formulas(d, cs)), (d, cs)
+    assert [formula_count(d) for d in (0, 1, 2, 3)] == [2, 22, 1982, 15717262]
+    # past the limit the count stops at the first level over it
+    assert formula_count(3, limit=1000) == 1982
+    assert formula_count(10 ** 9, ("one", "ofcourse"), limit=100) == 101
 
 
 def test_families_nonempty():

@@ -712,10 +712,14 @@ def test_every_class_has_one_case_in_each_table():
     assert len(processes) == 14 and len(configurations) == 6
     assert set(oracle._GROW) == processes | configurations
     assert set(oracle._CHECK) == set(oracle._DENOTE) == configurations
-    # each communication step has exactly one case, that of its receiver
-    receivers = [r for _, r in oracle._STEPS]
-    assert len(set(receivers)) == len(receivers) == len(oracle._COMM)
-    assert set(receivers) == set(oracle._COMM)
+    # each communication step has exactly one case, keyed by its (sender,
+    # receiver) kinds: every leaf kind takes part in a step, each receiver
+    # kind has one sender kind, and no pair is a step both ways round
+    acting = {c for c, case in oracle._GROW.items() if case is oracle._acting}
+    assert {kind for step in oracle._COMM for kind in step} == acting | {"weak", "con"}
+    receivers = [r for _, r in oracle._COMM]
+    assert len(set(receivers)) == len(receivers)
+    assert not any((r, s) in oracle._COMM for s, r in oracle._COMM)
     # and no walk of the oracle chooses its case by a structural match
     tree = ast.parse(inspect.getsource(oracle))
     assert not any(isinstance(node, ast.Match) for node in ast.walk(tree))
