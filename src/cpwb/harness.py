@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from . import transformers
-from .denotations import STAR, Bag, Pair, denote, mk_tuple, obs_space, space_size, tuples_to_json
+from .denotations import STAR, Bag, Pair, denote, mk_tuple, obs_space, space, tuples_to_json
 from .obs_transform import l_ctx, l_obs, translation_image, translation_verdict
 from .oracle import CCut, CProc, adequacy_check
 from .syntax import (
@@ -61,7 +61,16 @@ class ConfigError(CpwbError):
     pass
 
 
-CONNECTIVES = ("one", "bot", "tensor", "par", "plus", "with", "ofcourse", "whynot")
+# The connectives by arity, each with its constructor; CONNECTIVES lists
+# their names in this order.
+UNITS = (("one", Unit), ("bot", Bottom))
+BINARY = (("tensor", Tensor), ("par", Par), ("plus", Plus), ("with", With))
+UNARY = (("ofcourse", OfCourse), ("whynot", WhyNot))
+CONNECTIVES = tuple(name for name, _ in UNITS + BINARY + UNARY)
+
+
+def _ctors(group, connectives) -> list:
+    return [ctor for name, ctor in group if name in connectives]
 
 
 def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
@@ -73,29 +82,17 @@ def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
         raise ConfigError(f"unknown connectives: {sorted(bad)}")
     if not {"one", "bot"} & set(connectives):
         raise ConfigError("the connectives must include a unit, one or bot")
-    leaves: list[Formula] = []
-    if "one" in connectives:
-        leaves.append(Unit())
-    if "bot" in connectives:
-        leaves.append(Bottom())
-    level = list(leaves)
-    seen = list(level)
+    binary, unary = _ctors(BINARY, connectives), _ctors(UNARY, connectives)
+    seen = dict.fromkeys(ctor() for ctor in _ctors(UNITS, connectives))
     for _ in range(depth):
-        base = list(seen)
-        new: list[Formula] = []
-        for name, ctor in (
-            ("tensor", Tensor),
-            ("par", Par),
-            ("plus", Plus),
-            ("with", With),
-        ):
-            if name in connectives:
-                new.extend(ctor(a, b) for a in base for b in base)
-        for name, ctor in (("ofcourse", OfCourse), ("whynot", WhyNot)):
-            if name in connectives:
-                new.extend(ctor(a) for a in base)
-        seen = list(dict.fromkeys(seen + new))
-    return seen
+        base, before = list(seen), len(seen)
+        for ctor in binary:
+            seen.update(dict.fromkeys(ctor(a, b) for a in base for b in base))
+        for ctor in unary:
+            seen.update(dict.fromkeys(ctor(a) for a in base))
+        if len(seen) == before:  # no later level adds one either
+            break
+    return list(seen)
 
 
 # The most formulas a run may enumerate for the formula pool of
@@ -105,18 +102,28 @@ def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
 # millions (15,717,262 for every connective at depth 3).
 MAX_FORMULAS = 100_000
 
+# The deepest formula_depth a run may ask for. Past depth 4 only a set
+# without binary connectives stays under MAX_FORMULAS, and its formulas are
+# chains of ! or ? over a unit: at bound >= 1 a chain deeper than 63 has more
+# than 64 observations and enters neither suite, and at bound 0 the
+# transformer of a chain deeper than about 65 passes the checker's recursion
+# limit. Building the chains costs the square of the depth or more (about
+# 1 s at depth 1,000).
+MAX_FORMULA_DEPTH = 64
 
-def formula_count(depth: int, connectives=CONNECTIVES, limit: int = MAX_FORMULAS) -> int:
+
+def formula_count(depth: int, connectives=CONNECTIVES) -> int:
     """``len(enumerate_formulas(depth, connectives))`` without building a
     formula: with u unit, b binary and n unary connectives in the set,
     f(0) = u and f(d + 1) = u + b f(d)^2 + n f(d). Once a level's count
-    passes ``limit``, that count is returned, a lower bound, so a deep
-    ``depth`` costs no huge number."""
-    u, b, n = (sum(c in connectives for c in group)
-               for group in (("one", "bot"), ("tensor", "par", "plus", "with"), ("ofcourse", "whynot")))
+    passes ``MAX_FORMULAS``, that count is returned, a lower bound, so a
+    deep ``depth`` costs no huge number."""
+    u, b, n = (len(_ctors(group, connectives)) for group in (UNITS, BINARY, UNARY))
+    if b == n == 0:  # the units alone, at every depth
+        return u
     f = u
     for _ in range(depth):
-        if f > limit:
+        if f > MAX_FORMULAS:
             break
         f = u + b * f * f + n * f
     return f
@@ -311,6 +318,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
     if has_exp and cfg.bound > 2:
         raise ConfigError("exhaustive suites need an exponential-free connective set or bound <= 2")
     if {"transformer_graph", "injectivity"} & set(names):
+        if cfg.formula_depth > MAX_FORMULA_DEPTH:
+            raise ConfigError(f"formula_depth {cfg.formula_depth} is deeper than the limit of {MAX_FORMULA_DEPTH}")
         n = formula_count(cfg.formula_depth, cfg.connectives)
         if n > MAX_FORMULAS:
             raise ConfigError(f"formula_depth {cfg.formula_depth} enumerates at least {n:,} formulas"
@@ -437,9 +446,7 @@ def formula_pool(depth: int, connectives=CONNECTIVES) -> list[Formula]:
     levels are covered by index-mixed samples rather than exhaustively.
     """
     pool = enumerate_formulas(min(depth, 2), connectives)
-    binary = [c for c, n in ((Tensor, "tensor"), (Par, "par"), (Plus, "plus"), (With, "with"))
-              if n in connectives]
-    unary = [c for c, n in ((OfCourse, "ofcourse"), (WhyNot, "whynot")) if n in connectives]
+    binary, unary = _ctors(BINARY, connectives), _ctors(UNARY, connectives)
     seen = set(pool)
     prev = pool
     for level in range(3, depth + 1):
@@ -546,7 +553,7 @@ class _ImageTable:
         return [
             a
             for a in enumerate_formulas(cfg.formula_depth, cfg.connectives)
-            if space_size(a, cfg.bound) <= 64
+            if space(a, cfg.bound).capped <= 64
         ]
 
     @cached_property

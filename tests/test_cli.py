@@ -493,6 +493,20 @@ def test_cli_refuses_a_formula_pool_past_the_limit_up_front(tmp_path, capsys):
     f.write_text(json.dumps({"suites": ["duality"], "formula_depth": 3}))
     assert main(["suite", "--config", str(f), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["duality"]["failures"] == []
+    # the units alone count 2 formulas at any depth, and one unary connective
+    # d + 1 formulas nested d deep: both stay under the formula limit, so the
+    # depth limit refuses them before any formula is built
+    for conns, depth in ((["one", "bot"], 10 ** 12), (["one", "ofcourse"], 5000), (["one", "ofcourse"], 65)):
+        f.write_text(json.dumps({"connectives": conns, "formula_depth": depth}))
+        start = time.perf_counter()
+        assert main(["suite", "--config", str(f)]) == 4
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"formula_depth {depth} is deeper than the limit of 64" in out.err
+    f.write_text(json.dumps({"connectives": ["one", "ofcourse"], "formula_depth": 64,
+                             "suites": ["transformer_graph", "injectivity"]}))
+    assert main(["suite", "--config", str(f), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["transformer_graph"]["instances"] == 3
 
 
 def test_cli_suite_reports_a_type_error_inside_a_suite_as_its_failure(

@@ -5,6 +5,7 @@ import pytest
 
 from cpwb.harness import (
     CONNECTIVES,
+    MAX_FORMULAS,
     ConfigError,
     SuiteConfig,
     cut_families,
@@ -107,9 +108,12 @@ def test_formula_count_is_the_length_of_the_enumeration():
         for d in (0, 1, 2):
             assert formula_count(d, cs) == len(enumerate_formulas(d, cs)), (d, cs)
     assert [formula_count(d) for d in (0, 1, 2, 3)] == [2, 22, 1982, 15717262]
-    # past the limit the count stops at the first level over it
-    assert formula_count(3, limit=1000) == 1982
-    assert formula_count(10 ** 9, ("one", "ofcourse"), limit=100) == 101
+    # past MAX_FORMULAS the count stops at the first level over it, and the
+    # units alone are counted, and enumerated, at once at any depth
+    assert formula_count(4) == 15717262
+    assert formula_count(10 ** 9, ("one", "ofcourse")) == MAX_FORMULAS + 1
+    assert formula_count(10 ** 12, ("one", "bot")) == 2
+    assert enumerate_formulas(10 ** 12, ("one", "bot")) == [one, bot]
 
 
 def test_families_nonempty():
