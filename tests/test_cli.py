@@ -174,6 +174,44 @@ def test_parse_error_messages(parse, text, message):
     assert str(e.value) == message
 
 
+# The sha256 of the printed formulas of formula_pool(4), one a line, and of
+# the printed ILL translations of enumerate_formulas(2).
+FORMULA_POOL_DIGEST = "b67929f04143315eefe4b7b10be607d149e92ca481b6d3998cdf93c811bdeb16"
+ILL_DIGEST = "a036df5ceba5b55f2cf8ba03cd0dd54b705f0922fca30aa873836d592e95c35f"
+
+
+def test_formula_printing_and_parsing_are_pinned():
+    import hashlib
+
+    from cpwb.harness import enumerate_formulas, formula_pool
+    from cpwb.syntax import format_formula
+    from cpwb.translation import translate_formula_ill
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    pool, small = formula_pool(4), enumerate_formulas(2)
+    assert (len(pool), len(small)) == (10_649, 1_982) and pool[:len(small)] == small
+    assert digest(map(format_formula, pool)) == FORMULA_POOL_DIGEST
+    assert digest(str(translate_formula_ill(a)) for a in small) == ILL_DIGEST
+    for a in small + pool[len(small):][:1000]:
+        assert parse_type(format_formula(a)) == a
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2", "1:1: expected a type (found '2')"),
+    ("!", "1:2: expected a type (found '')"),
+    ("(1 *", "1:5: expected a type (found '')"),
+    ("(1 * 1", "1:7: expected ) (found '')"),
+    ("1 * 1", "1:3: trailing input (found '*')"),
+    ("!(1 + 1", "1:8: expected ) (found '')"),
+])
+def test_type_parse_error_messages(text, message):
+    with pytest.raises(CPSyntaxError) as e:
+        parse_type(text)
+    assert str(e.value) == message
+
+
 def test_config_round_trip():
     c = parse_config("cut x:1 ({ x[] @ x:1 } | { x().0 @ x:bot })")
     from cpwb.oracle import CCut
@@ -783,6 +821,21 @@ def test_cli_usage_errors_exit_4_and_help_exits_0(capsys, argv, code):
     assert main(argv) == code
     out = capsys.readouterr()
     assert (out.err if code else out.out).startswith("usage: cpwb")
+
+
+@pytest.mark.parametrize("source, argv, code, out, err", [
+    # the README example: x[] at x:1 translates to a process at x':(1 * bot) and w:1
+    ("x[]", ["translate", "--ctx", "x:1", "--emit-typing"], 0,
+     "x'[u](u[] | fwd x' w)\nw:1, x':(1 * bot)\n", ""),
+    ("x[]", ["check", "--ctx", "x:1", "--sys", "cp3"], 4, "",
+     "error: unknown system 'cp3'; use cp, cp0 or cp02\n"),
+    ("new x:1 (x[] |\n  x(5).0)", ["check"], 2, "", "syntax error: 2:5: expected name (found '5')\n"),
+])
+def test_cli_command_outputs(tmp_path, capsys, source, argv, code, out, err):
+    f = tmp_path / "p.cp"
+    f.write_text(source)
+    assert main([argv[0], str(f), *argv[1:]]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cli_unmapped_exception_is_an_internal_error(monkeypatch, capsys):

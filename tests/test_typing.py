@@ -11,11 +11,14 @@ from cpwb.syntax import (
     EmptyIn,
     EmptyOut,
     Fwd,
+    In,
     Inact,
     Mix,
     OfCourse,
     Out,
+    Par,
     Plus,
+    Select,
     Server,
     Tensor,
     Unit,
@@ -316,3 +319,42 @@ def test_a_5000_deep_context_is_built_filled_and_denoted_in_loops():
     with pytest.raises(HoleTypeMismatch, match="context expects hole typing"):
         cp_typing.graft(k, check(EmptyOut("y"), {"y": one}))
     assert context_denotation(k, {mk_tuple({"x": STAR})}) == {mk_tuple({"x": STAR})}
+
+
+@pytest.mark.parametrize("p, ctx, error, message", [
+    (Out("y", "x", EmptyOut("y"), EmptyIn("x", Inact())), {"x": Tensor(one, bot), "z": one},
+     LinearityViolation, "unused assignments: ['z']"),
+    (In("x", "y", Inact()), {"x": Par(one, bot), "y": one},
+     LinearityViolation, "binder y shadows an assignment"),
+    (Out("y", "x", Inact(), Inact()), {"x": one}, RuleMismatch, "output needs a tensor type, got 1"),
+    (In("x", "y", Inact()), {"x": one}, RuleMismatch, "input needs a par type, got 1"),
+    (In("x", "x", Inact()), {"x": Par(one, bot)},
+     RuleMismatch, "receive binder collides with its channel"),
+    (Server("x", "x", Inact()), {"x": OfCourse(one)},
+     RuleMismatch, "server binder collides with its channel"),
+    (Client("x", "x", Inact()), {"x": WhyNot(one)},
+     RuleMismatch, "client binder collides with its channel"),
+    (Select("x", 3, EmptyOut("x")), {"x": Plus(one, one)},
+     RuleMismatch, "selection index must be 1 or 2, got 3"),
+    (Server("x", "y", Inact()), {"x": one}, RuleMismatch, "server needs a !-type, got 1"),
+    (Client("x", "y", Inact()), {"x": one}, RuleMismatch, "client needs a ?-type, got 1"),
+    (Weak("x", one, Inact()), {"x": one},
+     RuleMismatch, "weakening marker needs a ?-type annotation, got 1"),
+    (Contract("x", "a", "b", Inact()), {"x": one}, RuleMismatch, "contraction needs a ?-type, got 1"),
+    (Contract("x", "a", "a", Inact()), {"x": WhyNot(one)},
+     RuleMismatch, "contraction binders must be distinct"),
+    (Cut("x", one, EmptyOut("x"), EmptyIn("x", Inact())), {"x": one},
+     LinearityViolation, "cut binder x shadows an assignment"),
+])
+def test_every_rule_error_keeps_its_message(p, ctx, error, message):
+    with pytest.raises(CPTypeError) as e:
+        check(p, ctx, System.CP02)
+    assert (type(e.value), str(e.value)) == (error, message)
+
+
+def test_check_context_names_a_result_it_does_not_produce():
+    k = make_context(KMix(Hole(), EmptyOut("y"), ctx_items({"y": one})), {"x": one}, System.CP02)
+    with pytest.raises(CPTypeError) as e:
+        check_context(k, {"x": one}, {"x": one}, System.CP02)
+    assert (type(e.value), str(e.value)) == (
+        HoleTypeMismatch, "context produces {'x': Unit(), 'y': Unit()}, expected {'x': Unit()}")
