@@ -1,9 +1,11 @@
 """Command-line frontend: the textual grammar and the subcommands.
 
-Each process and configuration form is one template, written as it prints,
-in `_PROCESS_SYNTAX` or `_CONFIG_SYNTAX`: the parser reads the form from it
-and the printer writes it. Types are 1, bot, (A * B), (A % B), (A + B),
-(A & B), !A and ?A; every binary connective is parenthesized. A context is
+Each type, process and configuration form is one template, written as it
+prints, in `syntax.FORMULA_SYNTAX`, `_PROCESS_SYNTAX` or `_CONFIG_SYNTAX`:
+the parser reads the form along a trie built from its table, and
+`syntax.printers` compiles the printer from it. Types are 1, bot, (A * B),
+(A % B), (A + B), (A & B), !A and ?A; every binary connective is
+parenthesized. A context is
 `x:A, y:B`, and the empty context the empty string. Composition under `new`,
 outputs and prefixes takes a single atom (parenthesize mixes).
 """
@@ -13,8 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
-from string import Formatter
+from dataclasses import dataclass
 
 from .denotations import TooLarge, check_shared, dumps, denote, tuples_to_json
 from .harness import ConfigError, SuiteConfig, run_suite
@@ -31,7 +32,7 @@ from .oracle import (
     observe,
 )
 from .syntax import (
-    Bottom,
+    FORMULA_SYNTAX,
     Case,
     Client,
     Contract,
@@ -43,19 +44,14 @@ from .syntax import (
     In,
     Inact,
     Mix,
-    OfCourse,
     Out,
-    Par,
-    Plus,
     Process,
     Select,
     Server,
-    Tensor,
-    Unit,
     Weak,
-    WhyNot,
-    With,
     format_formula,
+    pieces,
+    printers,
 )
 from .transformers import transformer_context
 from .translation import translate_process, translated_context
@@ -178,8 +174,9 @@ def _nested(parse):
 # `{field}` is read and printed by the type of the class's field so named:
 # a `Name`, a `Formula`, the selection index (`int`), a `Process` (an atom,
 # or a `|` group where marked `:group`) or a `Configuration`. A slot written
-# twice must read the same name twice. The parenthesized group, `{ P @ ctx }`,
-# the `|` chain and the types are read by hand in `_Parser`.
+# twice must read the same name twice. The types are read along the trie of
+# `syntax.FORMULA_SYNTAX`. The parenthesized group, `{ P @ ctx }`, the `|`
+# chain and contexts are read by hand in `_Parser`.
 _PROCESS_SYNTAX = {
     Inact: "0",
     Fwd: "fwd {left} {right}",
@@ -205,13 +202,6 @@ _CONFIG_SYNTAX = {
 }
 
 
-def _pieces(cls, template: str):
-    """(literal, field or None, slot kind: the field's type or `group`) per template piece."""
-    types = {f.name: f.type for f in fields(cls)}
-    for literal, name, spec, _ in Formatter().parse(template):
-        yield literal, name, name and (spec or types[name])
-
-
 class _Branch:
     """A node of a syntax table's dispatch trie: the templates, token by
     token and slot by slot, with their common prefixes shared."""
@@ -229,7 +219,7 @@ def _trie(table, noun: str) -> _Branch:
     root = _Branch(f"expected a {noun}")
     for cls, template in table.items():
         node = root
-        for literal, name, kind in _pieces(cls, template):
+        for literal, name, kind in pieces(cls, template):
             for tok in tokenize(literal)[:-1]:
                 branch = _Branch(f"expected a {noun} form after {tok.text}")
                 node = node.literals.setdefault(tok.text, branch)
@@ -303,35 +293,9 @@ class _Parser:
             self.error("selection index must be 1 or 2")
         return int(n.text)
 
-    # types
-
     @_nested
     def type_(self) -> Formula:
-        t = self.peek()
-        if t.kind == "num" and t.text == "1":
-            self.next()
-            return Unit()
-        if self.at("kw", "bot"):
-            self.next()
-            return Bottom()
-        if self.at("sym", "!"):
-            self.next()
-            return OfCourse(self.type_())
-        if self.at("sym", "?"):
-            self.next()
-            return WhyNot(self.type_())
-        if self.at("sym", "("):
-            self.next()
-            left = self.type_()
-            op = self.peek()
-            ctors = {"*": Tensor, "%": Par, "+": Plus, "&": With}
-            if op.kind != "sym" or op.text not in ctors:
-                self.error("expected a type connective *, %, + or &")
-            self.next()
-            right = self.type_()
-            self.expect("sym", ")")
-            return ctors[op.text](left, right)
-        self.error("expected a type")
+        return self.form(_TYPE_TRIE)
 
     # contexts
 
@@ -388,6 +352,7 @@ class _Parser:
 
 _READERS = {"Name": lambda p: p.expect("name").text, "Formula": _Parser.type_, "int": _Parser.index,
             "Process": _Parser.atom, "group": _Parser.group, "Configuration": _Parser.config}
+_TYPE_TRIE = _trie(FORMULA_SYNTAX, "type")
 _PROCESS_TRIE = _trie(_PROCESS_SYNTAX, "process")
 _CONFIG_TRIE = _trie(_CONFIG_SYNTAX, "configuration")
 
@@ -441,19 +406,8 @@ def _atom(p: Process) -> str:
     raise CpwbError(f"not a process: {p!r}")
 
 
-def _printer(cls, template: str):
-    """``lambda p: f"<template>"``, each slot through its kind's writer (a name or index as is)."""
-    body = ""
-    for literal, name, kind in _pieces(cls, template):
-        body += literal.replace("{", "{{").replace("}", "}}")
-        if name is not None:
-            body += f"{{{_WRITERS[kind]}(p.{name})}}"
-    return eval(f'lambda p: f"{body}"', globals())
-
-
-_WRITERS = {"Name": "", "int": "", "Formula": "format_formula", "Process": "_atom",
-            "group": "_group"}
-_PRINTERS = {cls: _printer(cls, template) for cls, template in _PROCESS_SYNTAX.items()}
+_PRINTERS = printers(_PROCESS_SYNTAX, {"Formula": "format_formula", "Process": "_atom", "group": "_group"},
+                     globals())
 
 
 def format_context(ctx) -> str:

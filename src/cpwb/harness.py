@@ -73,15 +73,20 @@ def _ctors(group, connectives) -> list:
     return [ctor for name, ctor in group if name in connectives]
 
 
-def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
-    """All formulas of depth <= depth over the connective set, deduplicated."""
-    if depth < 0:
-        raise ConfigError("formula depth must be >= 0")
+def _check_connectives(connectives) -> None:
+    """Refuse a connective set with an unknown name or without a unit."""
     bad = set(connectives) - set(CONNECTIVES)
     if bad:
         raise ConfigError(f"unknown connectives: {sorted(bad)}")
     if not {"one", "bot"} & set(connectives):
         raise ConfigError("the connectives must include a unit, one or bot")
+
+
+def enumerate_formulas(depth: int, connectives=CONNECTIVES) -> list[Formula]:
+    """All formulas of depth <= depth over the connective set, deduplicated."""
+    if depth < 0:
+        raise ConfigError("formula depth must be >= 0")
+    _check_connectives(connectives)
     binary, unary = _ctors(BINARY, connectives), _ctors(UNARY, connectives)
     seen = dict.fromkeys(ctor() for ctor in _ctors(UNITS, connectives))
     for _ in range(depth):
@@ -302,9 +307,10 @@ class Report:
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Run the selected suites. A suite yields one outcome per instance it checks,
-    None if the instance holds and else its counterexample; run_suite alone
-    counts the outcomes, times them and collects the counterexamples. A type
+    """Run the selected suites once every config value is checked. A suite
+    yields one outcome per instance it checks, None if the instance holds
+    and else its counterexample; run_suite alone counts the outcomes, times
+    them and collects the counterexamples. A type
     error raised inside a suite, such as an ill-typed image, ends that suite:
     the instance that raised it fails with the error's type and message as
     its counterexample."""
@@ -312,8 +318,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
     bad = set(names) - set(SUITE_NAMES)
     if bad:
         raise ConfigError(f"unknown suites: {sorted(bad)}")
-    if cfg.bound < 0:
-        raise ConfigError(f"bound must be >= 0, got {cfg.bound}")
+    for key, least in (("bound", 0), ("formula_depth", 0), ("duality_depth", 0), ("process_size", 1)):
+        value = getattr(cfg, key)
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+    _check_connectives(cfg.connectives)
     has_exp = "ofcourse" in cfg.connectives or "whynot" in cfg.connectives
     if has_exp and cfg.bound > 2:
         raise ConfigError("exhaustive suites need an exponential-free connective set or bound <= 2")
@@ -474,9 +483,12 @@ def _suite_duality(cfg: SuiteConfig, rng, table):
 
 
 def _suite_adequacy(cfg: SuiteConfig, rng, table):
-    """The first 2,500 cuts at exponential-free types of depth <= 1 and a
-    spread of depth 2. Each process is checked once per type: a left one when
-    it is reached, and the right ones when the type's first left one is."""
+    """Every cut at exponential-free types of depth <= 1 and a spread of
+    depth 2, between the first processes of each side: per type 16 lefts by
+    16 rights, then for each unit type of a second name y, closed by a cut
+    against its closer, 8 lefts by 4 rights. Each process is checked once per
+    type: a left one when it is reached, and the right ones when the type's
+    first left one is."""
     conns = ("one", "bot", "tensor", "par", "plus", "with")
     deep = [a for a in enumerate_formulas(2, conns) if formula_depth(a) == 2]
     types = enumerate_formulas(1, conns) + deep[::5][:200]
@@ -490,25 +502,19 @@ def _suite_adequacy(cfg: SuiteConfig, rng, table):
         for p in ps:
             yield p, CProc(check(p, ctx, System.CP02))
 
-    def cuts():
-        # per type: 16 lefts by 16 rights, then for each unit type of a second
-        # name y, closed by a cut against its closer, 8 lefts by 4 rights
-        for a in types:
-            rights, checked_rights = procs({"x": dual(a)}, 16), None
-            if not rights:
-                continue  # no cut at a, so no left process is checked
-            for extra, n, m in ((None, 16, 16), (Unit(), 8, 4), (Bottom(), 8, 4)):
-                ctx = {"x": a} if extra is None else {"x": a, "y": extra}
-                for p, dp in checked(ctx, procs(ctx, n)):
-                    checked_rights = checked_rights or list(checked({"x": dual(a)}, rights))
-                    for q, dq in checked_rights[:m]:
-                        config = CCut("x", a, dp, dq)
-                        if extra is not None:
-                            config = CCut("y", extra, config, closers[extra])
-                        yield f"cut at {a}: {p!r} | {q!r}", config
-
-    for label, config in itertools.islice(cuts(), 2500):
-        yield None if adequacy_check(config, cfg.bound) else label
+    for a in types:
+        rights, checked_rights = procs({"x": dual(a)}, 16), None
+        if not rights:
+            continue  # no cut at a, so no left process is checked
+        for extra, n, m in ((None, 16, 16), (Unit(), 8, 4), (Bottom(), 8, 4)):
+            ctx = {"x": a} if extra is None else {"x": a, "y": extra}
+            for p, dp in checked(ctx, procs(ctx, n)):
+                checked_rights = checked_rights or list(checked({"x": dual(a)}, rights))
+                for q, dq in checked_rights[:m]:
+                    config = CCut("x", a, dp, dq)
+                    if extra is not None:
+                        config = CCut("y", extra, config, closers[extra])
+                    yield None if adequacy_check(config, cfg.bound) else f"cut at {a}: {p!r} | {q!r}"
 
 
 def _suite_synchronizer(cfg: SuiteConfig, rng, table):

@@ -187,8 +187,8 @@ def _check_cut(c, left, right):
     if right[0].get(x) != dual(annot):
         raise CutTypeMismatch(f"right side must offer {x} at {dual(annot)}")
     del left[0][x]
-    del right[0][x]
-    g, t = _merge(left, right, {x: annot})
+    del right[0][x]  # a side's free and observable names are disjoint, so x is in neither side now
+    g, t = _merge(left, right)
     t[x] = annot
     return g, t
 
@@ -220,13 +220,13 @@ _CHECK = {
     CZero: lambda c: ({}, {}),
     CProc: lambda c: (dict(c.deriv.ctx), {}),
     CCut: _check_cut,
-    CPar: lambda c, left, right: _merge(left, right, {}),
+    CPar: lambda c, left, right: _merge(left, right),
     CWeak: _check_weak,
     CCon: _check_con,
 }
 
 
-def _merge(left, right, extra):
+def _merge(left, right):
     """The free and observable contexts of two sides, each a (free,
     observable) pair, merged: the smaller side goes into the larger one, and
     only its names are looked up in the other, so a chain of n ``CPar`` nodes
@@ -236,21 +236,18 @@ def _merge(left, right, extra):
         small, large = left, right
     else:
         small, large = right, left
-    for g in (*small, extra):
+    for g in small:
         for n in g:
             if n in large[0] or n in large[1]:
-                _disjoint(left, right, extra)  # raises, naming the names as it always has
-    for n in extra:
-        if n in small[0] or n in small[1]:
-            _disjoint(left, right, extra)
+                _disjoint(left, right)  # raises, naming the names as it always has
     large[0].update(small[0])
     large[1].update(small[1])
     return large
 
 
-def _disjoint(left, right, extra):
+def _disjoint(left, right):
     seen: set[str] = set()
-    for g in (left[0], right[0], left[1], right[1], extra):
+    for g in (left[0], right[0], left[1], right[1]):
         clash = seen.intersection(g)
         if clash:
             raise CutTypeMismatch(f"names occur twice in a configuration: {sorted(clash)}")

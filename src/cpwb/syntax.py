@@ -20,6 +20,12 @@ per class at import instead (``generated``): the free names of each
 process class from its declaration, and ``dual`` of each formula class
 from the table of dual connectives. A node then costs one table lookup
 and one call that reads its fields by name.
+
+Each formula sort has a concrete-syntax table, each form written as it
+prints (``FORMULA_SYNTAX``, ``ILL_SYNTAX``). One template compiler,
+``printers``, makes a generated ``format`` walk per class from such a table:
+the printers of both formula sorts here, and those of the processes in
+``cli``, whose parser reads types along ``FORMULA_SYNTAX`` too.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import count
 from operator import attrgetter
+from string import Formatter
 
 Name = str
 
@@ -212,25 +219,26 @@ class WhyNot(Formula):
     body: Formula
 
 
+# Every formula form, written as it prints; every binary connective is
+# parenthesized. ``printers`` makes each class's printer from its template.
+FORMULA_SYNTAX = {
+    Unit: "1",
+    Bottom: "bot",
+    Tensor: "({left} * {right})",
+    Par: "({left} % {right})",
+    Plus: "({left} + {right})",
+    With: "({left} & {right})",
+    OfCourse: "!{body}",
+    WhyNot: "?{body}",
+}
+
+
 def format_formula(a: Formula) -> str:
-    match a:
-        case Unit():
-            return "1"
-        case Bottom():
-            return "bot"
-        case Tensor(l, r):
-            return f"({format_formula(l)} * {format_formula(r)})"
-        case Par(l, r):
-            return f"({format_formula(l)} % {format_formula(r)})"
-        case Plus(l, r):
-            return f"({format_formula(l)} + {format_formula(r)})"
-        case With(l, r):
-            return f"({format_formula(l)} & {format_formula(r)})"
-        case OfCourse(b):
-            return f"!{format_formula(b)}"
-        case WhyNot(b):
-            return f"?{format_formula(b)}"
-    raise TypeError(f"not a formula: {a!r}")
+    try:
+        write = _FORMULA_PRINTERS[type(a)]
+    except KeyError:
+        raise TypeError(f"not a formula: {a!r}") from None
+    return write(a)
 
 
 def dual(a: Formula) -> Formula:
@@ -328,21 +336,55 @@ class IBang(IllFormula):
     body: IllFormula
 
 
+# The intuitionistic formulas of the translation, written as they print.
+ILL_SYNTAX = {
+    IUnit: "1",
+    ITensor: "({left} * {right})",
+    ILolli: "({left} -o {right})",
+    IPlus: "({left} + {right})",
+    IWith: "({left} & {right})",
+    IBang: "!{body}",
+}
+
+
 def format_ill(i: IllFormula) -> str:
-    match i:
-        case IUnit():
-            return "1"
-        case ITensor(l, r):
-            return f"({format_ill(l)} * {format_ill(r)})"
-        case ILolli(l, r):
-            return f"({format_ill(l)} -o {format_ill(r)})"
-        case IPlus(l, r):
-            return f"({format_ill(l)} + {format_ill(r)})"
-        case IWith(l, r):
-            return f"({format_ill(l)} & {format_ill(r)})"
-        case IBang(b):
-            return f"!{format_ill(b)}"
-    raise TypeError(f"not an ILL formula: {i!r}")
+    try:
+        write = _ILL_PRINTERS[type(i)]
+    except KeyError:
+        raise TypeError(f"not an ILL formula: {i!r}") from None
+    return write(i)
+
+
+# --- concrete syntax ----------------------------------------------------------
+
+
+def pieces(cls, template: str):
+    """(literal, field or None, slot kind: the field's type or its `:spec`) per template piece."""
+    types = {f.name: f.type for f in fields(cls)}
+    for literal, name, spec, _ in Formatter().parse(template):
+        yield literal, name, name and (spec or types[name])
+
+
+def printers(table: dict, writers: dict, namespace: dict) -> dict:
+    """Each class of ``table`` with its generated ``format`` walk, which
+    writes the class's template: a literal as it is written, a name or an
+    index as it is, and any other slot through the function that ``writers``
+    names for its kind, looked up in ``namespace``. For ``Tensor`` it is
+    ``return f"({format_formula(p.left)} * {format_formula(p.right)})"``."""
+    out = {}
+    for cls, template in table.items():
+        body = ""
+        for literal, name, kind in pieces(cls, template):
+            body += literal.replace("{", "{{").replace("}", "}}")
+            if name is not None:
+                write = "" if kind in ("Name", "int") else writers[kind]
+                body += f"{{{write}(p.{name})}}"
+        out[cls] = generated(cls, "format", "p", [f'return f"{body}"'], namespace)
+    return out
+
+
+_FORMULA_PRINTERS = printers(FORMULA_SYNTAX, {"Formula": "format_formula"}, globals())
+_ILL_PRINTERS = printers(ILL_SYNTAX, {"IllFormula": "format_ill"}, globals())
 
 
 # --- processes --------------------------------------------------------------

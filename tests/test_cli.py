@@ -205,6 +205,7 @@ def test_formula_printing_and_parsing_are_pinned():
     ("(1 * 1", "1:7: expected ) (found '')"),
     ("1 * 1", "1:3: trailing input (found '*')"),
     ("!(1 + 1", "1:8: expected ) (found '')"),
+    ("(1 x 1)", "1:4: expected a type form after the formula (found 'x')"),
 ])
 def test_type_parse_error_messages(text, message):
     with pytest.raises(CPSyntaxError) as e:
@@ -643,6 +644,29 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, text):
     assert main(["suite", "--config", str(f)]) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"connectives": ["one", "bot", "foo"], "suites": ["adequacy"]}, "connectives"),
+    ({"connectives": ["tensor"], "suites": ["adequacy"]}, "connectives"),
+    ({"duality_depth": -1}, "duality_depth"),
+    ({"formula_depth": -1, "suites": ["transformer_graph"]}, "formula_depth"),
+    ({"process_size": 0}, "process_size"),
+])
+def test_cli_checks_every_config_value_before_any_suite_runs(tmp_path, monkeypatch, capsys, config, key):
+    from cpwb import harness
+
+    def ran(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main(["suite", "--config", str(f)]) == 4
+    assert time.perf_counter() - start < 0.5
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and key in out.err
 
 
 def test_cli_rejects_non_integer_seed(tmp_path, monkeypatch, capsys):

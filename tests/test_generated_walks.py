@@ -6,7 +6,7 @@ import traceback
 
 import pytest
 
-from cpwb import obs_transform, syntax
+from cpwb import cli, obs_transform, syntax
 from cpwb.denotations import Bag, Pair, STAR, Star, Tag, obs_space, space_size
 from cpwb.harness import (
     SuiteConfig,
@@ -190,6 +190,7 @@ def test_generated_code_is_named_after_its_class_and_walk():
         # a field-less class keeps object.__init__ (test_field_less_nodes_keep_object_init)
         "__init__": {cls: cls.__init__ for cls in (*syntax._DUAL, *syntax._FREE_NAMES)
                      if dataclasses.fields(cls)},
+        "format": {**syntax._FORMULA_PRINTERS, **syntax._ILL_PRINTERS, **cli._PRINTERS},
     }
     for walk, table in tables.items():
         assert len(table) >= 8
