@@ -55,7 +55,7 @@ from .syntax import (
 )
 from .transformers import transformer_context
 from .translation import translate_process, translated_context
-from .typing import CpwbError, CPTypeError, Derivation, KCut, System, TooDeep, check, check_hole, too_deep
+from .typing import CpwbError, CPTypeError, Derivation, System, TooDeep, check, check_hole, plug, too_deep
 
 KEYWORDS = {"new", "fwd", "weak", "ctr", "bot", "zero", "cut", "par", "con"}
 
@@ -197,8 +197,8 @@ _CONFIG_SYNTAX = {
     CZero: "zero",
     CCut: "cut {name}:{annot} ({left} | {right})",
     CPar: "par ({left} | {right})",
-    CWeak: "weak {name}:{annot}.{sub}",
-    CCon: "con {left_name}<{left_name},{right_name}>.{sub}",
+    CWeak: "weak {name}:{annot}.{body}",
+    CCon: "con {left_name}<{left_name},{right_name}>.{body}",
 }
 
 
@@ -552,7 +552,7 @@ def _dispatch(args) -> int:
             check_hole(k, d)
             p = d.process  # only the filled process is printed, so no derivation is grafted
             for node, _ in k.levels:
-                p = Cut(node.name, node.annot, p, node.right) if isinstance(node, KCut) else Mix(p, node.right)
+                p = plug(node, p)
             print(format_process(p))
             return 0
         case "equiv":

@@ -518,11 +518,16 @@ def _suite_adequacy(cfg: SuiteConfig, rng, table):
 
 
 def _suite_synchronizer(cfg: SuiteConfig, rng, table):
-    from .translation import synchronizer
+    """At each type ``a``, the synchronizer relates each observation to its
+    dual's, and the ILL translation read back classically is ``neg_image``."""
+    from .translation import embed_ill, synchronizer, translate_formula_ill
 
     one, bot = Unit(), Bottom()
     for a in (one, bot, Tensor(one, bot), Par(bot, one), Plus(one, one), With(one, bot),
               OfCourse(one), WhyNot(bot)):
+        if any(neg_image(b) != embed_ill(translate_formula_ill(b)) for b in (a, dual(a))):
+            yield f"ILL translation at {a}"
+            continue
         ctx = {"z": Tensor(neg_image(a), bot), "w": Tensor(neg_image(dual(a)), bot), "s": one}
         d = check(synchronizer(a, "z", "w", "s"), ctx, System.CP02)
         want = frozenset(

@@ -1,10 +1,12 @@
 """Configurations and the big-step observation relation.
 
 A configuration is a tree of checked processes composed by observable
-cuts.  For the observation search the tree is flattened into a "soup" of
-process leaves connected by names (observable for configuration cuts,
-hidden for process-level cuts), with weakening/contraction markers as
-pseudo-leaves.  Soup equality subsumes the structural congruence (cut
+cuts, built of syntax nodes (``syntax._node``) as formulas and processes
+are; a weakening or contraction calls the configuration under it
+``body``, as ``Weak`` and ``Contract`` do.  For the observation search
+the tree is flattened into a "soup" of process leaves connected by names
+(observable for configuration cuts, hidden for process-level cuts), with
+weakening/contraction markers as pseudo-leaves.  Soup equality subsumes the structural congruence (cut
 commutation/reassociation, parallel rearrangement), so the search is a
 rewrite over soups.
 
@@ -41,10 +43,8 @@ which is read back from that list, last step first, into one dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from operator import attrgetter
 
 from .denotations import STAR, UNIT, DenotationSet, Pair, Relation, Tag, _denote, bag, bounded_union
 from .denotations import check_bound, contract, empty, extend, join, mk_tuple, product, space
@@ -66,6 +66,8 @@ from .syntax import (
     Server,
     Weak,
     WhyNot,
+    _Node,
+    _node,
     dual,
     free_names,
 )
@@ -84,21 +86,21 @@ class DepthExceeded(Exception):
     """The reduction sequence of a configuration is longer than ``depth`` steps."""
 
 
-class Configuration:
+class Configuration(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class CZero(Configuration):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class CProc(Configuration):
     deriv: Derivation
 
 
-@dataclass(frozen=True)
+@_node
 class CCut(Configuration):
     # left offers name:annot, right offers the dual; name becomes observable.
     name: Name
@@ -107,55 +109,48 @@ class CCut(Configuration):
     right: Configuration
 
 
-@dataclass(frozen=True)
+@_node
 class CPar(Configuration):
     left: Configuration
     right: Configuration
 
 
-@dataclass(frozen=True)
+@_node
 class CWeak(Configuration):
     name: Name
     annot: Formula
-    sub: Configuration
+    body: Configuration
 
 
-@dataclass(frozen=True)
+@_node
 class CCon(Configuration):
-    # sub uses left_name and right_name at the same ?-type; both become left_name.
+    # body uses left_name and right_name at the same ?-type; both become left_name.
     left_name: Name
     right_name: Name
-    sub: Configuration
+    body: Configuration
 
 
 def _fold(c: Configuration, cases: dict, *args, spine: bool = False):
     """``cases[type(c)](c, *args, *results of c's subconfigurations)``,
     bottom-up, left to right, over an explicit stack: a configuration of any
-    depth. With ``spine``, the subconfigurations of a ``CPar`` are the
+    depth. The subconfigurations of a node are its fields that are
+    configurations; with ``spine``, those of a ``CPar`` are the
     configurations below its whole ``CPar`` spine that are not ``CPar``, so
     its case sees them all at once."""
+    if not isinstance(c, Configuration):
+        raise CPTypeError(f"not a configuration: {c!r}")
     order, todo = [], [c]
     while todo:
         c = todo.pop()
-        subs = _spine(c) if spine and type(c) is CPar else _SUBS.get(type(c), _leaf)(c)
+        subs = _spine(c) if spine and type(c) is CPar else [
+            v for v in c._fields(c) if isinstance(v, Configuration)]
         order.append((c, len(subs)))
         todo += subs
     results: list = []
     for c, k in reversed(order):
-        case = cases.get(type(c))
-        if case is None:
-            raise CPTypeError(f"not a configuration: {c!r}")
         n = len(results) - k
-        results[n:] = [case(c, *args, *results[n:])]
+        results[n:] = [cases[type(c)](c, *args, *results[n:])]
     return results[0]
-
-
-def _leaf(c):
-    return ()
-
-
-_SUBS = {CCut: attrgetter("left", "right"), CPar: attrgetter("left", "right"),
-         CWeak: lambda c: (c.sub,), CCon: lambda c: (c.sub,)}
 
 
 def _spine(c: CPar) -> list:
@@ -193,9 +188,9 @@ def _check_cut(c, left, right):
     return g, t
 
 
-def _check_weak(c, sub):
+def _check_weak(c, body):
     x, annot = c.name, c.annot
-    g, t = sub
+    g, t = body
     if not isinstance(annot, WhyNot):
         raise CutTypeMismatch(f"configuration weakening needs a ?-type, got {annot}")
     if x in g or x in t:
@@ -204,9 +199,9 @@ def _check_weak(c, sub):
     return g, t
 
 
-def _check_con(c, sub):
+def _check_con(c, body):
     x1, x2 = c.left_name, c.right_name
-    g, t = sub
+    g, t = body
     if x1 == x2:
         raise CutTypeMismatch(f"configuration contraction of {x1} with itself")
     t1, t2 = g.get(x1), g.get(x2)
@@ -362,18 +357,12 @@ def _weak(soup, p, env, todo):
     todo.append((p.body, env))
 
 
-def _config_weak(soup, c, env, todo):
-    x = env.get(c.name, c.name)
-    soup.add(("weak", x), x)
-    todo.append((c.sub, env))
-
-
 def _config_con(soup, c, env, todo):
     # a configuration contraction keeps its first name
     x1, x2 = c.left_name, c.right_name
     x, f1, f2 = env.get(x1, x1), soup.hide(), soup.hide()
     soup.add(("con", x, f1, f2), x)
-    todo.append((c.sub, {**env, x1: f1, x2: f2}))
+    todo.append((c.body, {**env, x1: f1, x2: f2}))
 
 
 def _contract(soup, p, env, todo):
@@ -406,7 +395,7 @@ _GROW = {
     CPar: _both,
     Mix: _both,
     Cut: _cut,
-    CWeak: _config_weak,
+    CWeak: _weak,
     Weak: _weak,
     CCon: _config_con,
     Contract: _contract,
@@ -573,9 +562,9 @@ _DENOTE = {
     CProc: lambda c, bound: _denote(c.deriv, bound),
     CCut: lambda c, bound, left, right: join(left, right, c.name, keep=True),
     CPar: lambda c, bound, *rels: product(rels),
-    CWeak: lambda c, bound, sub: extend(sub, c.name, space(c.annot, bound), empty),
+    CWeak: lambda c, bound, body: extend(body, c.name, space(c.annot, bound), empty),
     # a configuration contraction keeps its first name
-    CCon: lambda c, bound, sub: contract(sub, c.left_name, c.left_name, c.right_name),
+    CCon: lambda c, bound, body: contract(body, c.left_name, c.left_name, c.right_name),
 }
 
 

@@ -49,6 +49,8 @@ from .syntax import (
     Weak,
     WhyNot,
     With,
+    _Node,
+    _node,
     dual,
     free_names,
 )
@@ -159,6 +161,27 @@ def _lookup(ctx: TypingContext, x: Name) -> Formula:
     return ctx[x]
 
 
+def _principal(ctx: TypingContext, x: Name, kind: type, needs: str) -> Formula:
+    """The type of ``x``, the principal name of a rule that ``needs`` a ``kind`` there."""
+    t = _lookup(ctx, x)
+    if not isinstance(t, kind):
+        raise RuleMismatch(f"{needs}, got {t}")
+    return t
+
+
+def _without(ctx: TypingContext, x: Name) -> TypingContext:
+    return {n: f for n, f in ctx.items() if n != x}
+
+
+def _bound(ctx: TypingContext, x: Name, y: Name, what: str) -> TypingContext:
+    """``ctx`` without ``x``, where the ``what`` binder ``y`` of channel ``x`` is fresh."""
+    if y == x:
+        raise RuleMismatch(f"{what} binder collides with its channel")
+    rest = _without(ctx, x)
+    _check_binder(rest, y)
+    return rest
+
+
 def _exactly(ctx: TypingContext, names: set[Name]) -> None:
     extra = set(ctx) - names
     if extra:
@@ -224,20 +247,14 @@ def _one(p: EmptyOut, ctx, sys):
 
 
 def _bot(p: EmptyIn, ctx, sys):
-    x = p.channel
-    t = _lookup(ctx, x)
-    if t != Bottom():
-        raise RuleMismatch(f"empty input needs type bot, got {t}")
-    return (_check(p.body, {n: f for n, f in ctx.items() if n != x}, sys),)
+    _principal(ctx, p.channel, Bottom, "empty input needs type bot")
+    return (_check(p.body, _without(ctx, p.channel), sys),)
 
 
 def _tensor(p: Out, ctx, sys):
     y, x, left, right = p.payload, p.channel, p.left, p.right
-    t = _lookup(ctx, x)
-    if not isinstance(t, Tensor):
-        raise RuleMismatch(f"output needs a tensor type, got {t}")
-    rest = {n: f for n, f in ctx.items() if n != x}
-    lctx, rctx = _split(rest, free_names(left) - {y}, free_names(right) - {x})
+    t = _principal(ctx, x, Tensor, "output needs a tensor type")
+    lctx, rctx = _split(_without(ctx, x), free_names(left) - {y}, free_names(right) - {x})
     lctx[y] = t.left
     rctx[x] = t.right
     return _check(left, lctx, sys), _check(right, rctx, sys)
@@ -245,13 +262,8 @@ def _tensor(p: Out, ctx, sys):
 
 def _par(p: In, ctx, sys):
     x, y = p.channel, p.payload
-    t = _lookup(ctx, x)
-    if not isinstance(t, Par):
-        raise RuleMismatch(f"input needs a par type, got {t}")
-    if y == x:
-        raise RuleMismatch("receive binder collides with its channel")
-    rest = {n: f for n, f in ctx.items() if n != x}
-    _check_binder(rest, y)
+    t = _principal(ctx, x, Par, "input needs a par type")
+    rest = _bound(ctx, x, y, "receive")
     rest[y] = t.left
     rest[x] = t.right
     return (_check(p.body, rest, sys),)
@@ -259,9 +271,7 @@ def _par(p: In, ctx, sys):
 
 def _plus(p: Select, ctx, sys):
     x, i = p.channel, p.branch
-    t = _lookup(ctx, x)
-    if not isinstance(t, Plus):
-        raise RuleMismatch(f"selection needs a plus type, got {t}")
+    t = _principal(ctx, x, Plus, "selection needs a plus type")
     if i not in (1, 2):
         raise RuleMismatch(f"selection index must be 1 or 2, got {i}")
     rest = dict(ctx)
@@ -271,9 +281,7 @@ def _plus(p: Select, ctx, sys):
 
 def _with(p: Case, ctx, sys):
     x = p.channel
-    t = _lookup(ctx, x)
-    if not isinstance(t, With):
-        raise RuleMismatch(f"case needs a with type, got {t}")
+    t = _principal(ctx, x, With, "case needs a with type")
     lctx = dict(ctx)
     lctx[x] = t.left
     rctx = dict(ctx)
@@ -283,30 +291,20 @@ def _with(p: Case, ctx, sys):
 
 def _bang(p: Server, ctx, sys):
     x, y = p.channel, p.payload
-    t = _lookup(ctx, x)
-    if not isinstance(t, OfCourse):
-        raise RuleMismatch(f"server needs a !-type, got {t}")
+    t = _principal(ctx, x, OfCourse, "server needs a !-type")
     bad = [n for n, f in ctx.items() if n != x and not isinstance(f, WhyNot)]
     if bad:
         n = min(bad)
         raise NonBangContext(f"server context must be all ?-typed, {n} has {ctx[n]}")
-    if y == x:
-        raise RuleMismatch("server binder collides with its channel")
-    rest = {n: f for n, f in ctx.items() if n != x}
-    _check_binder(rest, y)
+    rest = _bound(ctx, x, y, "server")
     rest[y] = t.body
     return (_check(p.body, rest, sys),)
 
 
 def _quest(p: Client, ctx, sys):
     x, y = p.channel, p.payload
-    t = _lookup(ctx, x)
-    if not isinstance(t, WhyNot):
-        raise RuleMismatch(f"client needs a ?-type, got {t}")
-    if y == x:
-        raise RuleMismatch("client binder collides with its channel")
-    rest = {n: f for n, f in ctx.items() if n != x}
-    _check_binder(rest, y)
+    t = _principal(ctx, x, WhyNot, "client needs a ?-type")
+    rest = _bound(ctx, x, y, "client")
     rest[y] = t.body
     return (_check(p.body, rest, sys),)
 
@@ -318,17 +316,15 @@ def _weak(p: Weak, ctx, sys):
         raise RuleMismatch(f"weakening marker needs a ?-type annotation, got {annot}")
     if t != annot:
         raise RuleMismatch(f"weakening annotation {annot} disagrees with context {t}")
-    return (_check(p.body, {n: f for n, f in ctx.items() if n != x}, sys),)
+    return (_check(p.body, _without(ctx, x), sys),)
 
 
 def _contract(p: Contract, ctx, sys):
     x, x1, x2 = p.name, p.left_name, p.right_name
-    t = _lookup(ctx, x)
-    if not isinstance(t, WhyNot):
-        raise RuleMismatch(f"contraction needs a ?-type, got {t}")
+    t = _principal(ctx, x, WhyNot, "contraction needs a ?-type")
     if x1 == x2:
         raise RuleMismatch("contraction binders must be distinct")
-    rest = {n: f for n, f in ctx.items() if n != x}
+    rest = _without(ctx, x)
     _check_binder(rest, x1)
     _check_binder(rest, x2)
     rest[x1] = t
@@ -375,16 +371,16 @@ _RULES = {
 # --- typed contexts with one hole -------------------------------------------
 
 
-class CtxTree:
+class CtxTree(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Hole(CtxTree):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class KCut(CtxTree):
     # (new x:A)(K | Q): the hole is on the left, Q is a closed given process.
     name: Name
@@ -394,7 +390,7 @@ class KCut(CtxTree):
     right_ctx: CtxItems
 
 
-@dataclass(frozen=True)
+@_node
 class KMix(CtxTree):
     # K | Q
     sub: CtxTree
@@ -488,11 +484,17 @@ def graft(k: TypedContext, d: Derivation) -> Derivation:
     check_hole(k, d)
     gamma = dict(d.ctx)
     for node, root in k.levels:
+        p = plug(node, d.process)
         gamma.update(root.ctx)
-        if isinstance(node, KCut):
-            del gamma[node.name]
-            rule, p = "cut", Cut(node.name, node.annot, d.process, node.right)
-        else:
-            rule, p = "mix2", Mix(d.process, node.right)
-        d = Derivation(rule, p, ctx_items(gamma), (d, root))
+        if type(p) is Cut:
+            del gamma[p.name]
+        d = Derivation(_RULES[type(p)][0], p, ctx_items(gamma), (d, root))
     return d
+
+
+def plug(node: KCut | KMix, p: Process) -> Process:
+    """The process of one level of a context: ``p`` in the hole of ``node``,
+    cut against or mixed with node's given process."""
+    if isinstance(node, KCut):
+        return Cut(node.name, node.annot, p, node.right)
+    return Mix(p, node.right)

@@ -22,6 +22,9 @@ from cpwb.syntax import (
     Case,
     EmptyOut,
     Fwd,
+    IBang,
+    ILolli,
+    IUnit,
     OfCourse,
     Plus,
     Select,
@@ -169,6 +172,36 @@ def test_mutant_is_caught(monkeypatch):
     report = run_suite(SuiteConfig(suites=("translation",)))
     assert not report.ok
     assert report.results[0].failures
+
+
+def _swap_tensor(real, a, residual):
+    return real(Tensor(a.right, a.left) if isinstance(a, Tensor) else a, residual)
+
+
+def _why_not_without_inner_residual(real, a, residual):
+    if isinstance(a, WhyNot):
+        return IBang(ILolli(real(a.body, residual), residual))
+    return real(a, residual)
+
+
+@pytest.mark.parametrize("mutate, caught", [
+    (_swap_tensor, ["(1 * bot)", "(bot % 1)"]),
+    (_why_not_without_inner_residual, ["!1", "?bot"]),
+])
+def test_an_ill_translation_mutant_is_caught(monkeypatch, mutate, caught):
+    # the synchronizer suite reads translate_formula_ill back against the
+    # negative image, at each of its formulas and their duals
+    import cpwb.translation as tr
+
+    real = tr.translate_formula_ill
+
+    def mutant(a, residual=IUnit()):
+        return mutate(real, a, residual)
+
+    monkeypatch.setattr(tr, "translate_formula_ill", mutant)  # real recurses through the mutant
+    (result,) = run_suite(SuiteConfig(suites=("synchronizer",))).results
+    assert result.instances == 8
+    assert result.failures == tuple(f"ILL translation at {a}" for a in caught)
 
 
 IMAGE_SUITES = ("translation", "full_abstraction_1", "transformer_correct", "full_abstraction_2")

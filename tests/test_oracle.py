@@ -702,12 +702,14 @@ def test_every_class_has_one_case_in_each_table():
     # a node class without a case fails here, not in a search that falls
     # through to the wrong case
     import ast
+    import gc
     import inspect
 
     from cpwb import syntax
 
     processes = {c for c in vars(syntax).values() if isinstance(c, type)
                  and issubclass(c, syntax.Process) and c is not syntax.Process}
+    gc.collect()  # each class statement's draft, which _node replaced, lives until collected
     configurations = set(oracle.Configuration.__subclasses__())
     assert len(processes) == 14 and len(configurations) == 6
     assert set(oracle._GROW) == processes | configurations

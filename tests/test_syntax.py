@@ -388,6 +388,36 @@ def test_nodes_copy_and_pickle_through_their_constructor():
             assert clone == node and hash(clone) == hash(node) and type(clone) is type(node)
 
 
+def test_every_term_class_is_a_slotted_node():
+    # formulas, processes, configurations and context trees are one term
+    # representation: no instance dict, and rebuilt from their fields
+    import copy
+    import gc
+    import pickle
+
+    from cpwb import oracle
+    from cpwb.typing import CtxTree, Hole, KCut, KMix, System, check
+
+    syntactic = _concrete(Formula) | _concrete(syntax.IllFormula) | _concrete(Process)
+    proc = oracle.CProc(check(EmptyOut("x"), {"x": one}, System.CP))
+    terms = [cls(*[f"v{i}" for i in range(len(dataclasses.fields(cls)))]) for cls in syntactic]
+    terms += [
+        oracle.CZero(), proc, oracle.CCut("x", one, proc, oracle.CZero()),
+        oracle.CPar(oracle.CZero(), proc), oracle.CWeak("w", WhyNot(bot), oracle.CZero()),
+        oracle.CCon("a", "b", oracle.CZero()),
+        Hole(), KCut("x", one, Hole(), EmptyIn("x", Inact()), (("x", bot),)),
+        KMix(Hole(), EmptyOut("y"), (("y", one),)),
+    ]
+    gc.collect()  # each class statement's draft, which _node replaced, lives until collected
+    trees = set(oracle.Configuration.__subclasses__()) | set(CtxTree.__subclasses__())
+    assert {type(t) for t in terms} == syntactic | trees and len(trees) == 9
+    for t in terms:
+        assert not hasattr(t, "__dict__"), type(t)
+        assert type(t)(*t._fields(t)) == t
+        for clone in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+            assert clone == t and type(clone) is type(t)
+
+
 def test_field_less_nodes_keep_object_init():
     import copy
     import pickle
