@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from collections import Counter
 
@@ -26,11 +27,13 @@ from cpwb.syntax import (
     ILolli,
     IUnit,
     OfCourse,
+    Par,
     Plus,
     Select,
     Tensor,
     Unit,
     WhyNot,
+    With,
     dual,
     process_size,
 )
@@ -90,6 +93,55 @@ def test_enumeration_with_cut_formulas():
     assert any(isinstance(p, Cut) for p in got)
     for p in got:
         check(p, {"y": one}, System.CP02)
+
+
+def _digest(lists) -> str:
+    """The sha256 of ``repr`` of each list, in turn."""
+    h = hashlib.sha256()
+    for ps in lists:
+        h.update(repr(ps).encode())
+    return h.hexdigest()
+
+
+# Contexts with the digest of enumerate_processes at each of them, at every
+# size 1-6, every system, markers on and off, and no cut formulas or (1, !1),
+# in that nesting; and the number of processes in all of those lists.
+ENUMERATION_PINS = [
+    ({}, "7eda83fc57f663d4ab19bbf58b083abeefe6550a2bc5a7f3f69d51a7c6093cb4", 84),
+    ({"x": one}, "ba34926ac7830e71736beaab20f6544fa4936964b31cbb4f2b1f46013517cb66", 354),
+    ({"x": bot, "y": Plus(one, one)},
+     "9049ba43622338975e77d02742ecfb1396dd4978913ace3a4f91f323813fde71", 2088),
+    ({"x": Tensor(one, bot)}, "b760090027e6afb25d9f6ab097bc47023aec7aa9f5b91e1aaa63d6f375ccbe01", 56),
+    ({"x": With(one, bot), "y": bot},
+     "1673d1532ca131ce347f13fb9a30759368aef7220dcaa4afc2f5a445a1a73a7f", 96),
+    ({"x": Par(bot, one)}, "faf2b324c72b3c4ce958dc2601000b5ea5503f6360aaf21657c1589ff5ed9ca0", 588),
+    ({"x": WhyNot(bot)}, "424365db42b2b475bf4fb05e5e0a245b18281b348d9db935292cc0b7b5604aed", 398),
+    ({"x": OfCourse(one), "y": WhyNot(bot)},
+     "340511f3ef88e2c389213d213942bfe751188febc013ebc0a753394219dd5e7b", 3978),
+]
+
+
+@pytest.mark.parametrize("ctx, digest, count", ENUMERATION_PINS)
+def test_enumerated_processes_are_pinned(ctx, digest, count):
+    lists = [enumerate_processes(ctx, size, system, cuts, markers)
+             for size in range(1, 7) for system in System for markers in (True, False)
+             for cuts in ((), (one, OfCourse(one)))]
+    assert (_digest(lists), sum(map(len, lists))) == (digest, count)
+
+
+def test_bang_clients_and_families_are_pinned():
+    clients = enumerate_processes({"x": WhyNot(bot)}, 9, System.CP02)
+    assert len(clients) == 3820
+    assert _digest([clients]) == "c51aeaa6fe1f0a84e3ba0bbd996a292aeccadc3539057ab3b38785067d8fedf0"
+    families = [exp_free_families(5), exponential_families(5), cut_families(4)]
+    assert _digest(families) == "d88c9c0818120cd37bac50e0803f223cca1898fa62b8acd63ee807c603c58b22"
+
+
+def test_a_repeated_cut_formula_adds_no_process():
+    for ctx, _, _ in ENUMERATION_PINS:
+        for size in range(1, 6):
+            once = enumerate_processes(ctx, size, System.CP02, (one,))
+            assert enumerate_processes(ctx, size, System.CP02, (one, one)) == once
 
 
 def test_formula_pool_depth():
