@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from . import transformers
 from .denotations import STAR, Bag, Pair, denote, mk_tuple, obs_space, space, tuples_to_json
@@ -136,97 +135,75 @@ def formula_count(depth: int, connectives=CONNECTIVES) -> int:
 
 def enumerate_processes(ctx, size: int, system: System = System.CP02, cut_formulas=(),
                         markers: bool = True) -> list[Process]:
-    """All well-typed processes of at most ``size`` constructors at ``ctx``."""
+    """All well-typed processes of at most ``size`` constructors at ``ctx``.
+
+    Each rule is one call: ``unary`` or ``binary`` with the rule's process
+    constructor and the typings of its premises, which get what is left of
+    the budget once the rule's own constructor is paid for."""
     if size < 1:
         raise ConfigError("process size must be >= 1")
-    memo: dict = {}
 
+    @cache
     def gen(items, budget: int) -> list[Process]:
-        key = (items, budget)
-        if key in memo:
-            return memo[key]
-        ctx_d = dict(items)
-        out: list[Process] = []
+        out: dict[Process, None] = {}  # a repeated cut formula repeats its cuts
+
+        def unary(make, rest, *extra):
+            out.update((make(p), None) for p in gen(tuple(sorted(rest + extra)), budget - 1))
+
+        def binary(make, left, right):
+            for p in gen(tuple(sorted(left)), budget - 2):
+                for q in gen(tuple(sorted(right)), budget - 1 - process_size(p)):
+                    out[make(p, q)] = None
+
         if budget >= 1:
-            if not ctx_d and system.allows_mix0:
-                out.append(Inact())
-            if len(ctx_d) == 1:
-                (x, a), = ctx_d.items()
-                if a == Unit():
-                    out.append(EmptyOut(x))
-            if len(ctx_d) == 2:
-                (x, a), (y, b) = sorted(ctx_d.items())
+            if not items and system.allows_mix0:
+                out[Inact()] = None
+            if len(items) == 1 and items[0][1] == Unit():
+                out[EmptyOut(items[0][0])] = None
+            if len(items) == 2:
+                (x, a), (y, b) = items
                 if b == dual(a):
-                    out.append(Fwd(x, y))
-                    out.append(Fwd(y, x))
+                    out.update({Fwd(x, y): None, Fwd(y, x): None})
         if budget >= 2:
-            for x, a in sorted(ctx_d.items()):
-                rest = tuple(sorted((n, f) for n, f in ctx_d.items() if n != x))
+            names = {n for n, _ in items}
+            v, c = fresh_name("v", names), fresh_name("c", names)
+            v0 = fresh_name("v", names | {v})
+            for x, a in items:
+                rest = tuple(item for item in items if item[0] != x)
                 match a:
                     case Bottom():
-                        out.extend(EmptyIn(x, p) for p in gen(rest, budget - 1))
+                        unary(partial(EmptyIn, x), rest)
                     case Par(l, r):
-                        y = fresh_name("v", set(ctx_d))
-                        sub = tuple(sorted(rest + ((y, l), (x, r))))
-                        out.extend(In(x, y, p) for p in gen(sub, budget - 1))
+                        unary(partial(In, x, v), rest, (v, l), (x, r))
                     case Plus(l, r):
-                        for i, t in ((1, l), (2, r)):
-                            sub = tuple(sorted(rest + ((x, t),)))
-                            out.extend(Select(x, i, p) for p in gen(sub, budget - 1))
+                        unary(partial(Select, x, 1), rest, (x, l))
+                        unary(partial(Select, x, 2), rest, (x, r))
                     case With(l, r):
-                        subl = tuple(sorted(rest + ((x, l),)))
-                        subr = tuple(sorted(rest + ((x, r),)))
-                        for p in gen(subl, budget - 2):
-                            for q in gen(subr, budget - 1 - process_size(p)):
-                                out.append(Case(x, p, q))
+                        binary(partial(Case, x), rest + ((x, l),), rest + ((x, r),))
                     case Tensor(l, r):
-                        y = fresh_name("v", set(ctx_d))
-                        for lpart, rpart in _splits(rest):
-                            subl = tuple(sorted(lpart + ((y, l),)))
-                            subr = tuple(sorted(rpart + ((x, r),)))
-                            for p in gen(subl, budget - 2):
-                                for q in gen(subr, budget - 1 - process_size(p)):
-                                    out.append(Out(y, x, p, q))
+                        for left, right in _splits(rest):
+                            binary(partial(Out, v, x), left + ((v, l),), right + ((x, r),))
                     case OfCourse(body):
                         if all(isinstance(f, WhyNot) for _, f in rest):
-                            y = fresh_name("v", set(ctx_d))
-                            sub = tuple(sorted(rest + ((y, body),)))
-                            out.extend(Server(x, y, p) for p in gen(sub, budget - 1))
+                            unary(partial(Server, x, v), rest, (v, body))
                     case WhyNot(body):
-                        y = fresh_name("v", set(ctx_d))
-                        sub = tuple(sorted(rest + ((y, body),)))
-                        out.extend(Client(x, y, p) for p in gen(sub, budget - 1))
+                        unary(partial(Client, x, v), rest, (v, body))
                         if markers:
-                            out.extend(Weak(x, a, p) for p in gen(rest, budget - 1))
-                            x1 = fresh_name("v", set(ctx_d))
-                            x2 = fresh_name("v", set(ctx_d) | {x1})
-                            sub2 = tuple(sorted(rest + ((x1, a), (x2, a))))
-                            out.extend(
-                                Contract(x, x1, x2, p) for p in gen(sub2, budget - 1)
-                            )
+                            unary(partial(Weak, x, a), rest)
+                            unary(partial(Contract, x, v, v0), rest, (v, a), (v0, a))
             for a in cut_formulas:
-                x = fresh_name("c", set(ctx_d))
-                for lpart, rpart in _splits(tuple(sorted(ctx_d.items()))):
-                    subl = tuple(sorted(lpart + ((x, a),)))
-                    subr = tuple(sorted(rpart + ((x, dual(a)),)))
-                    for p in gen(subl, budget - 2):
-                        for q in gen(subr, budget - 1 - process_size(p)):
-                            out.append(Cut(x, a, p, q))
-        out = list(dict.fromkeys(out))
-        memo[key] = out
-        return out
+                for left, right in _splits(items):
+                    binary(partial(Cut, c, a), left + ((c, a),), right + ((c, dual(a)),))
+        return list(out)
 
     return gen(ctx_items(dict(ctx)), size)
 
 
 def _splits(items):
-    names = [n for n, _ in items]
-    d = dict(items)
-    for r in range(len(names) + 1):
-        for group in itertools.combinations(names, r):
-            left = tuple((n, d[n]) for n in group)
-            right = tuple((n, f) for n, f in items if n not in group)
-            yield left, right
+    """Each way to part ``items`` in two, keeping their order on each side."""
+    for r in range(len(items) + 1):
+        for left in itertools.combinations(items, r):
+            yield left, tuple(item for item in items if item not in left)
 
 
 # --- suite configuration and report -------------------------------------------
@@ -333,19 +310,14 @@ def run_suite(cfg: SuiteConfig) -> Report:
         if n > MAX_FORMULAS:
             raise ConfigError(f"formula_depth {cfg.formula_depth} enumerates at least {n:,} formulas"
                               f" over these connectives; the limit is {MAX_FORMULAS:,}")
-    seed = os.environ.get("CPWB_SEED", cfg.seed)
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise ConfigError(f"CPWB_SEED must be an integer, got {seed!r}") from None
     results = []
-    table = _ImageTable(cfg, seed)
+    table = _ImageTable(cfg)
     for name in names:
         t0 = time.monotonic()
         outcomes: list = []
         try:
             # on a raise, extend keeps the outcomes yielded before it
-            outcomes.extend(_SUITES[name](cfg, random.Random(seed), table))
+            outcomes.extend(_SUITES[name](cfg, random.Random(cfg.seed), table))
         except CPTypeError as e:
             outcomes.append(f"{type(e).__name__}: {e}")
         millis = int((time.monotonic() - t0) * 1000)
@@ -550,8 +522,8 @@ class _ImageTable:
     suite; and the table lives for one run, so no patched module is read stale.
     """
 
-    def __init__(self, cfg: SuiteConfig, seed: int):
-        self.cfg, self.seed, self.sets, self.distinct = cfg, seed, {}, {}
+    def __init__(self, cfg: SuiteConfig):
+        self.cfg, self.sets, self.distinct = cfg, {}, {}
 
     @cached_property
     def families(self):
@@ -572,7 +544,7 @@ class _ImageTable:
         """The families, the cuts and a seeded quarter of the exponential families."""
         out = [(ctx, p) for ctx, ps in self.families for p in ps] + cut_families(4)
         exp = [(ctx, p) for ctx, ps in exponential_families(self.cfg.process_size) for p in ps]
-        random.Random(self.seed).shuffle(exp)
+        random.Random(self.cfg.seed).shuffle(exp)
         return out + exp[: max(50, len(exp) // 4)]
 
     def images(self, instances, *kinds):

@@ -129,6 +129,11 @@ class CCon(Configuration):
     right_name: Name
     body: Configuration
 
+    @property
+    def name(self) -> Name:
+        """The name the contraction keeps, as a ``Contract`` names it."""
+        return self.left_name
+
 
 def _fold(c: Configuration, cases: dict, *args, spine: bool = False):
     """``cases[type(c)](c, *args, *results of c's subconfigurations)``,
@@ -357,14 +362,6 @@ def _weak(soup, p, env, todo):
     todo.append((p.body, env))
 
 
-def _config_con(soup, c, env, todo):
-    # a configuration contraction keeps its first name
-    x1, x2 = c.left_name, c.right_name
-    x, f1, f2 = env.get(x1, x1), soup.hide(), soup.hide()
-    soup.add(("con", x, f1, f2), x)
-    todo.append((c.body, {**env, x1: f1, x2: f2}))
-
-
 def _contract(soup, p, env, todo):
     x, f1, f2 = env.get(p.name, p.name), soup.hide(), soup.hide()
     soup.add(("con", x, f1, f2), x)
@@ -397,7 +394,7 @@ _GROW = {
     Cut: _cut,
     CWeak: _weak,
     Weak: _weak,
-    CCon: _config_con,
+    CCon: _contract,
     Contract: _contract,
     Fwd: _link,
     **dict.fromkeys((EmptyOut, EmptyIn, Out, In, Select, Case, Server, Client), _acting),
@@ -563,8 +560,7 @@ _DENOTE = {
     CCut: lambda c, bound, left, right: join(left, right, c.name, keep=True),
     CPar: lambda c, bound, *rels: product(rels),
     CWeak: lambda c, bound, body: extend(body, c.name, space(c.annot, bound), empty),
-    # a configuration contraction keeps its first name
-    CCon: lambda c, bound, body: contract(body, c.left_name, c.left_name, c.right_name),
+    CCon: lambda c, bound, body: contract(body, c.name, c.left_name, c.right_name),
 }
 
 

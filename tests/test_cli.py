@@ -23,7 +23,7 @@ from cpwb.cli import (
     parse_type,
 )
 from cpwb.denotations import STAR, mk_tuple
-from cpwb.harness import enumerate_processes
+from cpwb.harness import SUITE_NAMES, enumerate_processes
 from cpwb.oracle import CCut, CProc, observe
 from cpwb.syntax import (
     Bottom,
@@ -669,15 +669,6 @@ def test_cli_checks_every_config_value_before_any_suite_runs(tmp_path, monkeypat
     assert out.out == "" and out.err.startswith("error: ") and key in out.err
 
 
-def test_cli_rejects_non_integer_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CPWB_SEED", "abc")
-    f = tmp_path / "cfg.json"
-    f.write_text(json.dumps({"suites": ["synchronizer"]}))
-    assert main(["suite", "--config", str(f)]) == 4
-    out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: CPWB_SEED")
-
-
 def test_cli_non_utf8_source_is_a_positioned_syntax_error(tmp_path, capsys):
     f = tmp_path / "p.cp"
     f.write_bytes(b"x().\xff0")
@@ -869,3 +860,99 @@ def test_cli_unmapped_exception_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_dispatch", crash)
     assert main(["suite"]) == 70
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+# The exit-code property's inputs: well-typed processes with their contexts,
+# closed configurations, and random pieces of each.
+_TYPED = [
+    ("x[]", "x:1"), ("x().0", "x:bot"), ("x().y[]", "x:bot, y:1"), ("x<1.x[]", "x:(1 + 1)"),
+    ("x<2.x[]", "x:(1 + 1)"), ("x>{x[] ; x[]}", "x:(1 & 1)"), ("x>{x[] ; x().0}", "x:(1 & bot)"),
+    ("new x:1 (x[] | x().y[])", "y:1"), ("!x(y).y[]", "x:!1"), ("?x[y].y().0", "x:?bot"),
+    ("fwd x y", "x:1, y:bot"), ("x[y](y[] | x[])", "x:(1 * 1)"), ("x(y).y().x().0", "x:(bot % bot)"),
+    ("weak x:?bot.0", "x:?bot"), ("ctr x<a,b>.weak a:?bot.weak b:?bot.0", "x:?bot"), ("0", ""),
+    ("x[] | y[]", "x:1, y:1"),
+]
+_CONFIGS = [
+    "zero", "cut x:1 ({ x[] @ x:1 } | { x().0 @ x:bot })",
+    "cut y:1 ({ new x:1 (x[] | x().y[]) @ y:1 } | { y().0 @ y:bot })",
+    "cut x:!1 ({ !x(y).y[] @ x:!1 } | { ?x[y].y().0 @ x:?bot })",
+    "cut a:!1 ({ !a(y).y[] @ a:!1 } | con a<a,b>. { ?a[u].u().weak b:?bot.0 @ a:?bot, b:?bot })",
+    "cut w:!1 ({ !w(y).y[] @ w:!1 } | weak w:?bot.par (zero | zero))",
+]
+_TYPES = ["1", "bot", "(1 + 1)", "(1 & 1)", "(1 * 1)", "(bot % bot)", "?bot", "!1"]
+_token_st = st.sampled_from(
+    [*cli._SYMBOLS, *sorted(cli.KEYWORDS), "x", "y", "a'", "0", "1", "2", "12", " ", "\n"])
+_random_text_st = st.lists(_token_st, max_size=24).map("".join)
+_context_st = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["x", "y", "a", "b"]), st.sampled_from(_TYPES)), max_size=2)
+    .map(lambda items: ", ".join(f"{n}:{a}" for n, a in items)),
+    _random_text_st,
+)
+_process_text_st = st.one_of(
+    st.sampled_from([p for p, _ in _TYPED]), _process_st.map(format_process), _random_text_st)
+_typed_st = st.one_of(st.sampled_from(_TYPED), st.tuples(_process_text_st, _context_st))
+_config_text_st = st.one_of(
+    st.sampled_from(_CONFIGS),
+    st.builds("cut x:{} ({{ {} @ {} }} | {{ {} @ {} }})".format, st.sampled_from(_TYPES),
+              _process_text_st, _context_st, _process_text_st, _context_st),
+    _random_text_st,
+)
+_CHEAP = {"suites": [[name] for name in SUITE_NAMES], "formula_depth": [0, 1],
+          "duality_depth": [0, 1, 2], "bound": [0, 1, 2], "process_size": [1, 2, 3], "seed": [0, 7]}
+_BAD = [{"bound": -1}, {"bound": 3}, {"process_size": 0}, {"formula_depth": -1}, {"seed": "7"},
+        {"seed": 1.5}, {"connectives": ["frob"]}, {"connectives": ["tensor"]}, {"suites": ["frob"]},
+        {"frob": 1}, {"bound": True}]
+_suite_config_st = st.one_of(
+    st.fixed_dictionaries({k: st.sampled_from(vs) for k, vs in _CHEAP.items()})
+    .flatmap(lambda cfg: st.one_of(st.just(cfg), st.sampled_from(_BAD).map(lambda bad: {**cfg, **bad})))
+    .map(json.dumps),
+    st.sampled_from(["", "{", "[1]", "null", '{"suites": "duality"}']),
+)
+_number_st = st.sampled_from(["0", "1", "2", "2", "3", "-1", "x"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_invocation_exits_with_a_documented_code(data):
+    # random sources, contexts, flags and suite configs: the exit code is a
+    # documented one, nothing escapes as a traceback or an internal error,
+    # and exit 1 means a reported failure
+    import contextlib
+    import tempfile
+
+    command = data.draw(st.sampled_from(
+        ["check", "denote", "observe", "translate", "transform", "equiv", "suite"]))
+    with tempfile.TemporaryDirectory() as d:
+        def write(name, text):
+            path = Path(d, name)
+            path.write_text(text)
+            return str(path)
+
+        if command == "suite":
+            argv = ["suite", "--config", write("cfg.json", data.draw(_suite_config_st))]
+            argv += data.draw(st.sampled_from([[], ["--json"]]))
+        elif command == "observe":
+            argv = ["observe", write("c.cfg", data.draw(_config_text_st))]
+            argv += ["-K", data.draw(_number_st), "--depth", data.draw(_number_st)]
+        else:
+            source, ctx = data.draw(_typed_st)
+            argv = [command, write("p.cp", source)]
+            if command == "equiv":
+                argv.append(write("q.cp", data.draw(st.one_of(st.just(source), _process_text_st))))
+            argv += ["--ctx", ctx]
+            if command != "transform":
+                argv += ["--sys", data.draw(st.sampled_from(["cp02", "cp02", "cp", "cp0", "cp3"]))]
+            if command in ("denote", "equiv"):
+                argv += ["-K", data.draw(_number_st)]
+            if command == "translate":
+                argv += data.draw(st.sampled_from([[], ["--emit-typing"]]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err and "internal error" not in err, (argv, err)
+    if code == 1:
+        failed = command == "suite" and ("FAIL" in out or out.startswith("{") and any(
+            r["failures"] for r in json.loads(out).values()))
+        assert "depth exceeded" in err or "not equivalent" in out or failed, (argv, out, err)

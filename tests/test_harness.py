@@ -198,10 +198,9 @@ def test_report_totals_and_json():
     assert "synchronizer" in text and "pass" in text
 
 
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("CPWB_SEED", "7")
-    r1 = run_suite(SuiteConfig(suites=("context_denotation",)))
-    r2 = run_suite(SuiteConfig(suites=("context_denotation",)))
+def test_seed_env_override():
+    r1 = run_suite(SuiteConfig(suites=("context_denotation",), seed=7))
+    r2 = run_suite(SuiteConfig(suites=("context_denotation",), seed=7))
     assert r1.results[0].instances == r2.results[0].instances
     assert r1.ok and r2.ok
 
@@ -263,7 +262,6 @@ def test_each_translation_instance_is_translated_once(monkeypatch):
     import cpwb.translation
     from cpwb.harness import _ImageTable
 
-    monkeypatch.delenv("CPWB_SEED", raising=False)
     real, calls = cpwb.translation.translate_process, Counter()
 
     def counting(d):
@@ -275,7 +273,7 @@ def test_each_translation_instance_is_translated_once(monkeypatch):
             monkeypatch.setattr(module, "translate_process", counting)
     cfg = SuiteConfig(suites=IMAGE_SUITES, process_size=4)
     assert run_suite(cfg).ok
-    instances = {(p, ctx_items(ctx)) for ctx, p in _ImageTable(cfg, cfg.seed).instances}
+    instances = {(p, ctx_items(ctx)) for ctx, p in _ImageTable(cfg).instances}
     assert set(calls) == instances
     assert set(calls.values()) == {1}
 
@@ -285,7 +283,6 @@ def test_images_do_not_outlive_their_run(monkeypatch):
     # run would hide the mutant, or hand its images to the second clean run
     import cpwb.transformers as tf
 
-    monkeypatch.delenv("CPWB_SEED", raising=False)
     real = tf.transformer
 
     def swapped(a, x, xp, supply=None):
@@ -322,7 +319,6 @@ def test_no_derivation_outlives_its_suite(monkeypatch):
 
         return run
 
-    monkeypatch.delenv("CPWB_SEED", raising=False)
     monkeypatch.setattr(harness, "_SUITES", {n: watched(s) for n, s in harness._SUITES.items()})
     suites = ("adequacy", "mix_permutation", "worked_example") + IMAGE_SUITES
     assert run_suite(SuiteConfig(suites=suites, process_size=4)).ok

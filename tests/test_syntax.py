@@ -360,11 +360,17 @@ def test_every_field_of_every_node_stays_frozen():
 
 def test_each_node_class_is_built_once():
     # the slotted class is built in _node, so no first draft of a constructor
-    # class stays alive beside it
-    own = [c for base in (Process, Formula) for c in base.__subclasses__()
-           if c.__module__ == syntax.__name__]
-    assert sum(issubclass(c, Process) for c in own) == 14
-    assert sum(issubclass(c, Formula) for c in own) == 8
+    # class stays alive beside it once the collector has run
+    import gc
+
+    from cpwb import oracle
+    from cpwb.typing import CtxTree
+
+    gc.collect()  # each class statement's draft, which _node replaced, lives until collected
+    bases = {Process: 14, Formula: 8, oracle.Configuration: 6, CtxTree: 3}
+    own = [c for base in bases for c in base.__subclasses__() if c.__module__ == base.__module__]
+    for base, count in bases.items():
+        assert sum(issubclass(c, base) for c in own) == count, base
     for cls in own:
         assert dataclasses.is_dataclass(cls) and cls.__dictoffset__ == 0  # no instance dict
         assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))

@@ -107,7 +107,7 @@ def _whole_relation(a, bound=2):
 def _pool(**cfg):
     from cpwb.harness import SuiteConfig, _ImageTable
 
-    return _ImageTable(SuiteConfig(**cfg), 0).small_formulas
+    return _ImageTable(SuiteConfig(**cfg)).small_formulas
 
 
 def test_transformer_graphs_denote_each_transformer_as_its_whole_derivation():
