@@ -679,6 +679,60 @@ def test_cli_non_utf8_source_is_a_positioned_syntax_error(tmp_path, capsys):
     assert "error: 2:4: " in capsys.readouterr().err
 
 
+# Syntax errors at every kind of position, each with its full message: on
+# line 1 and past it; after "\r\n", tabs, and whitespace that is not "\n"
+# (U+00A0, U+3000, U+2028, "\x0b", "\x0c", "\x1c"), which moves the column
+# only; after a non-BMP character (one column) and non-ASCII names.
+POSITION_CORPUS = [
+    (parse_process, "x().y(z).5", "1:10: expected a process (found '5')"),
+    (parse_process, "x().\n0 |\n\n  y(5).0", "4:5: expected name (found '5')"),
+    (parse_process, "x().\r\n  x(5).0", "2:5: expected name (found '5')"),
+    (parse_process, "x()\r\n.\r\n\r\ny[5", "4:3: expected name (found '5')"),
+    (parse_process, "\tx(\t\t5).0", "1:6: expected name (found '5')"),
+    (parse_process, "x()\xa0.\u3000y[\x0c5", "1:10: expected name (found '5')"),
+    (parse_process, "x[]\x0b|\u2028\x1c 5", "1:9: expected a process (found '5')"),
+    (parse_process, "𝒳[5", "1:3: expected name (found '5')"),
+    (parse_process, "𝒳(y).\n𝒳(5).0", "2:3: expected name (found '5')"),
+    (parse_process, "café(y).y<3.0", "1:12: selection index must be 1 or 2 (found '.')"),
+    (parse_process, "é²Ⅻ(y).\n  y[] | #", "2:9: unexpected character '#'"),
+    (parse_process, "x().\n\t0 $", "2:4: unexpected character '$'"),
+    (parse_context, "x:1,\n  y:bot, x:1", "2:10: duplicate context name x"),
+    (parse_context, "x:1, é:bot,\r\né:1", "2:1: duplicate context name é"),
+    (parse_type, "\n" + "!" * 64 + "1", "2:65: nesting deeper than 64 (found '1')"),
+    (parse_process, "x().\n", "2:1: expected a process (found '')"),
+    (parse_type, "(1 *\n\n", "3:1: expected a type (found '')"),
+    (parse_config, "cut x:1 ({ x[] @ x:1 }\n| { x().0 @ x:bot } zero", "2:21: expected ) (found 'zero')"),
+    (parse_config, "con a<a,b>.\n  con a<b,c>.zero",
+     "2:9: configuration contraction keeps its first name (found 'b')"),
+]
+
+# Source files that are not UTF-8: the position is that of the bad byte,
+# counted in characters of the valid text before it.
+NON_UTF8_CORPUS = [
+    (b"x().\xff0", "1:5: {} is not UTF-8 (byte 0xff)"),
+    (b"caf\xc3\xa9(y).\xc3(", "1:9: {} is not UTF-8 (byte 0xc3)"),
+    (b"x[]\r\n\t\xf0\x9d\x92\xb3\xc3\xa9\x80", "2:4: {} is not UTF-8 (byte 0x80)"),
+    (b"x[]\n\n  \xe9(y).0", "3:3: {} is not UTF-8 (byte 0xe9)"),
+]
+
+
+def _syntax_error(read, arg) -> str | None:
+    try:
+        read(arg)
+    except CPSyntaxError as e:
+        return str(e)
+    return None
+
+
+def test_syntax_error_positions_are_pinned(tmp_path):
+    # plain asserts, no fixtures but a directory: runs without pytest too
+    assert [_syntax_error(parse, text) for parse, text, _ in POSITION_CORPUS] == [m for _, _, m in POSITION_CORPUS]
+    for i, (data, message) in enumerate(NON_UTF8_CORPUS):
+        f = tmp_path / f"bad{i}.cp"
+        f.write_bytes(data)
+        assert _syntax_error(cli._read, str(f)) == message.format(f)
+
+
 @pytest.mark.parametrize("ctx", ["x:1", "x:bot"])
 def test_python_m_cpwb_exits_as_main(tmp_path, capsys, ctx):
     f = tmp_path / "p.cp"
