@@ -71,8 +71,12 @@ class CPSyntaxError(CpwbError):
 class Token:
     kind: str  # "name", "num", "sym", "kw", "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # the offset of its first character in the source
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The line and column, both counted from 1, of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 _SYMBOLS = "()[]{}<>.:;,|*%+&!?@"
@@ -80,43 +84,27 @@ _SYMBOLS = "()[]{}<>.:;,|*%+&!?@"
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        ch, j = text[i], i + 1
         if ch.isspace():
-            col += 1
-            i += 1
+            i = j
             continue
         if ch.isalpha() or ch == "_":
-            j = i
             while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
                 j += 1
-            word = text[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
+            kind = "kw" if text[i:j] in KEYWORDS else "name"
+        elif ch.isdigit():
             while j < len(text) and text[j].isdigit():
                 j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(Token("sym", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise CPSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            kind = "num"
+        elif ch in _SYMBOLS:
+            kind = "sym"
+        else:
+            raise CPSyntaxError(f"unexpected character {ch!r}", *_position(text, i))
+        toks.append(Token(kind, text[i:j], i))
+        i = j
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
@@ -234,6 +222,7 @@ def _trie(table, noun: str) -> _Branch:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
         self.depth = 0  # the number of nodes above the one being parsed
@@ -249,7 +238,7 @@ class _Parser:
 
     def error(self, msg: str):
         t = self.peek()
-        raise CPSyntaxError(f"{msg} (found {t.text!r})", t.line, t.col)
+        raise CPSyntaxError(f"{msg} (found {t.text!r})", *_position(self.text, t.pos))
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
@@ -306,7 +295,7 @@ class _Parser:
         while True:
             tok = self.expect("name")
             if tok.text in out:
-                raise CPSyntaxError(f"duplicate context name {tok.text}", tok.line, tok.col)
+                raise CPSyntaxError(f"duplicate context name {tok.text}", *_position(self.text, tok.pos))
             self.expect("sym", ":")
             out[tok.text] = self.type_()
             if self.at("sym", ","):
@@ -437,10 +426,9 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        start = data.rfind(b"\n", 0, e.start) + 1
-        line = data.count(b"\n", 0, start) + 1
-        col = len(data[start:e.start].decode("utf-8")) + 1
-        raise CPSyntaxError(f"{path} is not UTF-8 (byte {data[e.start]:#04x})", line, col) from None
+        head = data[:e.start].decode("utf-8")  # the valid text before the bad byte
+        message = f"{path} is not UTF-8 (byte {data[e.start]:#04x})"
+        raise CPSyntaxError(message, *_position(head, len(head))) from None
 
 
 def _system(name: str) -> System:
@@ -454,10 +442,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="cpwb", description="classical-processes workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, ctx=True):
+    def common(sp):
         sp.add_argument("file")
-        if ctx:
-            sp.add_argument("--ctx", default="", help="typing context, e.g. 'x:1, y:bot'")
+        sp.add_argument("--ctx", default="", help="typing context, e.g. 'x:1, y:bot'")
 
     sp = sub.add_parser("check", help="type-check a process")
     common(sp)

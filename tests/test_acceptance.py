@@ -91,8 +91,28 @@ def test_criterion_12_worked_example():
     _run("worked_example", 1, 2.0)
 
 
+# The exact instance count of each suite at the default configuration, as
+# perfbench/expected.py lists them. The criteria above assert minimums only;
+# a change that adds instances raises an entry here, none lowers one.
+DEFAULT_INSTANCES = {
+    "adequacy": 697,
+    "context_denotation": 100,
+    "duality": 10_649,
+    "full_abstraction_1": 6_662,
+    "full_abstraction_2": 6_662,
+    "injectivity": 2_040,
+    "mix_permutation": 112,
+    "synchronizer": 8,
+    "transformer_correct": 357,
+    "transformer_graph": 1_982,
+    "translation": 357,
+    "worked_example": 1,
+}
+
+
 def test_default_suite_is_green():
     report = run_suite(CFG)
     print()
     print(report.to_text())
     assert report.ok
+    assert {r.name: r.instances for r in report.results} == DEFAULT_INSTANCES

@@ -229,6 +229,10 @@ def _swap_tensor(real, a, residual):
     return real(Tensor(a.right, a.left) if isinstance(a, Tensor) else a, residual)
 
 
+def _swap_plus(real, a, residual):
+    return real(Plus(a.right, a.left) if isinstance(a, Plus) else a, residual)
+
+
 def _why_not_without_inner_residual(real, a, residual):
     if isinstance(a, WhyNot):
         return IBang(ILolli(real(a.body, residual), residual))
@@ -238,6 +242,7 @@ def _why_not_without_inner_residual(real, a, residual):
 @pytest.mark.parametrize("mutate, caught", [
     (_swap_tensor, ["(1 * bot)", "(bot % 1)"]),
     (_why_not_without_inner_residual, ["!1", "?bot"]),
+    (_swap_plus, ["(1 & bot)"]),  # the dual (bot + 1) reads the Plus case asymmetrically
 ])
 def test_an_ill_translation_mutant_is_caught(monkeypatch, mutate, caught):
     # the synchronizer suite reads translate_formula_ill back against the
