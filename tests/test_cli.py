@@ -892,6 +892,44 @@ def test_cli_usage_errors_exit_4_and_help_exits_0(capsys, argv, code):
     assert (out.err if code else out.out).startswith("usage: cpwb")
 
 
+# Each subcommand's usage line, and the namespace that argparse gives for a
+# minimal argv: the spelling, dest and default of every flag.
+CLI_FLAGS = {
+    "check": (["p.cp"], "[-h] [--ctx CTX] [--sys SYS] file",
+              {"file": "p.cp", "ctx": "", "sys": "cp02"}),
+    "denote": (["p.cp"], "[-h] [--ctx CTX] [--sys SYS] [-K BOUND] file",
+               {"file": "p.cp", "ctx": "", "sys": "cp02", "bound": 2}),
+    "observe": (["c.cfg"], "[-h] [-K BOUND] [--depth DEPTH] file",
+                {"file": "c.cfg", "bound": 2, "depth": 4000}),
+    "translate": (["p.cp"], "[-h] [--ctx CTX] [--sys SYS] [--emit-typing] file",
+                  {"file": "p.cp", "ctx": "", "sys": "cp02", "emit_typing": False}),
+    "transform": (["p.cp"], "[-h] [--ctx CTX] file", {"file": "p.cp", "ctx": ""}),
+    "equiv": (["p.cp", "q.cp"], "[-h] [--ctx CTX] [--sys SYS] [-K BOUND] file_p file_q",
+              {"file_p": "p.cp", "file_q": "q.cp", "ctx": "", "sys": "cp02", "bound": 2}),
+    "suite": ([], "[-h] [--config CONFIG] [--json]", {"config": None, "json": False}),
+}
+
+
+@pytest.mark.parametrize("command", CLI_FLAGS)
+def test_cli_flags_are_pinned(monkeypatch, capsys, command):
+    import argparse
+
+    args, usage, namespace = CLI_FLAGS[command]
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: cpwb {command} {usage}"
+    seen = []
+
+    def recording(self, argv=None, namespace=None):
+        seen.append(vars(real(self, argv, namespace)))
+        raise SystemExit(0)  # stop where --help stops, before any input is read
+
+    real = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main([command, *args]) == 0
+    assert seen == [{"command": command, **namespace}]
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("source, argv, code, out, err", [
     # the README example: x[] at x:1 translates to a process at x':(1 * bot) and w:1
     ("x[]", ["translate", "--ctx", "x:1", "--emit-typing"], 0,
