@@ -277,10 +277,10 @@ class _Parser:
         return node.form(**args)
 
     def index(self) -> int:
-        n = self.expect("num")
-        if n.text not in ("1", "2"):
+        t = self.peek()
+        if t.kind == "num" and t.text not in ("1", "2"):
             self.error("selection index must be 1 or 2")
-        return int(n.text)
+        return int(self.expect("num").text)
 
     @_nested
     def type_(self) -> Formula:
@@ -438,47 +438,37 @@ def _system(name: str) -> System:
         raise ConfigError(f"unknown system {name!r}; use cp, cp0 or cp02") from None
 
 
+# Every flag, written once: its spelling and argparse's keywords for it.
+_FLAGS = {
+    "file": {}, "file_p": {}, "file_q": {},
+    "--ctx": {"default": "", "help": "typing context, e.g. 'x:1, y:bot'"},
+    "--sys": {"default": "cp02", "help": "cp, cp0 or cp02"},
+    "-K": {"type": int, "default": 2, "dest": "bound"},
+    "--depth": {"type": int, "default": DEFAULT_DEPTH},
+    "--emit-typing": {"action": "store_true"},
+    "--config": {"help": "JSON suite configuration"},
+    "--json": {"action": "store_true", "help": "emit the report as JSON"},
+}
+
+# Every subcommand: its help, then its flags in the order --help lists them.
+_COMMANDS = {
+    "check": ("type-check a process", "file", "--ctx", "--sys"),
+    "denote": ("print the canonical denotation", "file", "--ctx", "--sys", "-K"),
+    "observe": ("observations of a closed configuration", "file", "-K", "--depth"),
+    "translate": ("translate a process", "file", "--ctx", "--sys", "--emit-typing"),
+    "transform": ("wrap a process in its transformer context", "file", "--ctx"),
+    "equiv": ("denotational equivalence of two processes", "file_p", "file_q", "--ctx", "--sys", "-K"),
+    "suite": ("run the property suites", "--config", "--json"),
+}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="cpwb", description="classical-processes workbench")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("file")
-        sp.add_argument("--ctx", default="", help="typing context, e.g. 'x:1, y:bot'")
-
-    sp = sub.add_parser("check", help="type-check a process")
-    common(sp)
-    sp.add_argument("--sys", default="cp02", help="cp, cp0 or cp02")
-
-    sp = sub.add_parser("denote", help="print the canonical denotation")
-    common(sp)
-    sp.add_argument("--sys", default="cp02")
-    sp.add_argument("-K", type=int, default=2, dest="bound")
-
-    sp = sub.add_parser("observe", help="observations of a closed configuration")
-    sp.add_argument("file")
-    sp.add_argument("-K", type=int, default=2, dest="bound")
-    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    sp = sub.add_parser("translate", help="translate a process")
-    common(sp)
-    sp.add_argument("--sys", default="cp02")
-    sp.add_argument("--emit-typing", action="store_true")
-
-    sp = sub.add_parser("transform", help="wrap a process in its transformer context")
-    common(sp)
-
-    sp = sub.add_parser("equiv", help="denotational equivalence of two processes")
-    sp.add_argument("file_p")
-    sp.add_argument("file_q")
-    sp.add_argument("--ctx", default="")
-    sp.add_argument("--sys", default="cp02")
-    sp.add_argument("-K", type=int, default=2, dest="bound")
-
-    sp = sub.add_parser("suite", help="run the property suites")
-    sp.add_argument("--config", default=None, help="JSON suite configuration")
-    sp.add_argument("--json", action="store_true", help="emit the report as JSON")
-
+    for name, (summary, *flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a usage error, which is 4 here
@@ -507,6 +497,14 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def _checked(args, system: System | None = None) -> Derivation:
+    """The derivation of the process in ``args.file`` at ``--ctx`` in
+    ``--sys``, or in ``system``. Every subcommand reads its file(s), then
+    ``--ctx``, then ``--sys``, so of two bad inputs the first is reported."""
+    p = parse_process(_read(args.file))
+    return check(p, parse_context(args.ctx), system or _system(args.sys))
+
+
 def _dispatch(args) -> int:
     for flag, dest in (("-K", "bound"), ("--depth", "depth")):
         value = getattr(args, dest, 0)
@@ -514,55 +512,44 @@ def _dispatch(args) -> int:
             raise ConfigError(f"{flag} must be >= 0, got {value}")
     match args.command:
         case "check":
-            d = check(parse_process(_read(args.file)), parse_context(args.ctx), _system(args.sys))
-            print(derivation_summary(d))
-            return 0
+            print(derivation_summary(_checked(args)))
         case "denote":
-            d = check(parse_process(_read(args.file)), parse_context(args.ctx), _system(args.sys))
-            print(dumps(tuples_to_json(denote(d, args.bound).tuples)))
-            return 0
+            print(dumps(tuples_to_json(denote(_checked(args), args.bound).tuples)))
         case "observe":
             cfg = parse_config(_read(args.file))
             print(dumps(tuples_to_json(observe(cfg, args.bound, args.depth))))
-            return 0
         case "translate":
-            ctx = parse_context(args.ctx)
-            d = check(parse_process(_read(args.file)), ctx, _system(args.sys))
+            d = _checked(args)
             print(format_process(translate_process(d)))
             if args.emit_typing:
-                print(format_context(translated_context(ctx)))
-            return 0
+                print(format_context(translated_context(d.ctx)))
         case "transform":
-            ctx = parse_context(args.ctx)
-            d = check(parse_process(_read(args.file)), ctx, System.CP02)  # before the context is built
-            k = transformer_context(ctx)
+            d = _checked(args, System.CP02)  # before the context is built
+            k = transformer_context(d.ctx)
             check_hole(k, d)
             p = d.process  # only the filled process is printed, so no derivation is grafted
             for node, _ in k.levels:
                 p = plug(node, p)
             print(format_process(p))
-            return 0
         case "equiv":
-            ctx = parse_context(args.ctx)
             p = parse_process(_read(args.file_p))
             q = parse_process(_read(args.file_q))
-            dp, dq = check_shared(p, q, ctx, _system(args.sys))
+            dp, dq = check_shared(p, q, parse_context(args.ctx), _system(args.sys))
             sp, sq = denote(dp, args.bound).tuples, denote(dq, args.bound).tuples
-            if sp == sq:
-                print("equivalent")
-                return 0
-            print("not equivalent")
-            print(dumps({
-                "only_left": tuples_to_json(sp - sq),
-                "only_right": tuples_to_json(sq - sp),
-            }))
-            return EXIT_PROPERTY
+            if sp != sq:
+                print("not equivalent")
+                print(dumps({
+                    "only_left": tuples_to_json(sp - sq),
+                    "only_right": tuples_to_json(sq - sp),
+                }))
+                return EXIT_PROPERTY
+            print("equivalent")
         case "suite":
             cfg = SuiteConfig() if args.config is None else SuiteConfig.from_json(_read(args.config))
             report = run_suite(cfg)
             print(dumps(report.to_json()) if args.json else report.to_text())
             return 0 if report.ok else EXIT_PROPERTY
-    raise ConfigError(f"unknown command {args.command!r}")
+    return 0
 
 
 if __name__ == "__main__":

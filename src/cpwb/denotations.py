@@ -51,7 +51,7 @@ from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
 from .syntax import Bottom, Formula, OfCourse, Par, Plus, Tensor, Unit, WhyNot, With
-from .typing import CpwbError, CPTypeError, Derivation, Root, System, check, too_deep
+from .typing import CpwbError, CPTypeError, Derivation, Root, System, check, ctx_items, too_deep
 
 
 class TypingMismatch(CPTypeError):
@@ -425,12 +425,10 @@ def empty() -> int:
 
 # --- name-keyed observation tuples -------------------------------------------
 
-# An ObsTuple is a tuple of (name, observation) pairs sorted by name.
+# An ObsTuple is a tuple of (name, observation) pairs sorted by name: the
+# sorted items of a mapping, as a typing context's are.
 ObsTuple = tuple[tuple[str, Observation], ...]
-
-
-def mk_tuple(mapping) -> ObsTuple:
-    return tuple(sorted(dict(mapping).items()))
+mk_tuple = ctx_items
 
 
 def tuple_key(t: ObsTuple):

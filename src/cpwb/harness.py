@@ -317,7 +317,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         outcomes: list = []
         try:
             # on a raise, extend keeps the outcomes yielded before it
-            outcomes.extend(_SUITES[name](cfg, random.Random(cfg.seed), table))
+            outcomes.extend(_SUITES[name](cfg, table))
         except CPTypeError as e:
             outcomes.append(f"{type(e).__name__}: {e}")
         millis = int((time.monotonic() - t0) * 1000)
@@ -449,12 +449,12 @@ def formula_pool(depth: int, connectives=CONNECTIVES) -> list[Formula]:
     return pool
 
 
-def _suite_duality(cfg: SuiteConfig, rng, table):
+def _suite_duality(cfg: SuiteConfig, table):
     for a in formula_pool(cfg.duality_depth, cfg.connectives):
         yield None if dual(dual(a)) == a else f"dual(dual({a})) != {a}"
 
 
-def _suite_adequacy(cfg: SuiteConfig, rng, table):
+def _suite_adequacy(cfg: SuiteConfig, table):
     """Every cut at exponential-free types of depth <= 1 and a spread of
     depth 2, between the first processes of each side: per type 16 lefts by
     16 rights, then for each unit type of a second name y, closed by a cut
@@ -489,7 +489,7 @@ def _suite_adequacy(cfg: SuiteConfig, rng, table):
                     yield None if adequacy_check(config, cfg.bound) else f"cut at {a}: {p!r} | {q!r}"
 
 
-def _suite_synchronizer(cfg: SuiteConfig, rng, table):
+def _suite_synchronizer(cfg: SuiteConfig, table):
     """At each type ``a``, the synchronizer relates each observation to its
     dual's, and the ILL translation read back classically is ``neg_image``."""
     from .translation import embed_ill, synchronizer, translate_formula_ill
@@ -567,13 +567,13 @@ class _ImageTable:
             yield ctx, p, [row[kind] for kind in kinds]
 
 
-def _suite_translation(cfg: SuiteConfig, rng, table):
+def _suite_translation(cfg: SuiteConfig, table):
     for ctx, p, (src, img) in table.images(table.instances, SOURCE, TRANSLATION):
         v = translation_verdict(ctx, src, img)
         yield None if v.holds else f"{p!r} at {dict(ctx)}: missing={v.missing} extra={v.extra}"
 
 
-def _suite_full_abstraction(image, cfg: SuiteConfig, rng, table):
+def _suite_full_abstraction(image, cfg: SuiteConfig, table):
     """Source equivalence iff equivalence of ``image``, over each family's pairs."""
     for ctx, procs in table.families:
         data = list(table.images([(ctx, p) for p in procs], SOURCE, image))
@@ -581,7 +581,7 @@ def _suite_full_abstraction(image, cfg: SuiteConfig, rng, table):
             yield None if (sp == sq) == (ip == iq) else f"{p!r} vs {q!r} at {dict(ctx)}"
 
 
-def _suite_transformer_graph(cfg: SuiteConfig, rng, table):
+def _suite_transformer_graph(cfg: SuiteConfig, table):
     pool = table.small_formulas
     for a, verdict in zip(pool, transformers.transformer_graphs(pool, cfg.bound)):
         yield None if verdict.holds else f"transformer at {a}"
@@ -593,7 +593,7 @@ def _all_tuples(delta, bound: int) -> list:
     return list(itertools.product(*columns))
 
 
-def _suite_context_denotation(cfg: SuiteConfig, rng, table):
+def _suite_context_denotation(cfg: SuiteConfig, table):
     one, bot = Unit(), Bottom()
     t2 = Plus(one, one)
     deltas = [
@@ -608,6 +608,7 @@ def _suite_context_denotation(cfg: SuiteConfig, rng, table):
         {"x": WhyNot(bot)},
         {"x": OfCourse(one)},
     ]
+    rng = random.Random(cfg.seed)
     for delta in deltas:
         full = _all_tuples(delta, cfg.bound)
         for _ in range(10):
@@ -616,12 +617,12 @@ def _suite_context_denotation(cfg: SuiteConfig, rng, table):
             yield None if v.holds else f"context denotation over {dict(delta)} with |X|={len(xs)}"
 
 
-def _suite_transformer_correct(cfg: SuiteConfig, rng, table):
+def _suite_transformer_correct(cfg: SuiteConfig, table):
     for ctx, p, (left, right) in table.images(table.instances, TRANSLATION, TRANSFORMER):
         yield None if left == right else f"{p!r} at {dict(ctx)}"
 
 
-def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
+def _suite_mix_permutation(cfg: SuiteConfig, table):
     one, bot = Unit(), Bottom()
     t2 = Plus(one, one)
     w2 = With(one, bot)
@@ -664,7 +665,7 @@ def _suite_mix_permutation(cfg: SuiteConfig, rng, table):
                     yield None if alike(ctx, lhs, rhs) else f"out-mix: {lhs!r}"
 
 
-def _suite_injectivity(cfg: SuiteConfig, rng, table):
+def _suite_injectivity(cfg: SuiteConfig, table):
     for a in table.small_formulas:
         space = obs_space(a, cfg.bound)
         injective = len({l_obs(a, o) for o in space}) == len(space)
@@ -687,7 +688,7 @@ def _suite_injectivity(cfg: SuiteConfig, rng, table):
             yield None if lhs == rhs else f"bag homomorphism at {qa}: {a1} u {a2}"
 
 
-def _suite_worked_example(cfg: SuiteConfig, rng, table):
+def _suite_worked_example(cfg: SuiteConfig, table):
     one = Unit()
     cut = Cut("x", one, EmptyOut("x"), EmptyIn("x", EmptyOut("y")))
     ctx = {"y": one}

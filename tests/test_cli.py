@@ -161,7 +161,7 @@ def test_print_then_parse_is_the_identity(p):
     (parse_process, "x 5", "1:3: expected a process form after the name (found '5')"),
     (parse_process, "x[5", "1:3: expected name (found '5')"),
     (parse_process, "x(5", "1:3: expected name (found '5')"),
-    (parse_process, "x<3.x[]", "1:4: selection index must be 1 or 2 (found '.')"),
+    (parse_process, "x<3.x[]", "1:3: selection index must be 1 or 2 (found '3')"),
     (parse_process, "0 0", "1:3: trailing input (found '0')"),
     (parse_process, "!x[y].0", "1:3: expected ( (found '[')"),
     (parse_config, "con a<b,a>. zero", "1:7: configuration contraction keeps its first name (found 'b')"),
@@ -559,7 +559,7 @@ def test_cli_suite_reports_a_type_error_inside_a_suite_as_its_failure(
     from cpwb.typing import RuleMismatch
 
     def suite_raising(error):
-        def suite(cfg, rng, table):
+        def suite(cfg, table):
             yield None
             raise error
 
@@ -593,7 +593,7 @@ def test_cli_maps_an_over_deep_term_to_exit_4(tmp_path, monkeypatch, capsys):
     from cpwb import harness
     from cpwb.typing import System, check
 
-    def suite(cfg, rng, table):
+    def suite(cfg, table):
         p, ctx = EmptyOut("x0"), {"x0": Unit()}
         for i in range(1, 5000):
             p, ctx[f"x{i}"] = Mix(p, EmptyOut(f"x{i}")), Unit()
@@ -693,7 +693,7 @@ POSITION_CORPUS = [
     (parse_process, "x[]\x0b|\u2028\x1c 5", "1:9: expected a process (found '5')"),
     (parse_process, "𝒳[5", "1:3: expected name (found '5')"),
     (parse_process, "𝒳(y).\n𝒳(5).0", "2:3: expected name (found '5')"),
-    (parse_process, "café(y).y<3.0", "1:12: selection index must be 1 or 2 (found '.')"),
+    (parse_process, "café(y).y<3.0", "1:11: selection index must be 1 or 2 (found '3')"),
     (parse_process, "é²Ⅻ(y).\n  y[] | #", "2:9: unexpected character '#'"),
     (parse_process, "x().\n\t0 $", "2:4: unexpected character '$'"),
     (parse_context, "x:1,\n  y:bot, x:1", "2:10: duplicate context name x"),
@@ -928,6 +928,19 @@ def test_cli_flags_are_pinned(monkeypatch, capsys, command):
     assert main([command, *args]) == 0
     assert seen == [{"command": command, **namespace}]
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["check", "denote", "translate", "transform", "equiv"])
+def test_cli_reads_the_files_then_ctx_then_sys(tmp_path, monkeypatch, capsys, command):
+    # of two bad inputs, the one read first is reported
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.cp").write_text("x[]")
+    files = ["p.cp"] if command == "equiv" else []
+    sys_flag = [] if command == "transform" else ["--sys", "bogus"]
+    assert main([command, "missing.cp", *files, "--ctx", "x:"]) == 4
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: 'missing.cp'\n")
+    assert main([command, "p.cp", *files, "--ctx", "x:", *sys_flag]) == 2
+    assert capsys.readouterr() == ("", "syntax error: 1:3: expected a type (found '')\n")
 
 
 @pytest.mark.parametrize("source, argv, code, out, err", [

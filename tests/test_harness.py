@@ -332,7 +332,7 @@ def test_no_derivation_outlives_its_suite(monkeypatch):
 def test_run_suite_counts_and_collects_the_outcomes_a_suite_yields(monkeypatch):
     from cpwb import harness
 
-    def suite(cfg, rng, table):
+    def suite(cfg, table):
         yield from [None, "bad", None]
 
     monkeypatch.setitem(harness._SUITES, "worked_example", suite)
@@ -344,7 +344,7 @@ def test_a_type_error_inside_a_suite_fails_the_instance_that_raised_it(monkeypat
     from cpwb import harness
     from cpwb.typing import RuleMismatch
 
-    def suite(cfg, rng, table):
+    def suite(cfg, table):
         yield None
         raise RuleMismatch("empty input needs type bot, got (1 * bot)")
 
