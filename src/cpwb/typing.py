@@ -2,7 +2,12 @@
 
 Every well-typed term has exactly one derivation: cuts are annotated,
 weakening/contraction are explicit markers, and multiplicative context
-splits are resolved by the free names of the subterms.
+splits are resolved by use: ``check`` walks the term once against one
+store of names, each rule consumes its principal name from it, and a
+premise's context is what the premise consumed (input/output resource
+management, after Hodas and Miller). A term the walk refuses is checked
+again by the rules of ``_check``, which split contexts by the free names
+of the subterms and name the fault.
 
 The derivation of a whole term is a ``Root``: the one ``check`` returns,
 and that of each given process of a typed context, kept beside its node
@@ -149,8 +154,10 @@ def check(p: Process, ctx, system: System = System.CP) -> Root:
 
 
 def _root(p: Process, ctx: TypingContext, sys: System) -> Root:
+    """p's derivation by the one walk; where the walk refuses ``p``, the
+    rules of ``_check`` check it again and raise the fault they find."""
     try:
-        return Root._make(_check(p, ctx, sys))
+        return Root._make(_walked(p, ctx, sys) or _check(p, ctx, sys))
     except RecursionError:
         raise too_deep("the process") from None
 
@@ -366,6 +373,255 @@ _RULES = {
     Cut: ("cut", _cut),
     Mix: ("mix2", _mix2),
 }
+
+
+# --- the walk that consumes one store ----------------------------------------
+#
+# ``_walk(p, s, sys)`` pops from the store ``s`` exactly the names of p's
+# context and leaves every other entry as it found it. A rule pops its
+# principal name and binds its binders over ``s``; each binder's scope must
+# consume it, and the outer entry it hid comes back after the scope. A node's
+# context is what its subtree consumed, so it equals the free names that
+# ``_check`` splits by, and every derivation equals ``_check``'s. Only
+# ``with`` copies: its right branch gets exactly what its left one consumed.
+# A walk that cannot go on raises ``_Refused``, ``KeyError`` for a name not
+# in the store or a class without a rule, or ``TypeError`` where ``dual``
+# meets what is not a formula.
+
+
+class _Refused(Exception):
+    """The walk refuses the term; ``_check`` says why."""
+
+
+# what ``_bind`` returns for a binder that hides no outer entry
+_ABSENT = object()
+_tuple = tuple.__new__
+
+
+def _walked(p: Process, ctx: TypingContext, sys: System) -> Derivation | None:
+    """p's derivation by one walk that consumes a store of ``ctx``, or None
+    where the walk refuses ``p`` or leaves a name unused."""
+    store = dict(ctx)
+    try:
+        d = _walk(p, store, sys)
+    except (_Refused, KeyError, TypeError):
+        return None
+    return None if store else d
+
+
+def _walk(p: Process, s: TypingContext, sys: System) -> Derivation:
+    rule, walk = _WALKS[type(p)]
+    ctx, premises = walk(p, s, sys)
+    # the tuple itself: Derivation's generated __new__ would add a frame per node
+    return _tuple(Derivation, (rule, p, ctx, premises))
+
+
+def _take(s: TypingContext, x: Name, kind: type) -> Formula:
+    t = s.pop(x)
+    if not isinstance(t, kind):
+        raise _Refused
+    return t
+
+
+def _bind(s: TypingContext, y: Name, a: Formula):
+    """Bind ``y`` to ``a`` over the store; return the entry it hides."""
+    outer = s.pop(y, _ABSENT)
+    s[y] = a
+    return outer
+
+
+def _unbind(s: TypingContext, y: Name, outer) -> None:
+    """End the scope of ``y``, which must have consumed it."""
+    if y in s:
+        raise _Refused
+    if outer is not _ABSENT:
+        s[y] = outer
+
+
+def _items(c: TypingContext) -> CtxItems:
+    return tuple(sorted(c.items()))
+
+
+def _own(d: Derivation, x: Name, t: Formula, *binders: Name) -> CtxItems:
+    """The context of a node with principal ``x: t`` and the one premise
+    ``d``, whose scope binds ``binders``."""
+    c = dict(d.ctx)
+    for y in binders:
+        del c[y]
+    c[x] = t
+    return _items(c)
+
+
+def _walk_mix0(p: Inact, s, sys):
+    if not sys.allows_mix0:
+        raise _Refused
+    return (), ()
+
+
+def _walk_id(p: Fwd, s, sys):
+    a, b = p.left, p.right
+    ta, tb = s.pop(a), s.pop(b)
+    if tb != dual(ta):
+        raise _Refused
+    return _items({a: ta, b: tb}), ()
+
+
+def _walk_one(p: EmptyOut, s, sys):
+    x = p.channel
+    t = s.pop(x)
+    if t != Unit():
+        raise _Refused
+    return ((x, t),), ()
+
+
+def _walk_bot(p: EmptyIn, s, sys):
+    x = p.channel
+    t = _take(s, x, Bottom)
+    d = _walk(p.body, s, sys)
+    return _own(d, x, t), (d,)
+
+
+def _walk_tensor(p: Out, s, sys):
+    x, y = p.channel, p.payload
+    t = _take(s, x, Tensor)
+    outer = _bind(s, y, t.left)
+    left = _walk(p.left, s, sys)
+    _unbind(s, y, outer)
+    s[x] = t.right
+    right = _walk(p.right, s, sys)
+    _unbind(s, x, _ABSENT)
+    c = dict(left.ctx)
+    del c[y]
+    c.update(right.ctx)
+    c[x] = t
+    return _items(c), (left, right)
+
+
+def _walk_par(p: In, s, sys):
+    x, y = p.channel, p.payload
+    t = _take(s, x, Par)
+    if y == x:
+        raise _Refused
+    outer = _bind(s, y, t.left)
+    s[x] = t.right
+    d = _walk(p.body, s, sys)
+    _unbind(s, x, _ABSENT)
+    _unbind(s, y, outer)
+    return _own(d, x, t, y), (d,)
+
+
+def _walk_plus(p: Select, s, sys):
+    x, i = p.channel, p.branch
+    t = _take(s, x, Plus)
+    if i not in (1, 2):
+        raise _Refused
+    s[x] = t.left if i == 1 else t.right
+    d = _walk(p.body, s, sys)
+    _unbind(s, x, _ABSENT)
+    return _own(d, x, t), (d,)
+
+
+def _walk_with(p: Case, s, sys):
+    x = p.channel
+    t = _take(s, x, With)
+    s[x] = t.left
+    left = _walk(p.left, s, sys)
+    _unbind(s, x, _ABSENT)
+    rest = dict(left.ctx)
+    rest[x] = t.right
+    right = _walk(p.right, rest, sys)
+    if rest:
+        raise _Refused
+    return _own(left, x, t), (left, right)
+
+
+def _walk_bang(p: Server, s, sys):
+    x, y = p.channel, p.payload
+    t = _take(s, x, OfCourse)
+    if y == x:
+        raise _Refused
+    outer = _bind(s, y, t.body)
+    d = _walk(p.body, s, sys)
+    _unbind(s, y, outer)
+    if not all(isinstance(f, WhyNot) for n, f in d.ctx if n != y):
+        raise _Refused
+    return _own(d, x, t, y), (d,)
+
+
+def _walk_quest(p: Client, s, sys):
+    x, y = p.channel, p.payload
+    t = _take(s, x, WhyNot)
+    if y == x:
+        raise _Refused
+    outer = _bind(s, y, t.body)
+    d = _walk(p.body, s, sys)
+    _unbind(s, y, outer)
+    return _own(d, x, t, y), (d,)
+
+
+def _walk_weak(p: Weak, s, sys):
+    x, annot = p.name, p.annot
+    t = s.pop(x)
+    if not isinstance(annot, WhyNot) or t != annot:
+        raise _Refused
+    d = _walk(p.body, s, sys)
+    return _own(d, x, t), (d,)
+
+
+def _walk_contract(p: Contract, s, sys):
+    x, x1, x2 = p.name, p.left_name, p.right_name
+    t = _take(s, x, WhyNot)
+    if x1 == x2:
+        raise _Refused
+    outer1 = _bind(s, x1, t)
+    outer2 = _bind(s, x2, t)
+    d = _walk(p.body, s, sys)
+    _unbind(s, x2, outer2)
+    _unbind(s, x1, outer1)
+    return _own(d, x, t, x1, x2), (d,)
+
+
+def _walk_cut(p: Cut, s, sys):
+    x, annot = p.name, p.annot
+    outer = _bind(s, x, annot)
+    left = _walk(p.left, s, sys)
+    _unbind(s, x, _ABSENT)
+    s[x] = dual(annot)
+    right = _walk(p.right, s, sys)
+    _unbind(s, x, outer)
+    c = dict(left.ctx)
+    c.update(right.ctx)
+    del c[x]
+    return _items(c), (left, right)
+
+
+def _walk_mix2(p: Mix, s, sys):
+    if not sys.allows_mix2:
+        raise _Refused
+    left = _walk(p.left, s, sys)
+    right = _walk(p.right, s, sys)
+    c = dict(left.ctx)
+    c.update(right.ctx)
+    return _items(c), (left, right)
+
+
+# process class -> (rule name, walk), each rule named as in ``_RULES``
+_WALKS = {cls: (_RULES[cls][0], walk) for cls, walk in {
+    Inact: _walk_mix0,
+    Fwd: _walk_id,
+    EmptyOut: _walk_one,
+    EmptyIn: _walk_bot,
+    Out: _walk_tensor,
+    In: _walk_par,
+    Select: _walk_plus,
+    Case: _walk_with,
+    Server: _walk_bang,
+    Client: _walk_quest,
+    Weak: _walk_weak,
+    Contract: _walk_contract,
+    Cut: _walk_cut,
+    Mix: _walk_mix2,
+}.items()}
 
 
 # --- typed contexts with one hole -------------------------------------------

@@ -306,7 +306,7 @@ def test_each_derivation_node_is_denoted_once(monkeypatch):
     assert _count_denote_calls(monkeypatch, d) == _nodes(d) == 9
 
 
-def test_each_process_node_gets_its_free_names_once(monkeypatch):
+def test_check_computes_no_free_names(monkeypatch):
     proc, ctx = chain(5)
     entered = []
     real = syntax._free_names
@@ -317,9 +317,9 @@ def test_each_process_node_gets_its_free_names_once(monkeypatch):
 
     monkeypatch.setattr(syntax, "_free_names", counting)
     d = check(proc, ctx, System.CP02)
-    # the checker splits every Out below the root, so it needs the free names
-    # of every node but the root
-    assert len(entered) == len({id(p) for p in entered}) == _nodes(d) - 1 == 10
+    # each Out's premises take what they use from one store of names, so
+    # no context is split by the free names of a subterm
+    assert _nodes(d) == 11 and entered == []
 
 
 def _applied_rules(monkeypatch):

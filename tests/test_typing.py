@@ -358,3 +358,87 @@ def test_check_context_names_a_result_it_does_not_produce():
         check_context(k, {"x": one}, {"x": one}, System.CP02)
     assert (type(e.value), str(e.value)) == (
         HoleTypeMismatch, "context produces {'x': Unit(), 'y': Unit()}, expected {'x': Unit()}")
+
+
+# --- the one walk against the rules ---------------------------------------------
+
+
+def _well_typed():
+    """(process, context) pairs that check at CP02: the enumerated families,
+    their negative translations and the transformers of the depth-2 pool."""
+    from cpwb.harness import cut_families, exp_free_families, exponential_families, formula_pool
+    from cpwb.transformers import transformer, transformer_typing
+    from cpwb.translation import translate_process, translated_context
+
+    sources = [(p, ctx) for ctx, ps in exp_free_families(6) + exponential_families(6) for p in ps]
+    sources += [(p, ctx) for ctx, p in cut_families(5)]
+    clients = {"x": WhyNot(bot)}
+    sources += [(p, clients) for p in enumerate_processes(clients, 9, System.CP02)]
+    yield from sources
+    for p, ctx in sources:
+        yield translate_process(check(p, ctx, System.CP02)), translated_context(ctx)
+    for a in formula_pool(2):
+        yield transformer(a, "x", "x'"), transformer_typing(a, "x", "x'")
+
+
+def _near_miss(p, ctx, i):
+    """The well-typed ``p`` at ``ctx`` changed in one place, the kind of
+    change chosen by ``i``: a free name substituted by another context name,
+    a context name dropped, a context type replaced by its dual, a side
+    process ``v[]`` mixed into the first premise or swapped with it, or an
+    extra name (one that p binds, where there is one) added."""
+    names = sorted(ctx)
+    premises = p._shape[2]
+    kind = i % 6
+    if names and kind < 3:
+        n = names[i % len(names)]
+        if kind == 0:
+            others = [m for m in names if m != n] or ["v"]
+            return syntax.substitute(p, others[i % len(others)], n), ctx
+        if kind == 1:
+            return p, {m: a for m, a in ctx.items() if m != n}
+        return p, {**ctx, n: dual(ctx[n])}
+    if premises and kind > 3:
+        v = syntax.fresh_name("v", syntax.all_names(p) | set(ctx))
+        fields = list(p._fields(p))
+        first = fields[premises[0][0]]
+        fields[premises[0][0]] = Mix(first, EmptyOut(v)) if kind == 4 else EmptyOut(v)
+        q = type(p)(*fields)
+        return (q if kind == 4 else Mix(q, first)), {**ctx, v: one}
+    extra = sorted(syntax.all_names(p) - set(ctx)) or ["v"]
+    return p, {**ctx, extra[i % len(extra)]: ctx[names[i % len(names)]] if names else one}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CPTypeError as e:
+        return type(e), str(e)
+
+
+def test_the_walk_gives_the_rules_derivation_and_refuses_what_they_refuse():
+    # the walk is checked apart from check's fall-back to the rules, which
+    # would hide a term the walk accepts and the rules refuse
+    checked = accepted = 0
+    for i, (p, ctx) in enumerate(_well_typed()):
+        for q, qctx, systems in ((p, ctx, (System.CP02,)), (*_near_miss(p, ctx, i), System)):
+            for system in systems:
+                rules = _outcome(cp_typing._check, q, dict(qctx), system)
+                derivation = rules if isinstance(rules, Derivation) else None
+                assert cp_typing._walked(q, qctx, system) == derivation, (q, qctx, system)
+                assert _outcome(check, q, qctx, system) == rules
+                checked += 1
+                accepted += derivation is not None
+    assert (checked, accepted) == (44776, 12896)
+
+
+def test_a_term_too_deep_for_the_walk_is_refused_without_the_rules(monkeypatch):
+    import sys
+
+    def entered(*args):
+        raise AssertionError("the rules walked the term again")
+
+    monkeypatch.setattr(cp_typing, "_check", entered)
+    p, ctx = _mix_chain(sys.getrecursionlimit() + 1)
+    with pytest.raises(TooDeep, match="nested too deeply"):
+        check(p, ctx, System.CP02)
